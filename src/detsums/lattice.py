@@ -11,12 +11,20 @@ it expands whole frontiers of partial coefficient vectors with vectorized
 interval arithmetic, emitting ``(coeffs, norm_sq)`` arrays.  That keeps the
 per-point cost at a handful of numpy flops, which matters for rank-8 balls
 holding 10^7..10^8 points.
+
+The ball is symmetric, so the walk covers only half of it: a partial vector
+whose chosen coefficients are all zero takes only nonnegative values at the
+next level (and positive ones at the last), which yields exactly one of each
++/-z pair and never the zero vector.  This is the Fincke-Pohst walk of Agrell
+et al., "Closest point search in lattices" (IEEE T-IT 2002), restricted to a
+symmetric body.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -39,6 +47,7 @@ __all__ = [
     "shell_counts",
     "predicted_point_count",
     "top_level_range",
+    "PointBudget",
     "DEFAULT_BUDGET",
 ]
 
@@ -63,9 +72,10 @@ class MatrixLattice:
     gram_real: np.ndarray   # (k, k) float64, Re tr(B_i B_j*)
     min_norm_sq: float
     chol_upper: np.ndarray  # upper triangular U with U.T @ U = gram_real
+    real_basis: np.ndarray  # (k, 2nT) float64, interleaved Re/Im of each basis matrix
 
     def __post_init__(self):
-        for arr in (self.basis, self.gram_real, self.chol_upper):
+        for arr in (self.basis, self.gram_real, self.chol_upper, self.real_basis):
             arr.setflags(write=False)
 
     @property
@@ -120,7 +130,7 @@ def build_lattice(basis: Sequence[np.ndarray]) -> MatrixLattice:
     U = np.linalg.cholesky(G).T
     min_norm_sq = _shortest_nonzero_norm_sq(G, U)
     return MatrixLattice(n=n, T=T, k=k, basis=stack, gram_real=G,
-                         min_norm_sq=min_norm_sq, chol_upper=U)
+                         min_norm_sq=min_norm_sq, chol_upper=U, real_basis=V)
 
 
 def rescale_lattice(lat: MatrixLattice, factor: float) -> MatrixLattice:
@@ -161,13 +171,10 @@ def size_reduce(lat: MatrixLattice, max_passes: int = 32) -> MatrixLattice:
 def _shortest_nonzero_norm_sq(G: np.ndarray, U: np.ndarray) -> float:
     # The shortest basis vector bounds the minimum, so a single walk at that
     # radius is guaranteed to see a shortest vector.
-    radius = math.sqrt(float(np.min(np.diag(G))))
     best = float(np.min(np.diag(G)))
-    for ztail, norm_sq in _walk(U, radius * radius * (1.0 + _RADIUS_TOL),
-                                budget=_MIN_NORM_BUDGET, max_rows=1 << 16):
-        nonzero = np.any(ztail != 0, axis=1)
-        if np.any(nonzero):
-            best = min(best, float(norm_sq[nonzero].min()))
+    for _, norm_sq in _walk(U, _bound_sq(math.sqrt(best)),
+                            budget=PointBudget(_MIN_NORM_BUDGET), max_rows=1 << 16):
+        best = min(best, float(norm_sq.min()))
     if best <= 0:
         raise DependentBasis("lattice has a numerically zero nonzero vector")
     return best
@@ -179,6 +186,12 @@ def _shortest_nonzero_norm_sq(G: np.ndarray, U: np.ndarray) -> float:
 
 def _ball_volume(k: int, radius: float) -> float:
     return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0) * radius ** k
+
+
+def _bound_sq(radius: float) -> float:
+    """Squared radius with the boundary slack; the walk and every binning of
+    its norms compare against this one value."""
+    return radius * radius * (1.0 + _RADIUS_TOL)
 
 
 def predicted_point_count(lat: MatrixLattice, radius: float) -> float:
@@ -195,6 +208,27 @@ def top_level_range(lat: MatrixLattice, radius: float) -> tuple[int, int]:
     return (-int(math.floor(half + 1e-12)), int(math.floor(half + 1e-12)))
 
 
+class PointBudget:
+    """Cap on the lattice points one enumeration may produce.
+
+    It counts the points of the full ball, the origin included, so a half
+    walk charges two points per row it emits.  Partitions of one enumeration
+    share one instance, so workers cannot exceed the cap together.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 1                   # the origin
+        self._lock = threading.Lock()
+
+    def charge(self, points: int) -> None:
+        with self._lock:
+            self.used += points
+            if self.used > self.limit:
+                raise BudgetExceeded(
+                    f"enumeration emitted more than budget={self.limit} points")
+
+
 def _ragged_expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row indices and within-row offsets for expanding per-row ranges."""
     total = int(counts.sum())
@@ -204,26 +238,28 @@ def _ragged_expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, offsets
 
 
-def _walk(U: np.ndarray, rad_sq: float, *, budget: int, max_rows: int,
+def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget, max_rows: int,
           top_range: tuple[int, int] | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Depth-first block enumeration of all z with z^T G z <= rad_sq.
+    """Depth-first block enumeration of the half ball 0 < z^T G z <= rad_sq.
 
-    Yields (ztail, norm_sq) where ztail holds the coefficients in reverse
-    index order (column 0 is index k-1).  The zero vector is included; callers
-    filter it.  Raises BudgetExceeded when the emitted count passes ``budget``.
+    Yields (coeffs, norm_sq) with coefficients in natural index order, one
+    z of each +/-z pair: the one whose highest nonzero coefficient is
+    positive.  A row whose higher coefficients are all zero has ``used``
+    exactly 0.0, so that is the mask.  Charges ``budget`` two points per row.
+
+    Frontiers do not carry their coefficient prefixes: each level keeps its
+    values and the row of the parent they extend, and a leaf block gathers
+    its coefficients along that path.
     """
     k = U.shape[0]
-    emitted = 0
 
-    def expand(level: int, ztail: np.ndarray, y: np.ndarray, used: np.ndarray):
-        nonlocal emitted
+    def expand(level: int, path: list, y: np.ndarray, used: np.ndarray):
         d = U[level, level]
-        rem = rad_sq - used
-        rem = np.maximum(rem, 0.0)
-        half = np.sqrt(rem) / d
+        half = np.sqrt(np.maximum(rad_sq - used, 0.0)) / d
         center = -y[:, level] / d
         low = np.ceil(center - half - 1e-12)
         high = np.floor(center + half + 1e-12)
+        low = np.where(used == 0.0, np.maximum(low, 1.0 if level == 0 else 0.0), low)
         if level == k - 1 and top_range is not None:
             low = np.maximum(low, float(top_range[0]))
             high = np.minimum(high, float(top_range[1]))
@@ -240,73 +276,66 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: int, max_rows: int,
         new_used = new_used[keep]
         if rows.size == 0:
             return
-        new_ztail = np.concatenate([ztail[rows], zvals[:, None]], axis=1)
         if level == 0:
-            emitted += new_ztail.shape[0]
-            if emitted > budget:
-                raise BudgetExceeded(
-                    f"enumeration emitted more than budget={budget} points")
-            yield new_ztail, new_used
+            coeffs = np.empty((k, rows.size), dtype=np.int64)
+            coeffs[0] = zvals
+            idx = rows
+            for j, (z, parent) in enumerate(reversed(path), start=1):
+                coeffs[j] = z[idx]
+                idx = parent[idx]
+            budget.charge(2 * zvals.size)
+            yield coeffs.T, new_used
             return
         new_y = y[rows, :level] + U[:level, level][None, :] * zvals[:, None]
-        n_new = new_ztail.shape[0]
-        if n_new <= max_rows:
-            yield from expand(level - 1, new_ztail, new_y, new_used)
-        else:
-            for s in range(0, n_new, max_rows):
-                e = s + max_rows
-                yield from expand(level - 1, new_ztail[s:e], new_y[s:e], new_used[s:e])
+        for s in range(0, rows.size, max_rows):
+            e = s + max_rows
+            yield from expand(level - 1, path + [(zvals[s:e], rows[s:e])],
+                              new_y[s:e], new_used[s:e])
 
-    z0 = np.empty((1, 0), dtype=np.int64)
-    y0 = np.zeros((1, k))
-    used0 = np.zeros(1)
-    yield from expand(k - 1, z0, y0, used0)
-
-
-def _leaf_filter(ztail: np.ndarray, norm_sq: np.ndarray, dedup_signs: bool):
-    nonzero = np.any(ztail != 0, axis=1)
-    if dedup_signs:
-        # Column 0 stores the highest coefficient index, so the first nonzero
-        # column in storage order is the leading coefficient; keep it positive.
-        nz = ztail != 0
-        lead_col = nz.argmax(axis=1)
-        lead = ztail[np.arange(ztail.shape[0]), lead_col]
-        nonzero &= lead > 0
-    return ztail[nonzero], norm_sq[nonzero]
+    yield from expand(k - 1, [], np.zeros((1, k)), np.zeros(1))
 
 
 def coefficient_blocks(lat: MatrixLattice, radius: float, *,
                        dedup_signs: bool = False,
-                       budget: int = DEFAULT_BUDGET,
-                       max_rows: int = 1 << 18,
+                       budget: int | PointBudget = DEFAULT_BUDGET,
+                       max_rows: int = 1 << 12,
                        top_range: tuple[int, int] | None = None,
                        skip_budget_check: bool = False,
                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (coeffs, norm_sq) blocks covering every nonzero point of L(radius).
 
-    Coefficient rows are in natural index order.  With ``dedup_signs`` exactly
-    one of each +/-z pair is produced (leading coefficient positive).
-    ``top_range`` restricts the last coefficient to a subrange, which is how
-    partitioned enumeration splits work across workers.
+    Coefficient rows are in natural index order.  With ``dedup_signs`` the
+    blocks come straight from the half walk: exactly one of each +/-z pair,
+    with its highest nonzero coefficient positive.  Otherwise each half block
+    is yielded together with its negation.  ``top_range`` restricts the last
+    coefficient to a subrange of the half range [0, hi], which is how
+    partitioned enumeration splits work across workers; partitions pass one
+    shared ``PointBudget`` as ``budget``.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if not skip_budget_check and predicted_point_count(lat, radius) > budget:
+    if not isinstance(budget, PointBudget):
+        budget = PointBudget(budget)
+    if not skip_budget_check and predicted_point_count(lat, radius) > budget.limit:
         raise BudgetExceeded(
             f"predicted point count {predicted_point_count(lat, radius):.3e} "
-            f"exceeds budget {budget}")
-    rad_sq = radius * radius * (1.0 + _RADIUS_TOL)
-    for ztail, norm_sq in _walk(lat.chol_upper, rad_sq, budget=budget,
-                                max_rows=max_rows, top_range=top_range):
-        ztail, norm_sq = _leaf_filter(ztail, norm_sq, dedup_signs)
-        if ztail.shape[0]:
-            yield ztail[:, ::-1], norm_sq
+            f"exceeds budget {budget.limit}")
+    for coeffs, norm_sq in _walk(lat.chol_upper, _bound_sq(radius), budget=budget,
+                                 max_rows=max_rows, top_range=top_range):
+        if not dedup_signs:
+            coeffs = np.concatenate([coeffs, -coeffs])
+            norm_sq = np.concatenate([norm_sq, norm_sq])
+        yield coeffs, norm_sq
 
 
 def realize_block(lat: MatrixLattice, coeffs: np.ndarray) -> np.ndarray:
-    """Realize a (B, k) coefficient block as a (B, n, T) matrix stack."""
-    flat = coeffs.astype(float) @ lat.basis.reshape(lat.k, -1)
-    return flat.reshape(-1, lat.n, lat.T)
+    """Realize a (B, k) coefficient block as a (B, n, T) matrix stack.
+
+    The product runs in real arithmetic on the interleaved basis, whose rows
+    read back as complex entries.
+    """
+    flat = coeffs.astype(float) @ lat.real_basis
+    return flat.view(np.complex128).reshape(-1, lat.n, lat.T)
 
 
 def enumerate_points(lat: MatrixLattice, radius: float, *,
@@ -323,18 +352,18 @@ def enumerate_points(lat: MatrixLattice, radius: float, *,
 
 def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,
                  budget: int = DEFAULT_BUDGET) -> list[int]:
-    """|L(M)| for each radius M in an increasing list, from one enumeration."""
+    """|L(M)| for each radius M in an increasing list, from one half walk."""
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     if radii[0] <= 0:
         raise ValueError("radii must be positive")
-    bounds = np.array([r * r * (1.0 + _RADIUS_TOL) for r in radii])
+    bounds = np.array([_bound_sq(r) for r in radii])
     counts = np.zeros(len(radii), dtype=np.int64)
-    for _, norm_sq in coefficient_blocks(lat, radii[-1], budget=budget):
-        for j, b in enumerate(bounds):
-            counts[j] += int(np.count_nonzero(norm_sq <= b))
-    return [int(c) for c in counts]
+    for _, norm_sq in coefficient_blocks(lat, radii[-1], dedup_signs=True,
+                                         budget=budget):
+        counts += np.bincount(np.searchsorted(bounds, norm_sq), minlength=len(radii))
+    return [2 * int(c) for c in np.cumsum(counts)]
 
 
 # ---------------------------------------------------------------------------

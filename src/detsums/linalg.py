@@ -8,9 +8,17 @@ determinant ``det(I + c X X*)`` expanded in those means:
     det(I + c X X*) = 1 + C(n,1) p_1 c + C(n,2) p_2 c^2 + ... + p_n c^n
 
 The expansion has only nonnegative terms for ``c >= 0``, so it is evaluated
-without cancellation.  Symmetric means come from principal-minor sums for
-``n <= 4`` and from a Faddeev-LeVerrier trace recurrence above that; no
-iterative eigensolver is involved, which keeps results deterministic.
+without cancellation.  The batched kernel reads the first and last
+coefficients straight off X: ``e_1 = ||X||_F^2`` and, for square X,
+``e_n = |det X|^2``.  For the 2 x 2 codes that is all of it,
+
+    det(I + c X X*) = 1 + c ||X||_F^2 + c^2 |det X|^2,
+
+with no Gram matrix formed.  The middle coefficients (n >= 3), and e_n of a
+non-square X, come from principal minors of the Gram matrix.  The scalar
+helpers use principal minors for ``n <= 4`` and a Faddeev-LeVerrier trace
+recurrence above that; no iterative eigensolver is involved, which keeps
+results deterministic.
 """
 
 from __future__ import annotations
@@ -147,31 +155,54 @@ def det_batch(Mb: np.ndarray) -> np.ndarray:
     return np.linalg.det(Mb)
 
 
-def det_gram_batch(Xb: np.ndarray) -> np.ndarray:
-    """det(X X*) for a stack of matrices; real and clamped at zero."""
-    d = det_batch(gram_batch(Xb))
-    return np.maximum(np.real(d), 0.0)
+def _det_gram(Xb: np.ndarray, G: np.ndarray | None = None) -> np.ndarray:
+    """det(X X*) per matrix: |det X|^2 when square, else det of the Gram."""
+    if Xb.shape[1] == Xb.shape[2]:
+        d = det_batch(Xb)
+        return d.real * d.real + d.imag * d.imag
+    return np.real(det_batch(gram_batch(Xb) if G is None else G))
 
 
-def symmetric_means_batch(Xb: np.ndarray) -> np.ndarray:
-    """Batched symmetric means, shape (B, n).  Supports n <= 4 vectorized."""
-    n = Xb.shape[1]
-    if n > 4:
-        return np.stack([symmetric_means(X) for X in Xb])
+def _esp_batch(Xb: np.ndarray) -> np.ndarray:
+    """Elementary symmetric polynomials e_1..e_n of the Gram eigenvalues of a
+    (B, n, T) stack, shape (B, n), nonnegative.
+
+    e_1 = ||X||_F^2 and, for square X, e_n = |det X|^2 need no Gram matrix;
+    the rest are principal-minor sums of it, with round-off clamped.
+    """
+    B, n, T = Xb.shape
+    flat = np.ascontiguousarray(Xb).reshape(B, -1).view(np.float64)
+    e = np.empty((B, n))
+    e[:, 0] = np.einsum("ij,ij->i", flat, flat)
+    if n == 1:
+        return e
+    if n == 2 and T == 2:
+        e[:, 1] = _det_gram(Xb)
+        return e
     G = gram_batch(Xb)
-    B = G.shape[0]
-    p = np.empty((B, n))
-    for size in range(1, n + 1):
+    for size in range(2, n):
         total = np.zeros(B)
         for subset in combinations(range(n), size):
             idx = np.asarray(subset)
             total += np.real(det_batch(G[:, idx[:, None], idx[None, :]]))
-        p[:, size - 1] = total / math.comb(n, size)
-    p1 = np.maximum(p[:, 0], 0.0)
-    thr = _CLAMP_REL * p1[:, None] ** np.arange(1, n + 1)[None, :]
-    if np.any(p < -thr):
+        e[:, size - 1] = total
+    e[:, n - 1] = _det_gram(Xb, G)
+    binoms = np.array([math.comb(n, i) for i in range(1, n + 1)], dtype=float)
+    thr = _CLAMP_REL * binoms * (e[:, :1] / n) ** np.arange(1, n + 1)
+    if np.any(e < -thr):
         raise ValueError("symmetric mean is negative beyond round-off; input is not PSD")
-    return np.where(p < 0.0, 0.0, p)
+    return np.maximum(e, 0.0)
+
+
+def det_gram_batch(Xb: np.ndarray) -> np.ndarray:
+    """det(X X*) for a stack of matrices; real and clamped at zero."""
+    return np.maximum(_det_gram(Xb), 0.0)
+
+
+def symmetric_means_batch(Xb: np.ndarray) -> np.ndarray:
+    """Batched symmetric means, shape (B, n)."""
+    n = Xb.shape[1]
+    return _esp_batch(Xb) / np.array([math.comb(n, i) for i in range(1, n + 1)], dtype=float)
 
 
 def shifted_det_from_means(p: np.ndarray, c: float) -> float:
@@ -193,14 +224,13 @@ def shifted_det(X: np.ndarray, c: float) -> float:
 
 
 def shifted_det_batch(Xb: np.ndarray, c: float) -> np.ndarray:
-    """Batched ``shifted_det`` over a stack of matrices with shape (B, n, T)."""
+    """Batched ``shifted_det`` over a stack of matrices with shape (B, n, T):
+    1 + e_1 c + ... + e_n c^n, by Horner's rule on nonnegative terms."""
     if c < 0:
         raise ValueError("shift c must be nonnegative")
-    p = symmetric_means_batch(Xb)
-    n = p.shape[1]
-    value = np.ones(p.shape[0])
-    cp = 1.0
-    for i in range(1, n + 1):
-        cp *= c
-        value += math.comb(n, i) * p[:, i - 1] * cp
-    return value
+    e = _esp_batch(Xb)
+    value = e[:, -1] * c
+    for i in range(e.shape[1] - 2, -1, -1):
+        value += e[:, i]
+        value *= c
+    return value + 1.0

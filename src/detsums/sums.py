@@ -6,10 +6,12 @@ Three families are supported, all over the nonzero points of L(M):
 * ``approximate``  sum of |det(X)|^(-m)        (square lattices)
 * ``mixed``        sum of ||X||_F^(-2i) * det(X X*)^(-(m-i))
 
-Terms are evaluated block-wise on the enumeration stream and accumulated with
-a compensated (Neumaier) summation, so totals are independent of enumeration
-order and of how partitioned workers split the ball, to well below the 1e-9
-relative tolerance the tests assert.
+Every family is even in X, so each sum is one pass over the half-ball walk
+(one of each +/-X pair) and twice its total.  Terms are evaluated block-wise
+on the walk; each block adds one partial sum per shell of the radius grid,
+and the partials are merged with ``math.fsum``.  fsum is exactly rounded, so
+totals do not depend on the order in which blocks arrive or on how
+partitioned workers split the ball.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ import numpy as np
 
 from .errors import (BudgetExceeded, HypothesisViolated, ProofBoundExceeded,
                      SingularPoint)
-from .lattice import (DEFAULT_BUDGET, MatrixLattice, coefficient_blocks,
-                      predicted_point_count, realize_block, top_level_range)
+from .lattice import (DEFAULT_BUDGET, MatrixLattice, PointBudget,
+                      _bound_sq, coefficient_blocks, predicted_point_count,
+                      realize_block, top_level_range)
 from .linalg import det_batch, det_gram_batch, shifted_det_batch
 
 __all__ = [
     "SumSpec",
     "SumCurve",
-    "Kahan",
     "shifted_det_sum",
     "inverse_det_sum",
     "norm_det_sum",
@@ -52,32 +54,6 @@ FAMILIES = ("shifted", "approximate", "mixed")
 _SINGULAR_REL = 1e-12
 
 
-class Kahan:
-    """Neumaier compensated accumulator; merge is associative in practice."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - t) + x
-        else:
-            self.comp += (x - t) + self.total
-        self.total = t
-
-    def merge(self, other: "Kahan") -> None:
-        self.add(other.total)
-        self.comp += other.comp
-
-    @property
-    def value(self) -> float:
-        return self.total + self.comp
-
-
 @dataclass(frozen=True)
 class SumSpec:
     """One member of a sum family.
@@ -90,7 +66,6 @@ class SumSpec:
     m: float
     c: float = 0.0
     i: int | None = None
-    dedup_signs: bool = False
     skip_singular: bool = False
 
     def __post_init__(self):
@@ -114,17 +89,12 @@ class SumSpec:
 
 @dataclass
 class SumCurve:
-    """Sum values of one family on an increasing radius grid.
-
-    ``compensation`` is the total magnitude of the compensated-summation
-    corrections; it bounds what plain accumulation would have lost.
-    """
+    """Sum values of one family on an increasing radius grid."""
 
     spec: SumSpec
     radii: list[float]
     values: list[float]
     point_counts: list[int]
-    compensation: float = 0.0
 
     def to_csv(self, path=None) -> str | None:
         buf = io.StringIO()
@@ -142,8 +112,7 @@ class SumCurve:
     def to_json_dict(self) -> dict:
         return {
             "spec": {"family": self.spec.family, "m": self.spec.m, "c": self.spec.c,
-                     "i": self.spec.i, "dedupSigns": self.spec.dedup_signs},
-            "compensation": float(self.compensation),
+                     "i": self.spec.i},
             "points": [
                 {"M": float(M), "value": float(v), "pointCount": int(cnt)}
                 for M, v, cnt in zip(self.radii, self.values, self.point_counts)
@@ -152,14 +121,14 @@ class SumCurve:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SumCurve":
+        """Read a curve; the ``compensation`` and ``dedupSigns`` keys of older
+        files are ignored."""
         spec = SumSpec(family=doc["spec"]["family"], m=doc["spec"]["m"],
-                       c=doc["spec"].get("c", 0.0), i=doc["spec"].get("i"),
-                       dedup_signs=doc["spec"].get("dedupSigns", False))
+                       c=doc["spec"].get("c", 0.0), i=doc["spec"].get("i"))
         pts = doc["points"]
         return cls(spec=spec, radii=[p["M"] for p in pts],
                    values=[p["value"] for p in pts],
-                   point_counts=[p["pointCount"] for p in pts],
-                   compensation=doc.get("compensation", 0.0))
+                   point_counts=[p["pointCount"] for p in pts])
 
 
 def _singular_mask(det_g: np.ndarray, norm_sq: np.ndarray, n: int) -> np.ndarray:
@@ -218,25 +187,73 @@ def _term_function(lat: MatrixLattice, spec: SumSpec) -> Callable[[np.ndarray, n
 
 
 def _partition_ranges(lat: MatrixLattice, radius: float, n_jobs: int) -> list[tuple[int, int]]:
-    lo, hi = top_level_range(lat, radius)
-    width = hi - lo + 1
-    n_jobs = max(1, min(n_jobs, width))
-    edges = np.linspace(lo, hi + 1, n_jobs + 1).astype(int)
-    return [(int(edges[j]), int(edges[j + 1] - 1)) for j in range(n_jobs)
-            if edges[j] <= edges[j + 1] - 1]
+    """Split the half range [0, hi] of the top coefficient into up to
+    ``n_jobs`` contiguous ranges of about equal point counts.
+
+    The slice at top coefficient t holds about (R^2 - (d t)^2)^((k-1)/2)
+    points, and the half walk keeps half of the t = 0 slice.  Each range ends
+    at the slice whose cumulative weight is nearest its share.
+    """
+    hi = top_level_range(lat, radius)[1]
+    d = lat.chol_upper[lat.k - 1, lat.k - 1]
+    weight = np.maximum(radius * radius - (d * np.arange(hi + 1)) ** 2, 0.0) ** ((lat.k - 1) / 2.0)
+    weight[0] /= 2.0
+    cum = np.cumsum(weight)
+    ends = [int(np.argmin(np.abs(cum - cum[-1] * j / n_jobs))) for j in range(1, n_jobs)]
+    ranges, start = [], 0
+    for end in ends + [hi]:
+        if end >= start:
+            ranges.append((start, end))
+            start = end + 1
+    return ranges
 
 
-def _accumulate_partition(lat, radius, term_fn, spec, budget, top_range):
-    acc = Kahan()
-    count = 0
-    for coeffs, norm_sq in coefficient_blocks(lat, radius,
-                                              dedup_signs=spec.dedup_signs,
+def _shell_partials(lat, radius, term_fn, bounds, budget, top_range):
+    """Per-block partial sums and point counts of each shell, on one partition."""
+    partials = []
+    counts = np.zeros(len(bounds), dtype=np.int64)
+    for coeffs, norm_sq in coefficient_blocks(lat, radius, dedup_signs=True,
                                               budget=budget, top_range=top_range,
-                                              skip_budget_check=top_range is not None):
-        t, _ = term_fn(coeffs, norm_sq)
-        count += t.size
-        acc.add(float(np.sum(t)))
-    return acc, count
+                                              skip_budget_check=True):
+        t, keep = term_fn(coeffs, norm_sq)
+        if keep is not None:
+            norm_sq = norm_sq[keep]
+        bins = np.searchsorted(bounds, norm_sq)
+        partials.append(np.bincount(bins, weights=t, minlength=len(bounds)))
+        counts += np.bincount(bins, minlength=len(bounds))
+    return partials, counts
+
+
+def _reduce(lat: MatrixLattice, spec: SumSpec, radii: list[float], budget: int,
+            n_jobs: int) -> tuple[list[float], list[int]]:
+    """Cumulative sum values and point counts on an increasing radius grid.
+
+    One half walk to radii[-1], split into top-coefficient partitions on a
+    thread pool when ``n_jobs > 1``; the partitions share one point budget.
+    """
+    if any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
+        raise ValueError("radii must be positive and strictly increasing")
+    term_fn = _term_function(lat, spec)
+    if predicted_point_count(lat, radii[-1]) > budget:
+        raise BudgetExceeded(
+            f"predicted point count {predicted_point_count(lat, radii[-1]):.3e} "
+            f"exceeds budget {budget}")
+    bounds = np.array([_bound_sq(r) for r in radii])
+    shared = PointBudget(budget)
+    ranges = _partition_ranges(lat, radii[-1], n_jobs) if n_jobs > 1 else [None]
+
+    def run(rng):
+        return _shell_partials(lat, radii[-1], term_fn, bounds, shared, rng)
+
+    if len(ranges) == 1:
+        parts = [run(ranges[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+            parts = list(pool.map(run, ranges))
+    partials = np.array([row for p in parts for row in p[0]]).reshape(-1, len(radii))
+    values = [2.0 * math.fsum(partials[:, :j + 1].ravel()) for j in range(len(radii))]
+    counts = np.cumsum(sum(p[1] for p in parts))
+    return values, [2 * int(c) for c in counts]
 
 
 def evaluate_sum(lat: MatrixLattice, spec: SumSpec, radius: float, *,
@@ -244,127 +261,48 @@ def evaluate_sum(lat: MatrixLattice, spec: SumSpec, radius: float, *,
     """Evaluate one sum over L(radius); returns (value, contributing points).
 
     With ``n_jobs > 1`` the top coefficient range is split into disjoint
-    subranges processed on a thread pool; per-partition accumulators are
-    merged pairwise in partition order, so the result does not depend on
-    completion order.
+    subranges processed on a thread pool; the merge is exactly rounded, so
+    the result does not depend on the split or on completion order.
     """
-    term_fn = _term_function(lat, spec)
-    ranges = _partition_ranges(lat, radius, n_jobs) if n_jobs > 1 else [None]
-    if len(ranges) > 1 and predicted_point_count(lat, radius) > budget:
-        raise BudgetExceeded("predicted point count exceeds budget")
-    if len(ranges) == 1:
-        acc, count = _accumulate_partition(lat, radius, term_fn, spec, budget, ranges[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(
-                lambda rng: _accumulate_partition(lat, radius, term_fn, spec, budget, rng),
-                ranges))
-        accs = [p[0] for p in parts]
-        while len(accs) > 1:
-            merged = []
-            for j in range(0, len(accs), 2):
-                if j + 1 < len(accs):
-                    accs[j].merge(accs[j + 1])
-                merged.append(accs[j])
-            accs = merged
-        acc = accs[0]
-        count = sum(p[1] for p in parts)
-    value = acc.value
-    if spec.dedup_signs:
-        value *= 2.0
-        count *= 2
-    return value, count
+    values, counts = _reduce(lat, spec, [float(radius)], budget, n_jobs)
+    return values[0], counts[0]
 
 
 def shifted_det_sum(lat: MatrixLattice, m: float, c: float, radius: float, *,
-                    budget: int = DEFAULT_BUDGET, n_jobs: int = 1,
-                    dedup_signs: bool = False) -> float:
+                    budget: int = DEFAULT_BUDGET, n_jobs: int = 1) -> float:
     """Sum of det(I + c X X*)^(-m) over the nonzero points of L(radius)."""
-    spec = SumSpec(family="shifted", m=m, c=c, dedup_signs=dedup_signs)
+    spec = SumSpec(family="shifted", m=m, c=c)
     return evaluate_sum(lat, spec, radius, budget=budget, n_jobs=n_jobs)[0]
 
 
 def inverse_det_sum(lat: MatrixLattice, m: float, radius: float, *,
                     skip_singular: bool = False, budget: int = DEFAULT_BUDGET,
-                    n_jobs: int = 1, dedup_signs: bool = False) -> float:
+                    n_jobs: int = 1) -> float:
     """Sum of |det X|^(-m) over L(radius); raises SingularPoint on det = 0."""
-    spec = SumSpec(family="approximate", m=m, skip_singular=skip_singular,
-                   dedup_signs=dedup_signs)
+    spec = SumSpec(family="approximate", m=m, skip_singular=skip_singular)
     return evaluate_sum(lat, spec, radius, budget=budget, n_jobs=n_jobs)[0]
 
 
 def norm_det_sum(lat: MatrixLattice, m: float, i: int, radius: float, *,
                  skip_singular: bool = False, budget: int = DEFAULT_BUDGET,
-                 n_jobs: int = 1, dedup_signs: bool = False) -> float:
+                 n_jobs: int = 1) -> float:
     """Sum of ||X||_F^(-2i) det(X X*)^(-(m-i)) over L(radius)."""
-    spec = SumSpec(family="mixed", m=m, i=i, skip_singular=skip_singular,
-                   dedup_signs=dedup_signs)
+    spec = SumSpec(family="mixed", m=m, i=i, skip_singular=skip_singular)
     return evaluate_sum(lat, spec, radius, budget=budget, n_jobs=n_jobs)[0]
-
-
-def _curve_partition(lat, spec, term_fn, radii, bounds, budget, top_range):
-    accs = [Kahan() for _ in radii]
-    counts = np.zeros(len(radii), dtype=np.int64)
-    for coeffs, norm_sq in coefficient_blocks(lat, radii[-1],
-                                              dedup_signs=spec.dedup_signs,
-                                              budget=budget, top_range=top_range,
-                                              skip_budget_check=top_range is not None):
-        t, keep = term_fn(coeffs, norm_sq)
-        if keep is not None:
-            norm_sq = norm_sq[keep]
-        bins = np.searchsorted(bounds, norm_sq, side="left")
-        for j in range(len(radii)):
-            mask = bins == j
-            if np.any(mask):
-                accs[j].add(float(np.sum(t[mask])))
-                counts[j] += int(np.count_nonzero(mask))
-    return accs, counts
 
 
 def sum_curve(lat: MatrixLattice, spec: SumSpec, radii: Sequence[float], *,
               budget: int = DEFAULT_BUDGET, n_jobs: int = 1) -> SumCurve:
     """Evaluate one family on an increasing radius grid with one enumeration.
 
-    Terms are binned by the shell their norm falls into and the cumulative
-    bin totals give the per-radius values.  With ``n_jobs > 1`` the top
-    coefficient range splits across workers; per-bin accumulators are merged
-    pairwise in partition order, so values match the sequential run.
+    Terms are binned by the shell their norm falls into, and each value is
+    the exactly rounded sum of the bins up to its radius.  With ``n_jobs > 1``
+    the top coefficient range splits across workers; values match the
+    sequential run.
     """
     radii = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
-        raise ValueError("radii must be positive and strictly increasing")
-    term_fn = _term_function(lat, spec)
-    bounds = np.array([r * r * (1.0 + 1e-9) for r in radii])
-    ranges = _partition_ranges(lat, radii[-1], n_jobs) if n_jobs > 1 else [None]
-    if len(ranges) > 1 and predicted_point_count(lat, radii[-1]) > budget:
-        raise BudgetExceeded("predicted point count exceeds budget")
-    if len(ranges) == 1:
-        accs, counts = _curve_partition(lat, spec, term_fn, radii, bounds,
-                                        budget, ranges[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(
-                lambda rng: _curve_partition(lat, spec, term_fn, radii, bounds,
-                                             budget, rng), ranges))
-        acc_lists = [p[0] for p in parts]
-        while len(acc_lists) > 1:
-            merged = []
-            for j in range(0, len(acc_lists), 2):
-                if j + 1 < len(acc_lists):
-                    for a, b in zip(acc_lists[j], acc_lists[j + 1]):
-                        a.merge(b)
-                merged.append(acc_lists[j])
-            acc_lists = merged
-        accs = acc_lists[0]
-        counts = sum(p[1] for p in parts)
-    factor = 2.0 if spec.dedup_signs else 1.0
-    shell_values = [a.value * factor for a in accs]
-    shell_counts_ = counts * (2 if spec.dedup_signs else 1)
-    values = list(np.cumsum(shell_values))
-    totals = list(np.cumsum(shell_counts_))
-    return SumCurve(spec=spec, radii=radii, values=[float(v) for v in values],
-                    point_counts=[int(c) for c in totals],
-                    compensation=float(sum(abs(a.comp) for a in accs)))
+    values, counts = _reduce(lat, spec, radii, budget, n_jobs)
+    return SumCurve(spec=spec, radii=radii, values=values, point_counts=counts)
 
 
 @dataclass(frozen=True)

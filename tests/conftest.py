@@ -12,11 +12,29 @@ from itertools import product
 import numpy as np
 import pytest
 
-from detsums.lattice import MatrixLattice
+from detsums.errors import DependentBasis
+from detsums.lattice import MatrixLattice, build_lattice
 
 
 def random_complex(rng: np.random.Generator, n: int, T: int) -> np.ndarray:
     return rng.standard_normal((n, T)) + 1j * rng.standard_normal((n, T))
+
+
+def random_small_lattice(rng: np.random.Generator, k: int, n: int = 2,
+                         T: int = 2) -> MatrixLattice:
+    """Rank-k lattice of n x T matrices with small Gaussian-integer entries."""
+    while True:
+        basis = []
+        for _ in range(k):
+            B = rng.integers(-2, 3, (n, T)) + 1j * rng.integers(-2, 3, (n, T))
+            basis.append(B.astype(complex))
+        try:
+            lat = build_lattice(basis)
+        except DependentBasis:
+            continue
+        # skewed bases inflate the oracle's coefficient box; skip them
+        if np.linalg.cond(lat.gram_real) < 100.0:
+            return lat
 
 
 def naive_matmul_gram(X: np.ndarray) -> np.ndarray:
@@ -63,7 +81,9 @@ _BOX_CACHE: dict = {}
 
 def box_scan_coeffs(lat: MatrixLattice, radius: float) -> list:
     """All nonzero coefficient vectors with ||X||_F <= radius, by full scan."""
-    key = (id(lat), radius)
+    # Keyed by the basis, not id(lat): lattices built per hypothesis example
+    # are freed, and a new one can reuse the old id.
+    key = (lat.basis.tobytes(), lat.basis.shape, radius)
     if key in _BOX_CACHE:
         return _BOX_CACHE[key]
     bounds = coefficient_box(lat, radius)

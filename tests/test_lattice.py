@@ -13,7 +13,7 @@ from detsums.lattice import (build_lattice, coefficient_blocks,
                              realize_block, shell_counts, size_reduce,
                              top_level_range)
 
-from conftest import box_scan_coeffs
+from conftest import box_scan_coeffs, random_small_lattice
 
 SQRT2 = math.sqrt(2.0)
 
@@ -101,32 +101,63 @@ def test_symmetry_and_no_duplicates():
         assert tuple(-v for v in z) in as_set
 
 
-def _random_small_lattice(rng, k):
-    while True:
-        basis = []
-        for _ in range(k):
-            B = rng.integers(-2, 3, (2, 2)) + 1j * rng.integers(-2, 3, (2, 2))
-            basis.append(B.astype(complex))
-        try:
-            lat = build_lattice(basis)
-        except DependentBasis:
-            continue
-        # skewed bases inflate the oracle's coefficient box; skip them
-        if np.linalg.cond(lat.gram_real) < 100.0:
-            return lat
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
        radius=st.floats(0.6, 4.0))
 def test_enumeration_matches_box_scan(seed, k, radius):
     rng = np.random.default_rng(seed)
-    lat = _random_small_lattice(rng, k)
+    lat = random_small_lattice(rng, k)
     mine = set()
     for coeffs, _ in coefficient_blocks(lat, radius):
         mine.update(tuple(int(v) for v in row) for row in coeffs)
     oracle = set(box_scan_coeffs(lat, radius))
     assert mine == oracle
+
+
+# Random bases of rank <= 4 in 2 x 2 matrices, plus the non-square 2 x 3 case.
+_SHAPES = st.sampled_from([(2, 2), (2, 3)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
+       radius=st.floats(0.6, 4.0), shape=_SHAPES)
+def test_half_walk_and_negation_match_box_scan(seed, k, radius, shape):
+    lat = random_small_lattice(np.random.default_rng(seed), k, *shape)
+    half = []
+    for coeffs, norm_sq in coefficient_blocks(lat, radius, dedup_signs=True):
+        half.extend(tuple(int(v) for v in row) for row in coeffs)
+        mats = realize_block(lat, coeffs)
+        assert np.allclose(norm_sq, np.sum(np.abs(mats) ** 2, axis=(1, 2)))
+    half_set = set(half)
+    negated = {tuple(-v for v in z) for z in half}
+    assert len(half_set) == len(half)
+    assert all(any(z) for z in half)
+    assert not half_set & negated
+    assert half_set | negated == set(box_scan_coeffs(lat, radius))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4), shape=_SHAPES)
+def test_realize_block_bit_equal_to_tensordot(seed, k, shape):
+    rng = np.random.default_rng(seed)
+    lat = random_small_lattice(rng, k, *shape)
+    coeffs = rng.integers(-6, 7, (64, k))
+    expected = np.tensordot(coeffs.astype(float), lat.basis, axes=(1, 0))
+    assert np.array_equal(realize_block(lat, coeffs), expected)
+
+
+def test_half_walk_on_non_square_lattice():
+    lat = build_lattice([np.array([[1.0, 0.5j, 0.0], [0.0, 1.0, 0.0]]),
+                         np.array([[0.0, 1j, 0.0], [0.5, 0.0, 1.0]]),
+                         np.array([[1j, 0.0, 1.0], [0.0, 0.0, 1j]])])
+    full = {tuple(int(v) for v in row)
+            for coeffs, _ in coefficient_blocks(lat, 2.5) for row in coeffs}
+    half = [tuple(int(v) for v in row)
+            for coeffs, _ in coefficient_blocks(lat, 2.5, dedup_signs=True)
+            for row in coeffs]
+    assert 2 * len(half) == len(full)
+    assert full == set(half) | {tuple(-v for v in z) for z in half}
+    assert full == set(box_scan_coeffs(lat, 2.5))
 
 
 def test_partitioned_enumeration_covers_ball(golden_lattice):

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsums.codes import gaussian_diagonal, golden_code
-from detsums.errors import HypothesisViolated, SingularPoint
-from detsums.lattice import build_lattice, rescale_lattice
+from detsums.errors import BudgetExceeded, HypothesisViolated, SingularPoint
+from detsums.lattice import (build_lattice, enumerate_points, rescale_lattice,
+                             shell_counts)
+from detsums.linalg import shifted_det
 from detsums.sums import (SumCurve, SumSpec, convergence_probe, dyadic_bound,
                           evaluate_sum, inverse_det_sum, norm_det_sum,
                           shifted_det_sum, shifted_vs_mixed_bound, sum_curve)
 
-from conftest import box_scan_sum
+from conftest import box_scan_sum, random_small_lattice
 
 SQRT2 = math.sqrt(2.0)
 
@@ -140,8 +142,11 @@ def test_scaling_identity(beta, c):
 
 
 def test_dedup_signs_matches_default(golden_lattice):
-    full = shifted_det_sum(golden_lattice, 4, 1.0, 2.0)
-    half = shifted_det_sum(golden_lattice, 4, 1.0, 2.0, dedup_signs=True)
+    # Sums run on the sign-deduplicated half walk; the full per-point stream
+    # must give the same total.
+    half = shifted_det_sum(golden_lattice, 4, 1.0, 2.0)
+    full = math.fsum(shifted_det(p.matrix, 1.0) ** -4.0
+                     for p in enumerate_points(golden_lattice, 2.0))
     assert half == pytest.approx(full, rel=1e-12)
 
 
@@ -160,6 +165,64 @@ def test_partitioned_curve_matches_sequential(golden_lattice):
     assert split.point_counts == base.point_counts
     for a, b in zip(split.values, base.values):
         assert a == pytest.approx(b, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
+       radius=st.floats(0.6, 4.0))
+def test_partition_invariance_property(seed, k, radius):
+    lat = random_small_lattice(np.random.default_rng(seed), k)
+    spec = SumSpec(family="shifted", m=2, c=0.5)
+    radii = [radius / 2.0, radius]
+    base = sum_curve(lat, spec, radii)
+    for jobs in (1, 2, 3, 4):
+        split = sum_curve(lat, spec, radii, n_jobs=jobs)
+        assert split.point_counts == base.point_counts
+        for a, b in zip(split.values, base.values):
+            assert a == pytest.approx(b, rel=1e-9)
+        value, count = evaluate_sum(lat, spec, radius, n_jobs=jobs)
+        assert count == base.point_counts[-1]
+        assert value == pytest.approx(base.values[-1], rel=1e-9)
+
+
+def test_budget_shared_across_partitions():
+    # A thin ball: the long first basis vector never fits, so L(2000) is the
+    # 4000 nonzero multiples of the second one, plus the origin.  The volume
+    # heuristic predicts about 1,212, so only the walk can enforce a budget
+    # between the two, and its partitions must count against one budget.
+    lat = build_lattice([np.array([[1e5 + 0j]]), np.array([[1j]])])
+    spec = SumSpec(family="shifted", m=2, c=1.0)
+    for jobs in (1, 2):
+        for budget in (1500, 2500, 4000):
+            with pytest.raises(BudgetExceeded):
+                evaluate_sum(lat, spec, 2000.0, budget=budget, n_jobs=jobs)
+            with pytest.raises(BudgetExceeded):
+                sum_curve(lat, spec, [1000.0, 2000.0], budget=budget, n_jobs=jobs)
+        assert evaluate_sum(lat, spec, 2000.0, budget=4001, n_jobs=jobs)[1] == 4000
+        curve = sum_curve(lat, spec, [1000.0, 2000.0], budget=4001, n_jobs=jobs)
+        assert curve.point_counts == [2000, 4000]
+
+
+def test_shell_points_land_in_the_same_bin():
+    # The Gaussian integers put 4 points exactly on each of the shells 1,
+    # sqrt 2 and 2.  A radius within the relative tolerance below a shell
+    # still holds it; one clearly below does not.
+    lat = gaussian_diagonal(1)
+    spec = SumSpec(family="shifted", m=1, c=1.0)
+    shell_terms = {1.0: 4 / 2, SQRT2: 4 / 3, 2.0: 4 / 5}
+    for radii, counts in (([1.0, SQRT2, 2.0], [4, 8, 12]),
+                          ([1.0, SQRT2 * (1 - 1e-10), 2.0 * (1 - 1e-10)], [4, 8, 12]),
+                          ([1.0, SQRT2 * (1 - 1e-6), 2.0 * (1 - 1e-6)], [4, 4, 8])):
+        assert shell_counts(lat, radii) == counts
+        curve = sum_curve(lat, spec, radii)
+        assert curve.point_counts == counts
+        for M, value, count in zip(radii, curve.values, counts):
+            single, npts = evaluate_sum(lat, spec, M)
+            assert npts == count
+            assert single == pytest.approx(value, rel=1e-12)
+            expected = math.fsum(t for shell, t in shell_terms.items()
+                                 if shell * shell <= M * M * (1 + 1e-9))
+            assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_order_robustness(golden_lattice):
@@ -353,6 +416,11 @@ def test_sum_curve_csv_and_json_round_trip(zi_lattice, tmp_path):
     again = SumCurve.from_json_dict(curve.to_json_dict())
     assert again.values == curve.values
     assert again.point_counts == curve.point_counts
+    # Files written before the half walk carry two more keys; they still load.
+    old = curve.to_json_dict()
+    old["spec"]["dedupSigns"] = False
+    old["compensation"] = 0.0
+    assert SumCurve.from_json_dict(old) == curve
     path = tmp_path / "curve.csv"
     curve.to_csv(path)
     assert path.read_text().startswith("M,value")
