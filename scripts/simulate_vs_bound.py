@@ -3,10 +3,13 @@
 
 Simulates a spherical section of a chosen code over an SNR grid, prints the
 measured block error rate next to the Chernoff union bound, and estimates the
-high-SNR slope from the points with enough error events.
+high-SNR slope from the points with enough error events.  The local slope of
+a row is -d log10(rate) / d log10(rho) between it and the row above; it is
+blank where either rate is zero.
 """
 
 import argparse
+import math
 import sys
 
 from detsums.channel import (ChannelConfig, diversity_slope, fixed_code,
@@ -47,11 +50,17 @@ def main() -> int:
 
     print(f"code size {code.size}, decoder {args.decoder}, "
           f"{args.trials} trials/point")
-    print(f"{'snr_db':>7} {'rate':>12} {'errors':>7} {'union_bound':>12}")
+    print(f"{'snr_db':>7} {'rate':>12} {'errors':>7} {'union_bound':>12} "
+          f"{'local_slope':>11}")
+    rates = result.error_rate
     for idx, snr in enumerate(grid):
         ub = union_bound(code, args.n_r, 10.0 ** (snr / 10.0))
-        print(f"{snr:7.1f} {result.error_rate[idx]:12.3e} "
-              f"{result.error_count[idx]:7d} {ub:12.3e}")
+        slope = ""
+        if idx > 0 and rates[idx - 1] > 0 and rates[idx] > 0:
+            drop = math.log10(rates[idx - 1]) - math.log10(rates[idx])
+            slope = f"{drop / ((snr - grid[idx - 1]) / 10.0):.2f}"
+        print(f"{snr:7.1f} {rates[idx]:12.3e} "
+              f"{result.error_count[idx]:7d} {ub:12.3e} {slope:>11}")
     try:
         print(f"high-SNR slope (top 3 qualified points): "
               f"{diversity_slope(result, window=3):.2f}")

@@ -12,8 +12,14 @@ Decoders:
   channel metric, found by sphere decoding seeded at the Babai point.
 
 Randomness is counter-based: each (snr index, trial) pair owns a Philox
-stream derived from the seed, so results are bit-identical regardless of how
-trials are batched or parallelized.
+stream, keyed by the seed with the counter starting at [0, trial, snr index,
+0].  ``simulate`` builds one Philox per run and, before each trial, resets its
+counter to that trial's start with an empty buffer, which yields exactly the
+stream a fresh per-trial Philox would.  A trial draws its codeword index, then
+one vector of standard normals holding the real and imaginary parts of H and
+of the noise.  Trials are drawn and decoded in fixed-size chunks; every trial
+sees the same stream and the same arithmetic in any chunk, so results are
+bit-identical however the trials are chunked.
 """
 
 from __future__ import annotations
@@ -84,7 +90,8 @@ class ChannelConfig:
                 "decoder": self.decoder, "multiplexingR": self.multiplexing_r,
                 "fixedRadius": self.fixed_radius, "mlCodeCap": self.ml_code_cap,
                 "noiseScale": self.noise_scale,
-                "chernoffScaling": self.chernoff_scaling}
+                "chernoffScaling": self.chernoff_scaling,
+                "budget": self.budget}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ChannelConfig":
@@ -96,7 +103,8 @@ class ChannelConfig:
                    fixed_radius=doc.get("fixedRadius"),
                    ml_code_cap=doc.get("mlCodeCap", 4096),
                    noise_scale=doc.get("noiseScale", 1.0),
-                   chernoff_scaling=doc.get("chernoffScaling", True))
+                   chernoff_scaling=doc.get("chernoffScaling", True),
+                   budget=doc.get("budget", DEFAULT_BUDGET))
 
 
 @dataclass(frozen=True)
@@ -197,11 +205,13 @@ class SimResult:
     def to_csv(self, path=None) -> str | None:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["snr_db", "error_rate", "errors", "trials", "ci_halfwidth"])
+        w.writerow(["snr_db", "error_rate", "errors", "trials", "ci_halfwidth",
+                    "overflows"])
         for row in zip(self.snr_db, self.error_rate, self.error_count,
-                       self.trials, self.wilson_halfwidth):
+                       self.trials, self.wilson_halfwidth, self.overflow_count,
+                       strict=True):
             w.writerow([repr(float(row[0])), repr(float(row[1])), int(row[2]),
-                        int(row[3]), repr(float(row[4]))])
+                        int(row[3]), repr(float(row[4])), int(row[5])])
         text = buf.getvalue()
         if path is None:
             return text
@@ -233,17 +243,50 @@ def wilson_halfwidth(errors: int, trials: int, z: float = _Z95) -> float:
         p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
 
 
-def _trial_rng(seed: int, snr_index: int, trial: int) -> np.random.Generator:
-    # Putting the indices in high counter words keeps per-trial streams
-    # disjoint no matter how many draws one trial consumes.
-    key = seed & ((1 << 128) - 1)
-    bg = np.random.Philox(counter=[0, trial, snr_index, 0], key=key)
-    return np.random.Generator(bg)
+# Trials per chunk are chosen so that the largest per-chunk array (the ML
+# metric differences, or the naive decoder's generator stack) holds about
+# this many complex entries; memory stays flat at any trial count.
+_CHUNK_ENTRIES = 1 << 16
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
+class _TrialStreams:
+    """The per-trial Philox streams of one run, replayed from one generator.
+
+    Trial ``trial`` of SNR point ``snr_index`` draws from a Philox keyed by
+    the seed with its counter starting at [0, trial, snr_index, 0]; the
+    indices sit in high counter words, so streams stay disjoint however many
+    draws a trial takes.  Setting the state of a fresh generator with that
+    counter gives exactly the start a Philox constructed with it has (same
+    key and counter, empty buffer) at a fraction of the construction cost.
+    """
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.Philox(key=seed & ((1 << 128) - 1))
+        self._rng = np.random.Generator(self._bitgen)
+        self._fresh = self._bitgen.state
+
+    def draw(self, snr_index: int, trials: range, code_size: int,
+             n_normals: int) -> tuple[np.ndarray, np.ndarray]:
+        """Codeword index and ``n_normals`` standard normals of each trial,
+        one row per trial."""
+        counter = self._fresh["state"]["counter"]
+        counter[2] = snr_index
+        idx = np.empty(len(trials), dtype=np.int64)
+        normals = np.empty((len(trials), n_normals))
+        for row, trial in enumerate(trials):
+            counter[1] = trial
+            self._bitgen.state = self._fresh
+            idx[row] = self._rng.integers(code_size)
+            self._rng.standard_normal(out=normals[row])
+        return idx, normals
+
+
+def _complex_pairs(normals: np.ndarray, shape: tuple) -> np.ndarray:
+    """Unit-variance complex Gaussians from the real parts followed by the
+    imaginary parts, one batch row per trial."""
+    half = normals.shape[1] // 2
+    re = normals[:, :half].reshape(shape)
+    im = normals[:, half:].reshape(shape)
     return (re + 1j * im) / math.sqrt(2.0)
 
 
@@ -253,9 +296,13 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig) -> SimResult:
         raise DimensionMismatch(
             f"config (n_t={cfg.n_t}, T={cfg.T}) does not match lattice "
             f"(n={lat.n}, T={lat.T})")
+    n, T, n_r = lat.n, lat.T, cfg.n_r
     fixed = None
     if cfg.fixed_radius is not None:
         fixed = fixed_code(lat, cfg.fixed_radius, budget=cfg.budget)
+    streams = _TrialStreams(cfg.seed)
+    n_h = 2 * n_r * n                 # normals of H; the noise takes 2 n_r T
+    ml = cfg.decoder == "ml-exhaustive"
     rates, counts, trials_out, halfwidths, overflows = [], [], [], [], []
     theta_last = math.nan
     size_last = 0
@@ -265,41 +312,43 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig) -> SimResult:
             lat, cfg.multiplexing_r, rho, budget=cfg.budget)
         if code.size == 0:
             raise ValueError("finite code is empty at this SNR")
-        if cfg.decoder == "ml-exhaustive" and code.size > cfg.ml_code_cap:
+        if ml and code.size > cfg.ml_code_cap:
             raise CodeTooLarge(
                 f"code size {code.size} exceeds ml-exhaustive cap {cfg.ml_code_cap}")
-        theta = normalize_energy(code.matrices, lat.T)
-        amp = math.sqrt(rho / lat.n) * theta
+        theta = normalize_energy(code.matrices, T)
+        amp = math.sqrt(rho / n) * theta
         candidates = amp * code.matrices          # (N, n, T), pre-amplified
-        gen_flat = (amp * code.scale) * lat.basis.reshape(lat.k, -1)
+        chunk = max(1, _CHUNK_ENTRIES // ((code.size if ml else lat.k) * n_r * T))
         errors = 0
         overflow = 0
-        for trial in range(cfg.trials_per_point):
-            rng = _trial_rng(cfg.seed, snr_index, trial)
-            j = int(rng.integers(code.size))
-            H = _complex_gaussian(rng, (cfg.n_r, lat.n))
-            noise = cfg.noise_scale * _complex_gaussian(rng, (cfg.n_r, lat.T))
+        for start in range(0, cfg.trials_per_point, chunk):
+            trials = range(start, min(start + chunk, cfg.trials_per_point))
+            j, normals = streams.draw(snr_index, trials, code.size,
+                                      2 * n_r * (n + T))
+            H = _complex_pairs(normals[:, :n_h], (len(trials), n_r, n))
+            noise = cfg.noise_scale * _complex_pairs(normals[:, n_h:],
+                                                     (len(trials), n_r, T))
             y = H @ candidates[j] + noise
-            if cfg.decoder == "ml-exhaustive":
-                diff = y[None, :, :] - np.einsum("ri,nit->nrt", H, candidates)
-                metrics = np.sum(np.abs(diff) ** 2, axis=(1, 2))
-                decoded_ok = int(np.argmin(metrics)) == j
+            if ml:
+                diff = y[:, None] - np.einsum("bri,nit->bnrt", H, candidates)
+                metrics = (np.abs(diff) ** 2).sum(axis=(2, 3))
+                errors += int(np.count_nonzero(metrics.argmin(axis=1) != j))
             else:
-                A = _real_generator(H, gen_flat, lat.n, lat.T, cfg.n_r)
-                target = _vec_real(y)
-                try:
-                    z_hat = sphere_cvp(A, target)
-                    decoded_ok = np.array_equal(z_hat, code.coeffs[j])
-                except RadiusOverflow:
-                    overflow += 1
-                    decoded_ok = False
-            if not decoded_ok:
-                errors += 1
-        n = cfg.trials_per_point
-        rates.append(errors / n)
+                gens = _real_generators(H, (amp * code.scale) * lat.basis)
+                targets = _vec_real(y)
+                for row in range(len(trials)):
+                    try:
+                        z_hat = sphere_cvp(gens[row], targets[row])
+                    except RadiusOverflow:
+                        overflow += 1
+                        errors += 1
+                        continue
+                    errors += not np.array_equal(z_hat, code.coeffs[j[row]])
+        n_trials = cfg.trials_per_point
+        rates.append(errors / n_trials)
         counts.append(errors)
-        trials_out.append(n)
-        halfwidths.append(wilson_halfwidth(errors, n))
+        trials_out.append(n_trials)
+        halfwidths.append(wilson_halfwidth(errors, n_trials))
         overflows.append(overflow)
         theta_last = theta
         size_last = code.size
@@ -311,21 +360,25 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig) -> SimResult:
 
 
 def _vec_real(Y: np.ndarray) -> np.ndarray:
-    flat = Y.reshape(-1)
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
+    """Rows are the interleaved real vectorizations of the matrices Y[b]."""
+    flat = Y.reshape(Y.shape[0], -1)
+    out = np.empty((flat.shape[0], 2 * flat.shape[1]))
+    out[:, 0::2] = flat.real
+    out[:, 1::2] = flat.imag
     return out
 
 
-def _real_generator(H: np.ndarray, gen_flat: np.ndarray, n: int, T: int,
-                    n_r: int) -> np.ndarray:
-    """Columns are the real vectorizations of amp * H * B_i."""
-    k = gen_flat.shape[0]
-    imgs = (H @ gen_flat.reshape(k, n, T)).reshape(k, -1)   # (k, n_r*T) complex
-    A = np.empty((2 * imgs.shape[1], k))
-    A[0::2, :] = imgs.real.T
-    A[1::2, :] = imgs.imag.T
+def _real_generators(H: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Real generator matrices, one per channel H[b]: column i of entry b is
+    the real vectorization of H[b] @ basis[i]."""
+    # A broadcast matmul makes one BLAS product per (b, i), as H @ basis does
+    # for one channel, so entries round the same for any batch; einsum sums
+    # the products in another way and differs in the last bits.
+    imgs = H[:, None] @ basis                     # (B, k, n_r, T) complex
+    imgs = imgs.reshape(imgs.shape[0], imgs.shape[1], -1)
+    A = np.empty((imgs.shape[0], 2 * imgs.shape[2], imgs.shape[1]))
+    A[:, 0::2, :] = imgs.real.transpose(0, 2, 1)
+    A[:, 1::2, :] = imgs.imag.transpose(0, 2, 1)
     return A
 
 
@@ -344,59 +397,81 @@ def sphere_cvp(A: np.ndarray, y: np.ndarray, *, node_budget: int = 2_000_000) ->
     signs[signs == 0] = 1.0
     R = R * signs[:, None]
     Q = Q * signs[None, :]
-    if np.min(np.abs(np.diag(R))) <= 0:
-        raise ValueError("generator matrix is rank deficient")
     yp = Q.T @ y
+    ys = yp.tolist()
+    diag = R.diagonal().tolist()
+    if min(diag) <= 0:
+        raise ValueError("generator matrix is rank deficient")
 
-    z_babai = np.zeros(k, dtype=np.int64)
+    # Babai point.  The dot products stay in numpy so that they round exactly
+    # as the BLAS dot does; z is held as floats, which the products cast to.
+    zf = np.zeros(k)
     for i in range(k - 1, -1, -1):
-        t = yp[i] - R[i, i + 1:] @ z_babai[i + 1:]
-        z_babai[i] = round(t / R[i, i])
-    resid = R @ z_babai - yp
+        zf[i] = round((ys[i] - float(R[i, i + 1:] @ zf[i + 1:])) / diag[i])
+    resid = R @ zf - yp
     best_dist = float(resid @ resid)
-    best_z = z_babai.copy()
-    radius = best_dist * (1.0 + 1e-9) + 1e-12 * (1.0 + float(yp @ yp))
+    best_z = [int(v) for v in zf.tolist()]
+    slack = 1e-12 * (1.0 + float(yp @ yp))
+    radius = best_dist * (1.0 + 1e-9) + slack
 
-    z = np.zeros(k, dtype=np.int64)
+    # Iterative depth-first walk on Python floats.  Level l keeps its target
+    # t, the next zig-zag step and the squared distance of the levels above
+    # it; acc_at[l][i] = sum_{j > l} R[i, j] z[j] for i <= l, accumulated from
+    # the top level down one product at a time, as numpy's elementwise
+    # updates round it.
+    cols = R.T.tolist()                  # cols[l][i] = R[i, l]
+    t_at = [0.0] * k
+    step_at = [0] * k
+    partial_at = [0.0] * k
+    acc_at = [None] * k
+    z = [0] * k
+    acc = [0.0] * k
+    level = k - 1
     nodes = 0
-
-    def search(level: int, acc: np.ndarray, partial: float) -> None:
-        nonlocal nodes, best_dist, best_z, radius
-        t = yp[level] - acc[level]
-        dcoef = R[level, level]
-        center = t / dcoef
-        zi = round(center)
-        step = 1 if center - zi >= 0 else -1
-        while True:
-            nodes += 1
-            if nodes > node_budget:
-                raise RadiusOverflow(f"sphere search exceeded {node_budget} nodes")
-            seg = t - dcoef * zi
-            cand = partial + seg * seg
-            if cand > radius:
-                break
+    while True:
+        if acc is not None:
+            # entering this level from above: start at the rounded center
+            acc_at[level] = acc
+            t = ys[level] - acc[level]
+            center = t / diag[level]
+            zi = round(center)
+            t_at[level] = t
+            step_at[level] = 1 if center - zi >= 0 else -1
+        nodes += 1
+        if nodes > node_budget:
+            raise RadiusOverflow(f"sphere search exceeded {node_budget} nodes")
+        seg = t_at[level] - diag[level] * zi
+        cand = partial_at[level] + seg * seg
+        if cand > radius:
+            level += 1
+            if level == k:
+                return np.array(best_z, dtype=np.int64)
+        else:
             z[level] = zi
-            if level == 0:
-                if cand < best_dist:
-                    best_dist = cand
-                    best_z = z.copy()
-                    radius = cand * (1.0 + 1e-9) + 1e-12 * (1.0 + float(yp @ yp))
-            else:
-                search(level - 1, acc + R[:, level] * zi, cand)
-            zi = zi + step
-            step = -step - (1 if step > 0 else -1)
-
-    search(k - 1, np.zeros(k), 0.0)
-    return best_z
+            if level > 0:
+                col = cols[level]
+                above = acc_at[level]
+                acc = [above[i] + col[i] * zi for i in range(level)]
+                level -= 1
+                partial_at[level] = cand
+                continue
+            if cand < best_dist:
+                best_dist = cand
+                best_z = z.copy()
+                radius = cand * (1.0 + 1e-9) + slack
+        # next integer of this level, alternating around its center
+        step = step_at[level]
+        zi = z[level] + step
+        step_at[level] = -step - (1 if step > 0 else -1)
+        acc = None
 
 
 def naive_lattice_decode(lat: MatrixLattice, H: np.ndarray, y: np.ndarray,
                          amp: float, *, node_budget: int = 2_000_000) -> np.ndarray:
     """Coefficients of the infinite-lattice point closest to y under the
     channel map X -> amp * H * X."""
-    gen_flat = amp * lat.basis.reshape(lat.k, -1)
-    A = _real_generator(H, gen_flat, lat.n, lat.T, H.shape[0])
-    return sphere_cvp(A, _vec_real(y), node_budget=node_budget)
+    A = _real_generators(H[None], amp * lat.basis)[0]
+    return sphere_cvp(A, _vec_real(y[None])[0], node_budget=node_budget)
 
 
 def diversity_slope(result: SimResult, window: int = 3,

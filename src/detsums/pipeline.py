@@ -339,7 +339,7 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
     if config.sim is not None:
         sim_result = simulate(lat, config.sim)
         if config.sim.fixed_radius is not None:
-            code = fixed_code(lat, config.sim.fixed_radius, budget=config.budget)
+            code = fixed_code(lat, config.sim.fixed_radius, budget=config.sim.budget)
             for db in config.sim.snr_grid_db:
                 sim_bound.append(union_bound(
                     code, config.sim.n_r, 10.0 ** (db / 10.0),

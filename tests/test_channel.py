@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from detsums import channel
 from detsums.channel import (ChannelConfig, coding_scheme, diversity_slope,
                              fixed_code, naive_lattice_decode,
                              normalize_energy, simulate, sphere_cvp,
                              union_bound, wilson_halfwidth, SimResult)
 from detsums.codes import gaussian_diagonal
 from detsums.errors import (CodeTooLarge, DimensionMismatch,
-                            InsufficientStatistics)
+                            InsufficientStatistics, RadiusOverflow)
+from detsums.lattice import DEFAULT_BUDGET
 
 from conftest import cvp_box_oracle
 
@@ -133,6 +137,14 @@ def test_simulation_dimension_check(golden_lattice):
         simulate(golden_lattice, cfg)
 
 
+def test_config_round_trip_keeps_budget():
+    cfg = _small_cfg(budget=1234, decoder="naive-lattice", noise_scale=0.5)
+    assert ChannelConfig.from_dict(cfg.to_dict()) == cfg
+    doc = cfg.to_dict()
+    del doc["budget"]
+    assert ChannelConfig.from_dict(doc).budget == DEFAULT_BUDGET
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(n_t=2, n_r=2, T=2, snr_grid_db=(10.0, 10.0),
@@ -167,7 +179,7 @@ def test_sim_result_csv(golden_lattice):
     res = simulate(golden_lattice, _small_cfg(trials_per_point=50))
     text = res.to_csv()
     lines = text.strip().split("\n")
-    assert lines[0] == "snr_db,error_rate,errors,trials,ci_halfwidth"
+    assert lines[0] == "snr_db,error_rate,errors,trials,ci_halfwidth,overflows"
     assert len(lines) == 3
     assert "," in lines[1] and "." in lines[1]
 
@@ -215,6 +227,173 @@ def test_sphere_cvp_matches_box_oracle_small():
         z = rng.integers(-4, 5, k)
         y = A @ z + 0.3 * rng.standard_normal(d)
         assert np.array_equal(sphere_cvp(A, y), cvp_box_oracle(A, y))
+
+
+# ---------------------------------------------------------------------------
+# batched simulator against the per-trial reference
+# ---------------------------------------------------------------------------
+
+def _reference_sphere_cvp(A, y, node_budget=2_000_000):
+    """Recursive Schnorr-Euchner search on numpy arrays; the iterative
+    ``sphere_cvp`` must visit the same nodes and return the same point."""
+    d, k = A.shape
+    Q, R = np.linalg.qr(A)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    R = R * signs[:, None]
+    Q = Q * signs[None, :]
+    if np.min(np.abs(np.diag(R))) <= 0:
+        raise ValueError("generator matrix is rank deficient")
+    yp = Q.T @ y
+    z_babai = np.zeros(k, dtype=np.int64)
+    for i in range(k - 1, -1, -1):
+        t = yp[i] - R[i, i + 1:] @ z_babai[i + 1:]
+        z_babai[i] = round(t / R[i, i])
+    resid = R @ z_babai - yp
+    best_dist = float(resid @ resid)
+    best_z = z_babai.copy()
+    radius = best_dist * (1.0 + 1e-9) + 1e-12 * (1.0 + float(yp @ yp))
+    z = np.zeros(k, dtype=np.int64)
+    nodes = 0
+
+    def search(level, acc, partial):
+        nonlocal nodes, best_dist, best_z, radius
+        t = yp[level] - acc[level]
+        dcoef = R[level, level]
+        center = t / dcoef
+        zi = round(center)
+        step = 1 if center - zi >= 0 else -1
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                raise RadiusOverflow(f"sphere search exceeded {node_budget} nodes")
+            seg = t - dcoef * zi
+            cand = partial + seg * seg
+            if cand > radius:
+                break
+            z[level] = zi
+            if level == 0:
+                if cand < best_dist:
+                    best_dist = cand
+                    best_z = z.copy()
+                    radius = cand * (1.0 + 1e-9) + 1e-12 * (1.0 + float(yp @ yp))
+            else:
+                search(level - 1, acc + R[:, level] * zi, cand)
+            zi = zi + step
+            step = -step - (1 if step > 0 else -1)
+
+    search(k - 1, np.zeros(k), 0.0)
+    return best_z
+
+
+def _reference_complex_gaussian(rng, shape):
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
+def _reference_simulate(lat, cfg):
+    """Per-trial simulator: a fresh Philox per (SNR point, trial), one
+    einsum metric per ML trial, one recursive sphere search per naive
+    trial."""
+    fixed = None
+    if cfg.fixed_radius is not None:
+        fixed = fixed_code(lat, cfg.fixed_radius, budget=cfg.budget)
+    rates, counts, halfwidths, overflows = [], [], [], []
+    for snr_index, snr_db in enumerate(cfg.snr_grid_db):
+        rho = 10.0 ** (snr_db / 10.0)
+        code = fixed if fixed is not None else coding_scheme(
+            lat, cfg.multiplexing_r, rho, budget=cfg.budget)
+        theta = normalize_energy(code.matrices, lat.T)
+        amp = math.sqrt(rho / lat.n) * theta
+        candidates = amp * code.matrices
+        gen = ((amp * code.scale) * lat.basis.reshape(lat.k, -1)).reshape(
+            lat.k, lat.n, lat.T)
+        errors = overflow = 0
+        for trial in range(cfg.trials_per_point):
+            rng = np.random.Generator(np.random.Philox(
+                counter=[0, trial, snr_index, 0], key=cfg.seed & ((1 << 128) - 1)))
+            j = int(rng.integers(code.size))
+            H = _reference_complex_gaussian(rng, (cfg.n_r, lat.n))
+            noise = cfg.noise_scale * _reference_complex_gaussian(rng, (cfg.n_r, lat.T))
+            y = H @ candidates[j] + noise
+            if cfg.decoder == "ml-exhaustive":
+                diff = y[None, :, :] - np.einsum("ri,nit->nrt", H, candidates)
+                metrics = np.sum(np.abs(diff) ** 2, axis=(1, 2))
+                ok = int(np.argmin(metrics)) == j
+            else:
+                imgs = (H @ gen).reshape(lat.k, -1)
+                A = np.empty((2 * imgs.shape[1], lat.k))
+                A[0::2, :] = imgs.real.T
+                A[1::2, :] = imgs.imag.T
+                target = np.empty(2 * y.size)
+                target[0::2] = y.reshape(-1).real
+                target[1::2] = y.reshape(-1).imag
+                try:
+                    ok = np.array_equal(_reference_sphere_cvp(A, target), code.coeffs[j])
+                except RadiusOverflow:
+                    overflow += 1
+                    ok = False
+            errors += not ok
+        n = cfg.trials_per_point
+        rates.append(errors / n)
+        counts.append(errors)
+        halfwidths.append(wilson_halfwidth(errors, n))
+        overflows.append(overflow)
+    return SimResult(snr_db=cfg.snr_grid_db, error_rate=tuple(rates),
+                     error_count=tuple(counts), trials=(n,) * len(counts),
+                     wilson_halfwidth=tuple(halfwidths), code_size=code.size,
+                     theta=theta, decoder=cfg.decoder, seed=cfg.seed,
+                     overflow_count=tuple(overflows))
+
+
+# The naive decoder needs 2 n_r T >= k, so one receive antenna runs on Z[i].
+@pytest.mark.parametrize("lattice, n_r", [("golden_lattice", 2),
+                                          ("zi_lattice", 1)])
+@pytest.mark.parametrize("noise_scale", [1.0, 0.0])
+# At r = 1 the golden code grows from 16 codewords at 6 dB to 576 at 12 dB.
+@pytest.mark.parametrize("mode", [{"fixed_radius": 1.0},
+                                  {"multiplexing_r": 1.0}])
+@pytest.mark.parametrize("decoder", ["ml-exhaustive", "naive-lattice"])
+def test_simulate_matches_per_trial_reference(request, lattice, n_r, decoder,
+                                              mode, noise_scale):
+    lat = request.getfixturevalue(lattice)
+    cfg = ChannelConfig(n_t=lat.n, n_r=n_r, T=lat.T, snr_grid_db=(6.0, 12.0),
+                        trials_per_point=60, seed=8 + n_r, decoder=decoder,
+                        noise_scale=noise_scale, **mode)
+    assert simulate(lat, cfg) == _reference_simulate(lat, cfg)
+
+
+@pytest.mark.parametrize("decoder", ["ml-exhaustive", "naive-lattice"])
+def test_simulate_independent_of_chunking(golden_lattice, monkeypatch, decoder):
+    # 200 entries make chunks of 3 ML trials (16 codewords x 4 entries each)
+    # or 6 naive trials (rank 8 x 4); 37 trials end in a partial chunk.
+    cfg = _small_cfg(trials_per_point=37, snr_grid_db=(4.0, 10.0), seed=21,
+                     decoder=decoder)
+    whole = simulate(golden_lattice, cfg)
+    monkeypatch.setattr(channel, "_CHUNK_ENTRIES", 200)
+    chunked = simulate(golden_lattice, cfg)
+    assert chunked == whole == _reference_simulate(golden_lattice, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6),
+       extra=st.integers(0, 2), spread=st.sampled_from([0.3, 3.0]),
+       node_budget=st.integers(1, 80))
+def test_sphere_cvp_matches_recursive_reference(seed, k, extra, spread,
+                                                node_budget):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((k + extra, k))
+    assume(np.linalg.matrix_rank(A) == k)
+    y = A @ rng.integers(-3, 4, k) + spread * rng.standard_normal(k + extra)
+    assert np.array_equal(sphere_cvp(A, y), _reference_sphere_cvp(A, y))
+    try:
+        want = _reference_sphere_cvp(A, y, node_budget)
+    except RadiusOverflow:
+        with pytest.raises(RadiusOverflow):
+            sphere_cvp(A, y, node_budget=node_budget)
+    else:
+        assert np.array_equal(sphere_cvp(A, y, node_budget=node_budget), want)
 
 
 # ---------------------------------------------------------------------------

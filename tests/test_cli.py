@@ -115,7 +115,7 @@ def test_simulate_verb(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 2
     assert set(rows[0]) == {"snr_db", "error_rate", "errors", "trials",
-                            "ci_halfwidth"}
+                            "ci_halfwidth", "overflows"}
 
 
 def test_run_preset(capsys, tmp_path, monkeypatch):
