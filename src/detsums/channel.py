@@ -20,6 +20,9 @@ one vector of standard normals holding the real and imaginary parts of H and
 of the noise.  Trials are drawn and decoded in fixed-size chunks; every trial
 sees the same stream and the same arithmetic in any chunk, so results are
 bit-identical however the trials are chunked.
+
+Finite codes of a few thousand codewords are kept in a small by-value memo
+(``_collect_code``), so repeated simulations of one fixed code build it once.
 """
 
 from __future__ import annotations
@@ -27,14 +30,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (CodeTooLarge, DimensionMismatch, InsufficientStatistics,
                      RadiusOverflow)
 from .lattice import (DEFAULT_BUDGET, MatrixLattice, coefficient_blocks,
-                      realize_block)
+                      orbit_images, realize_block)
 from .sums import shifted_det_sum
 
 __all__ = [
@@ -126,9 +131,39 @@ class FiniteCode:
         return self.coeffs.shape[0]
 
 
+# Codes built by _collect_code, keyed by value: every simulate call with a
+# fixed radius, and the union bound of a pipeline run, reuse one build.
+# Codes above _CODE_CACHE_ROWS codewords are built each time; their build is
+# small against decoding them, and a few of them could hold gigabytes.
+_CODE_CACHE: OrderedDict = OrderedDict()
+_CODE_CACHE_SIZE = 8
+_CODE_CACHE_ROWS = 1 << 14
+_CODE_CACHE_LOCK = threading.Lock()
+
+
 def _collect_code(lat: MatrixLattice, radius: float, scale: float,
                   budget: int) -> FiniteCode:
-    blocks = [c for c, _ in coefficient_blocks(lat, radius, budget=budget)]
+    key = (lat.basis.tobytes(), lat.basis.shape, radius, scale, budget)
+    with _CODE_CACHE_LOCK:
+        code = _CODE_CACHE.get(key)
+        if code is not None:
+            _CODE_CACHE.move_to_end(key)
+    if code is None:
+        code = _build_code(lat, radius, scale, budget)
+        if code.size <= _CODE_CACHE_ROWS:
+            with _CODE_CACHE_LOCK:
+                _CODE_CACHE[key] = code
+                if len(_CODE_CACHE) > _CODE_CACHE_SIZE:
+                    _CODE_CACHE.popitem(last=False)
+    if code.lattice is not lat:
+        code = replace(code, lattice=lat)
+    return code
+
+
+def _build_code(lat: MatrixLattice, radius: float, scale: float,
+                budget: int) -> FiniteCode:
+    blocks = [orbit_images(lat, c)
+              for c, _ in coefficient_blocks(lat, radius, orbits=True, budget=budget)]
     coeffs = np.concatenate(blocks) if blocks else np.zeros((0, lat.k), dtype=np.int64)
     order = np.lexsort(coeffs.T[::-1])
     coeffs = coeffs[order]
@@ -297,6 +332,10 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig) -> SimResult:
             f"config (n_t={cfg.n_t}, T={cfg.T}) does not match lattice "
             f"(n={lat.n}, T={lat.T})")
     n, T, n_r = lat.n, lat.T, cfg.n_r
+    if cfg.decoder == "naive-lattice" and 2 * n_r * T < lat.k:
+        raise DimensionMismatch(
+            f"naive-lattice decoding needs 2*n_r*T >= k; 2*{n_r}*{T} < {lat.k}: "
+            f"the received signal cannot determine all lattice coefficients")
     fixed = None
     if cfg.fixed_radius is not None:
         fixed = fixed_code(lat, cfg.fixed_radius, budget=cfg.budget)

@@ -140,12 +140,12 @@ def min_abs_det_box(lat: MatrixLattice, coeff_bound: int) -> float:
 
 
 def min_abs_det_ball(lat: MatrixLattice, radius: float, *, budget: int = 2 ** 26) -> float:
-    """Minimum of |det(X)| over L(radius); |det(-X)| = |det X|, so the half
-    walk sees every value."""
+    """Minimum of |det(X)| over L(radius); |det(uX)| = |det X| for every unit
+    u of modulus one, so the orbit walk sees every value."""
     if lat.n != lat.T:
         raise ValueError("determinant scan needs square matrices")
     best = math.inf
-    for coeffs, _ in coefficient_blocks(lat, radius, dedup_signs=True, budget=budget):
+    for coeffs, _ in coefficient_blocks(lat, radius, orbits=True, budget=budget):
         dets = np.abs(det_batch(realize_block(lat, coeffs)))
         best = min(best, float(dets.min()))
     return best

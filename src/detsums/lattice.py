@@ -12,12 +12,18 @@ interval arithmetic, emitting ``(coeffs, norm_sq)`` arrays.  That keeps the
 per-point cost at a handful of numpy flops, which matters for rank-8 balls
 holding 10^7..10^8 points.
 
-The ball is symmetric, so the walk covers only half of it: a partial vector
-whose chosen coefficients are all zero takes only nonnegative values at the
-next level (and positive ones at the last), which yields exactly one of each
-+/-z pair and never the zero vector.  This is the Fincke-Pohst walk of Agrell
-et al., "Closest point search in lattices" (IEEE T-IT 2002), restricted to a
-symmetric body.
+The walk emits one point of each orbit of the units that map the lattice to
+itself, and ``MatrixLattice.orbit_size`` says how large those orbits are.
+Every lattice is symmetric, so a partial vector whose chosen coefficients are
+all zero takes only nonnegative values at the next level (and positive ones
+at the last): one of each +/-z pair, never the zero vector.  This is the
+Fincke-Pohst walk of Agrell et al., "Closest point search in lattices" (IEEE
+T-IT 2002), restricted to a symmetric body.  A Z[i]-paired basis, laid out as
+(B_0, i B_0, B_1, i B_1, ...), is also closed under X -> iX, which turns each
+coefficient pair (a, b) into (-b, a); there the walk keeps the point of each
+orbit {X, iX, -X, -iX} whose highest nonzero pair has a > 0 and b >= 0, with
+one more flag carried from the odd level of each pair down to its even level.
+Every built-in code is Z[i]-paired, so its sums walk a quarter of the ball.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
     "coefficient_blocks",
     "enumerate_points",
     "realize_block",
+    "orbit_images",
     "shell_counts",
     "predicted_point_count",
     "top_level_range",
@@ -56,6 +63,11 @@ DEFAULT_BUDGET = 2 ** 31
 # Relative slack on the squared radius so that shells sitting exactly on the
 # boundary (norm^2 an integer, radius sqrt of an integer) are always included.
 _RADIUS_TOL = 1e-9
+
+# Most rows one level of the walk expands at once: bounds the walk's
+# temporaries and the leaf blocks when a few rows fan out widely, as in the
+# low-rank presets at large radius.
+_MAX_CHILDREN = 1 << 15
 
 # Internal budget for the shortest-vector search at build time.
 _MIN_NORM_BUDGET = 10 ** 7
@@ -81,6 +93,15 @@ class MatrixLattice:
     @property
     def covolume(self) -> float:
         return float(np.prod(np.diag(self.chol_upper)))
+
+    @property
+    def orbit_size(self) -> int:
+        """Points in each orbit the walk emits one point of: 4 when the basis
+        is Z[i]-paired (basis[2j+1] == 1j * basis[2j] bit for bit, so X -> iX
+        maps the lattice to itself), else 2 (the sign pair +/-X)."""
+        if self.k % 2 == 0 and np.array_equal(self.basis[1::2], 1j * self.basis[0::2]):
+            return 4
+        return 2
 
     def realize(self, coeffs: Sequence[int]) -> np.ndarray:
         z = np.asarray(coeffs, dtype=float)
@@ -211,9 +232,9 @@ def top_level_range(lat: MatrixLattice, radius: float) -> tuple[int, int]:
 class PointBudget:
     """Cap on the lattice points one enumeration may produce.
 
-    It counts the points of the full ball, the origin included, so a half
-    walk charges two points per row it emits.  Partitions of one enumeration
-    share one instance, so workers cannot exceed the cap together.
+    It counts the points of the full ball, the origin included, so the walk
+    charges ``orbit_size`` points per row it emits.  Partitions of one
+    enumeration share one instance, so workers cannot exceed the cap together.
     """
 
     def __init__(self, limit: int):
@@ -239,32 +260,62 @@ def _ragged_expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget, max_rows: int,
-          top_range: tuple[int, int] | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Depth-first block enumeration of the half ball 0 < z^T G z <= rad_sq.
+          top_range: tuple[int, int] | None = None,
+          paired: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Depth-first block enumeration of 0 < z^T G z <= rad_sq, one point per orbit.
 
     Yields (coeffs, norm_sq) with coefficients in natural index order, one
     z of each +/-z pair: the one whose highest nonzero coefficient is
     positive.  A row whose higher coefficients are all zero has ``used``
-    exactly 0.0, so that is the mask.  Charges ``budget`` two points per row.
+    exactly 0.0, so that is the mask.  With ``paired`` the coefficients form
+    pairs (z[2j], z[2j+1]) = (a, b) on which X -> iX acts as (a, b) -> (-b, a),
+    and the walk yields one z of each orbit of four: the one whose highest
+    nonzero pair has a > 0 and b >= 0.  The odd level of a pair hands the
+    even level below it a flag, "every higher pair is zero"; a flagged row
+    whose b is nonzero (``used`` above 0.0) then takes a >= 1.  Charges
+    ``budget`` two points per row, or four with ``paired``.
 
     Frontiers do not carry their coefficient prefixes: each level keeps its
     values and the row of the parent they extend, and a leaf block gathers
-    its coefficients along that path.
+    its coefficients along that path.  A level passes at most ``max_rows``
+    rows down at a time and expands about ``_MAX_CHILDREN`` at a time.
     """
     k = U.shape[0]
+    orbit = 4 if paired else 2
 
-    def expand(level: int, path: list, y: np.ndarray, used: np.ndarray):
+    def expand(level: int, path: list, y: np.ndarray, used: np.ndarray,
+               top_zero: np.ndarray | None):
         d = U[level, level]
         half = np.sqrt(np.maximum(rad_sq - used, 0.0)) / d
         center = -y[:, level] / d
         low = np.ceil(center - half - 1e-12)
         high = np.floor(center + half + 1e-12)
-        low = np.where(used == 0.0, np.maximum(low, 1.0 if level == 0 else 0.0), low)
+        zero = used == 0.0
+        low = np.where(zero, np.maximum(low, 1.0 if level == 0 else 0.0), low)
+        if top_zero is not None:
+            low = np.where(top_zero & ~zero, np.maximum(low, 1.0), low)
         if level == k - 1 and top_range is not None:
             low = np.maximum(low, float(top_range[0]))
             high = np.minimum(high, float(top_range[1]))
         counts = np.maximum(high - low + 1.0, 0.0).astype(np.int64)
-        if counts.sum() == 0:
+        total = int(counts.sum())
+        if total == 0:
+            return
+        cuts = []
+        if total > _MAX_CHILDREN:
+            # Expand about _MAX_CHILDREN rows at a time: split this level's
+            # rows where their children's offsets cross a multiple of it.
+            # The offsets of one piece fall in one such interval, so a piece
+            # is not split again.
+            piece = (np.cumsum(counts) - counts) // _MAX_CHILDREN
+            cuts = (np.flatnonzero(np.diff(piece)) + 1).tolist()
+        if cuts:
+            cuts = [0, *cuts, counts.size]
+            zs, parents = path[-1]
+            for a, b in zip(cuts, cuts[1:]):
+                yield from expand(level, path[:-1] + [(zs[a:b], parents[a:b])],
+                                  y[a:b], used[a:b],
+                                  None if top_zero is None else top_zero[a:b])
             return
         rows, offs = _ragged_expand(counts)
         zvals = low[rows] + offs
@@ -283,19 +334,43 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget, max_rows: int,
             for j, (z, parent) in enumerate(reversed(path), start=1):
                 coeffs[j] = z[idx]
                 idx = parent[idx]
-            budget.charge(2 * zvals.size)
+            budget.charge(orbit * zvals.size)
             yield coeffs.T, new_used
             return
+        # An odd level tells the even level below it, the other half of its
+        # pair, whether every higher pair is zero.
+        child_top = zero[rows] if paired and level % 2 == 1 else None
         new_y = y[rows, :level] + U[:level, level][None, :] * zvals[:, None]
         for s in range(0, rows.size, max_rows):
             e = s + max_rows
             yield from expand(level - 1, path + [(zvals[s:e], rows[s:e])],
-                              new_y[s:e], new_used[s:e])
+                              new_y[s:e], new_used[s:e],
+                              None if child_top is None else child_top[s:e])
 
-    yield from expand(k - 1, [], np.zeros((1, k)), np.zeros(1))
+    yield from expand(k - 1, [], np.zeros((1, k)), np.zeros(1), None)
+
+
+def orbit_images(lat: MatrixLattice, coeffs: np.ndarray, *,
+                 dedup_signs: bool = False) -> np.ndarray:
+    """Every point of the orbits of the rows of an orbit-walk block.
+
+    The block is followed by its images: -z for ``orbit_size`` 2, and iz,
+    -z, -iz for 4.  With ``dedup_signs`` only one of each +/-z pair is kept
+    (the block, and iz for 4), which has its highest nonzero coefficient
+    positive, as the half walk gives it.  Images of a row keep its norm.
+    """
+    if lat.orbit_size == 4:
+        turned = np.empty_like(coeffs)      # iX: each pair (a, b) -> (-b, a)
+        turned[:, 0::2] = -coeffs[:, 1::2]
+        turned[:, 1::2] = coeffs[:, 0::2]
+        coeffs = np.concatenate([coeffs, turned])
+    if not dedup_signs:
+        coeffs = np.concatenate([coeffs, -coeffs])
+    return coeffs
 
 
 def coefficient_blocks(lat: MatrixLattice, radius: float, *,
+                       orbits: bool = False,
                        dedup_signs: bool = False,
                        budget: int | PointBudget = DEFAULT_BUDGET,
                        max_rows: int = 1 << 12,
@@ -304,13 +379,14 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (coeffs, norm_sq) blocks covering every nonzero point of L(radius).
 
-    Coefficient rows are in natural index order.  With ``dedup_signs`` the
-    blocks come straight from the half walk: exactly one of each +/-z pair,
-    with its highest nonzero coefficient positive.  Otherwise each half block
-    is yielded together with its negation.  ``top_range`` restricts the last
-    coefficient to a subrange of the half range [0, hi], which is how
-    partitioned enumeration splits work across workers; partitions pass one
-    shared ``PointBudget`` as ``budget``.
+    Coefficient rows are in natural index order.  With ``orbits`` the blocks
+    come straight from the walk: one point of each orbit of ``orbit_size``
+    points (see ``_walk`` for which one).  Otherwise ``orbit_images`` expands
+    each walk block: with ``dedup_signs`` into exactly one of each +/-z pair,
+    with its highest nonzero coefficient positive, else into the full ball.
+    ``top_range`` restricts the last coefficient of the walk to a subrange of
+    its range [0, hi], which is how partitioned enumeration splits work
+    across workers; partitions pass one shared ``PointBudget`` as ``budget``.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -321,10 +397,11 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
             f"predicted point count {predicted_point_count(lat, radius):.3e} "
             f"exceeds budget {budget.limit}")
     for coeffs, norm_sq in _walk(lat.chol_upper, _bound_sq(radius), budget=budget,
-                                 max_rows=max_rows, top_range=top_range):
-        if not dedup_signs:
-            coeffs = np.concatenate([coeffs, -coeffs])
-            norm_sq = np.concatenate([norm_sq, norm_sq])
+                                 max_rows=max_rows, top_range=top_range,
+                                 paired=lat.orbit_size == 4):
+        if not orbits:
+            coeffs = orbit_images(lat, coeffs, dedup_signs=dedup_signs)
+            norm_sq = np.tile(norm_sq, coeffs.shape[0] // norm_sq.size)
         yield coeffs, norm_sq
 
 
@@ -352,7 +429,7 @@ def enumerate_points(lat: MatrixLattice, radius: float, *,
 
 def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,
                  budget: int = DEFAULT_BUDGET) -> list[int]:
-    """|L(M)| for each radius M in an increasing list, from one half walk."""
+    """|L(M)| for each radius M in an increasing list, from one orbit walk."""
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
@@ -360,10 +437,10 @@ def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,
         raise ValueError("radii must be positive")
     bounds = np.array([_bound_sq(r) for r in radii])
     counts = np.zeros(len(radii), dtype=np.int64)
-    for _, norm_sq in coefficient_blocks(lat, radii[-1], dedup_signs=True,
+    for _, norm_sq in coefficient_blocks(lat, radii[-1], orbits=True,
                                          budget=budget):
         counts += np.bincount(np.searchsorted(bounds, norm_sq), minlength=len(radii))
-    return [2 * int(c) for c in np.cumsum(counts)]
+    return [lat.orbit_size * int(c) for c in np.cumsum(counts)]
 
 
 # ---------------------------------------------------------------------------

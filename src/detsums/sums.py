@@ -6,8 +6,11 @@ Three families are supported, all over the nonzero points of L(M):
 * ``approximate``  sum of |det(X)|^(-m)        (square lattices)
 * ``mixed``        sum of ||X||_F^(-2i) * det(X X*)^(-(m-i))
 
-Every family is even in X, so each sum is one pass over the half-ball walk
-(one of each +/-X pair) and twice its total.  Terms are evaluated block-wise
+Every family is even in X, and on a Z[i]-paired lattice invariant under
+X -> iX as well: ||iX||_F = ||X||_F, |det iX| = |det X| and (iX)(iX)* = XX*.
+So each sum is one pass over the orbit walk (one X of each orbit of
+``orbit_size`` points: {X, -X}, or {X, iX, -X, -iX} on a paired lattice) and
+``orbit_size`` times its total.  Terms are evaluated block-wise
 on the walk; each block adds one partial sum per shell of the radius grid,
 and the partials are merged with ``math.fsum``.  fsum is exactly rounded, so
 totals do not depend on the order in which blocks arrive or on how
@@ -187,12 +190,15 @@ def _term_function(lat: MatrixLattice, spec: SumSpec) -> Callable[[np.ndarray, n
 
 
 def _partition_ranges(lat: MatrixLattice, radius: float, n_jobs: int) -> list[tuple[int, int]]:
-    """Split the half range [0, hi] of the top coefficient into up to
+    """Split the walked range [0, hi] of the top coefficient into up to
     ``n_jobs`` contiguous ranges of about equal point counts.
 
-    The slice at top coefficient t holds about (R^2 - (d t)^2)^((k-1)/2)
-    points, and the half walk keeps half of the t = 0 slice.  Each range ends
-    at the slice whose cumulative weight is nearest its share.
+    The slice at top coefficient t holds about w(t) = (R^2 - (d t)^2)^((k-1)/2)
+    points.  The half walk keeps all of a slice with t > 0 and half of the
+    t = 0 slice.  The quarter walk keeps about half of a slice with t > 0
+    (the a of the top pair is positive) and a quarter of the t = 0 slice;
+    those are the same weights up to a factor 1/2, so one split serves both.
+    Each range ends at the slice whose cumulative weight is nearest its share.
     """
     hi = top_level_range(lat, radius)[1]
     d = lat.chol_upper[lat.k - 1, lat.k - 1]
@@ -212,7 +218,7 @@ def _shell_partials(lat, radius, term_fn, bounds, budget, top_range):
     """Per-block partial sums and point counts of each shell, on one partition."""
     partials = []
     counts = np.zeros(len(bounds), dtype=np.int64)
-    for coeffs, norm_sq in coefficient_blocks(lat, radius, dedup_signs=True,
+    for coeffs, norm_sq in coefficient_blocks(lat, radius, orbits=True,
                                               budget=budget, top_range=top_range,
                                               skip_budget_check=True):
         t, keep = term_fn(coeffs, norm_sq)
@@ -228,8 +234,9 @@ def _reduce(lat: MatrixLattice, spec: SumSpec, radii: list[float], budget: int,
             n_jobs: int) -> tuple[list[float], list[int]]:
     """Cumulative sum values and point counts on an increasing radius grid.
 
-    One half walk to radii[-1], split into top-coefficient partitions on a
+    One orbit walk to radii[-1], split into top-coefficient partitions on a
     thread pool when ``n_jobs > 1``; the partitions share one point budget.
+    Every total is weighed by ``orbit_size``.
     """
     if any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
         raise ValueError("radii must be positive and strictly increasing")
@@ -251,9 +258,10 @@ def _reduce(lat: MatrixLattice, spec: SumSpec, radii: list[float], budget: int,
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             parts = list(pool.map(run, ranges))
     partials = np.array([row for p in parts for row in p[0]]).reshape(-1, len(radii))
-    values = [2.0 * math.fsum(partials[:, :j + 1].ravel()) for j in range(len(radii))]
+    orbit = lat.orbit_size
+    values = [orbit * math.fsum(partials[:, :j + 1].ravel()) for j in range(len(radii))]
     counts = np.cumsum(sum(p[1] for p in parts))
-    return values, [2 * int(c) for c in counts]
+    return values, [orbit * int(c) for c in counts]
 
 
 def evaluate_sum(lat: MatrixLattice, spec: SumSpec, radius: float, *,

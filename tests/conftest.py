@@ -37,6 +37,23 @@ def random_small_lattice(rng: np.random.Generator, k: int, n: int = 2,
             return lat
 
 
+def random_paired_lattice(rng: np.random.Generator, pairs: int, n: int = 2,
+                          T: int = 2) -> MatrixLattice:
+    """Z[i]-paired lattice (B_0, i B_0, B_1, i B_1, ...) of rank 2 * pairs with
+    small Gaussian-integer entries."""
+    while True:
+        basis = []
+        for _ in range(pairs):
+            B = (rng.integers(-2, 3, (n, T)) + 1j * rng.integers(-2, 3, (n, T))).astype(complex)
+            basis.extend([B, 1j * B])
+        try:
+            lat = build_lattice(basis)
+        except DependentBasis:
+            continue
+        if np.linalg.cond(lat.gram_real) < 100.0:
+            return lat
+
+
 def naive_matmul_gram(X: np.ndarray) -> np.ndarray:
     """X @ X* by explicit loops."""
     n, T = X.shape

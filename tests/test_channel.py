@@ -11,7 +11,7 @@ from detsums.channel import (ChannelConfig, coding_scheme, diversity_slope,
                              normalize_energy, simulate, sphere_cvp,
                              union_bound, wilson_halfwidth, SimResult)
 from detsums.codes import gaussian_diagonal
-from detsums.errors import (CodeTooLarge, DimensionMismatch,
+from detsums.errors import (BudgetExceeded, CodeTooLarge, DimensionMismatch,
                             InsufficientStatistics, RadiusOverflow)
 from detsums.lattice import DEFAULT_BUDGET
 
@@ -135,6 +135,68 @@ def test_simulation_dimension_check(golden_lattice):
                         trials_per_point=10, seed=0, fixed_radius=1.0)
     with pytest.raises(DimensionMismatch):
         simulate(golden_lattice, cfg)
+
+
+def test_naive_decoder_needs_enough_receive_dimensions(golden_lattice, monkeypatch):
+    # One receive antenna gives 2 * n_r * T = 4 real equations for the
+    # golden code's 8 coefficients; simulate says so before building a code.
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a code")
+    monkeypatch.setattr(channel, "_collect_code", no_build)
+    cfg = _small_cfg(n_r=1, decoder="naive-lattice")
+    with pytest.raises(DimensionMismatch, match="2\\*n_r\\*T"):
+        simulate(golden_lattice, cfg)
+
+
+def test_fixed_code_is_built_once_per_value(golden_lattice, monkeypatch):
+    from detsums.codes import golden_code
+    monkeypatch.setattr(channel, "_CODE_CACHE", type(channel._CODE_CACHE)())
+    walks = []
+    real_blocks = channel.coefficient_blocks
+
+    def counting_blocks(*args, **kwargs):
+        walks.append(args[1])
+        return real_blocks(*args, **kwargs)
+    monkeypatch.setattr(channel, "coefficient_blocks", counting_blocks)
+    first = fixed_code(golden_lattice, 1.0)
+    assert walks == [1.0]
+    # An equal lattice built anew hits the cache by value, and its code
+    # refers to it; the arrays are the cached read-only ones.
+    twin = golden_code()
+    again = fixed_code(twin, 1.0)
+    assert walks == [1.0]
+    assert again.lattice is twin
+    assert again.coeffs is first.coeffs and not again.coeffs.flags.writeable
+    assert np.array_equal(again.matrices, first.matrices)
+    simulate(golden_lattice, _small_cfg(trials_per_point=5))
+    assert walks == [1.0]
+    # Radius, scale and budget are part of the key.
+    fixed_code(golden_lattice, 1.5)
+    coding_scheme(golden_lattice, 0.5, 10.0)
+    fixed_code(golden_lattice, 1.0, budget=10 ** 6)
+    assert walks == [1.0, 1.5, 10.0 ** (0.5 * 2 / 8), 1.0]
+
+
+def test_failed_code_build_is_not_cached(golden_lattice, monkeypatch):
+    monkeypatch.setattr(channel, "_CODE_CACHE", type(channel._CODE_CACHE)())
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            fixed_code(golden_lattice, 1.0, budget=100)
+    assert len(channel._CODE_CACHE) == 0
+    assert fixed_code(golden_lattice, 1.0, budget=2000).size == 16
+    assert len(channel._CODE_CACHE) == 1
+
+
+def test_code_cache_is_bounded(zi_lattice, monkeypatch):
+    monkeypatch.setattr(channel, "_CODE_CACHE", type(channel._CODE_CACHE)())
+    for radius in range(1, 3 * channel._CODE_CACHE_SIZE):
+        fixed_code(zi_lattice, float(radius))
+    assert len(channel._CODE_CACHE) == channel._CODE_CACHE_SIZE
+    # A code above the row cap is built but not kept.
+    monkeypatch.setattr(channel, "_CODE_CACHE_ROWS", 10)
+    kept = list(channel._CODE_CACHE)
+    assert fixed_code(zi_lattice, 3.0 * channel._CODE_CACHE_SIZE).size > 10
+    assert list(channel._CODE_CACHE) == kept
 
 
 def test_config_round_trip_keeps_budget():

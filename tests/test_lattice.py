@@ -13,7 +13,7 @@ from detsums.lattice import (build_lattice, coefficient_blocks,
                              realize_block, shell_counts, size_reduce,
                              top_level_range)
 
-from conftest import box_scan_coeffs, random_small_lattice
+from conftest import box_scan_coeffs, random_paired_lattice, random_small_lattice
 
 SQRT2 = math.sqrt(2.0)
 
@@ -173,6 +173,124 @@ def test_partitioned_enumeration_covers_ball(golden_lattice):
                                             skip_budget_check=True):
             split.update(tuple(int(v) for v in row) for row in coeffs)
     assert split == full
+
+
+def _times_i(z):
+    """Coefficients of iX on a Z[i]-paired basis: each pair (a, b) -> (-b, a)."""
+    out = []
+    for a, b in zip(z[0::2], z[1::2]):
+        out.extend((-b, a))
+    return tuple(out)
+
+
+def _orbit_rows(lat, radius):
+    rows = []
+    for coeffs, norm_sq in coefficient_blocks(lat, radius, orbits=True):
+        rows.extend(tuple(int(v) for v in row) for row in coeffs)
+        mats = realize_block(lat, coeffs)
+        assert np.allclose(norm_sq, np.sum(np.abs(mats) ** 2, axis=(1, 2)))
+    return rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pairs=st.integers(1, 3),
+       scale=st.floats(1.0, 2.4), shape=_SHAPES)
+def test_quarter_walk_rotations_match_box_scan(seed, pairs, scale, shape):
+    lat = random_paired_lattice(np.random.default_rng(seed), pairs, *shape)
+    assert lat.orbit_size == 4
+    # Radii relative to the shortest vector, so every ball holds points.
+    radius = scale * math.sqrt(lat.min_norm_sq)
+    quarter = _orbit_rows(lat, radius)
+    assert len(set(quarter)) == len(quarter)
+    assert all(any(z) for z in quarter)
+    rotations = [quarter]
+    for _ in range(3):
+        rotations.append([_times_i(z) for z in rotations[-1]])
+    full = [z for rot in rotations for z in rot]
+    assert len(set(full)) == len(full)
+    assert set(full) == set(box_scan_coeffs(lat, radius))
+    # Each representative's highest nonzero pair lies in a > 0, b >= 0.
+    for z in quarter:
+        a, b = next((a, b) for a, b in reversed(list(zip(z[0::2], z[1::2])))
+                    if a or b)
+        assert a > 0 and b >= 0
+    # The sign-deduplicated stream is each quarter block plus its rotation.
+    half = {tuple(int(v) for v in row)
+            for coeffs, _ in coefficient_blocks(lat, radius, dedup_signs=True)
+            for row in coeffs}
+    assert half == set(quarter) | set(rotations[1])
+
+
+def test_presets_are_paired(golden_lattice, nf_lattice, zi_lattice):
+    from detsums.codes import gaussian_diagonal, golden_code
+    # Rescaling multiplies both matrices of a pair by the same real factor,
+    # which keeps basis[2j+1] == 1j * basis[2j] bit for bit.
+    for lat in (golden_lattice, nf_lattice, zi_lattice, gaussian_diagonal(3),
+                golden_code("unit-minnorm")):
+        assert lat.orbit_size == 4
+
+
+def test_non_paired_lattice_keeps_half_walk():
+    # A JSON basis whose second matrix is not i times the first.
+    doc = {"n": 1, "T": 2, "basis": [[[1.0, 0.0], [0.0, 0.0]],
+                                      [[0.0, 1.0], [0.5, 0.0]],
+                                      [[0.0, 0.0], [1.0, 0.0]],
+                                      [[0.0, 0.0], [0.0, 1.0]]]}
+    lat = lattice_from_json(doc)
+    assert lat.orbit_size == 2
+    rows = _orbit_rows(lat, 2.5)
+    half = [tuple(int(v) for v in row)
+            for coeffs, _ in coefficient_blocks(lat, 2.5, dedup_signs=True)
+            for row in coeffs]
+    assert rows == half
+    full = set(box_scan_coeffs(lat, 2.5))
+    assert 2 * len(rows) == len(full)
+    assert full == set(rows) | {tuple(-v for v in z) for z in rows}
+    assert shell_counts(lat, [2.5]) == [len(full)]
+    # Rank 3 cannot be paired.
+    assert build_lattice([np.array([[1.0 + 0j, 0.0]]), np.array([[1j, 0.0]]),
+                          np.array([[0.5, 1.0 + 0j]])]).orbit_size == 2
+
+
+@pytest.mark.parametrize("code,radius", [("golden", 2.5), ("zi", 40.0), ("json", 6.0)])
+def test_wide_levels_split_without_changing_the_walk(monkeypatch, code, radius):
+    from detsums import lattice
+    from detsums.codes import gaussian_diagonal, golden_code
+    lat = {"golden": golden_code, "zi": lambda: gaussian_diagonal(1),
+           "json": lambda: build_lattice([np.array([[1.0, 0.5j]]),
+                                          np.array([[0.3j, 1.0]]),
+                                          np.array([[0.2, 0.7 + 0.1j]])])}[code]()
+
+    def walk():
+        blocks = list(coefficient_blocks(lat, radius, orbits=True))
+        coeffs = np.concatenate([c for c, _ in blocks])
+        norms = np.concatenate([n for _, n in blocks])
+        order = np.lexsort(coeffs.T[::-1])
+        return coeffs[order], norms[order], max(c.shape[0] for c, _ in blocks)
+
+    whole, whole_norms, _ = walk()
+    cap = 8
+    monkeypatch.setattr(lattice, "_MAX_CHILDREN", cap)
+    split, split_norms, largest = walk()
+    assert np.array_equal(split, whole)
+    assert np.array_equal(split_norms, whole_norms)
+    # A piece holds fewer than cap children before its last row, whose
+    # children number at most 2 R / U[0, 0] + 1.
+    assert largest < cap + 2 * radius / lat.chol_upper[0, 0] + 1
+
+
+def _r8(n: int) -> int:
+    """Jacobi: the number of ways to write n as a sum of eight squares."""
+    return 16 * sum((-1) ** (n + d) * d ** 3 for d in range(1, n + 1) if n % d == 0)
+
+
+def test_golden_counts_match_jacobi_r8(golden_lattice):
+    # The golden real Gram is the identity, so L(M) is Z^8 in the ball of
+    # radius M and |L(M)| = sum_{1 <= n <= M^2} r_8(n).
+    squares = [1, 2, 4, 8, 16, 32]
+    expected = [sum(_r8(n) for n in range(1, m + 1)) for m in squares]
+    assert expected == [16, 128, 1712, 21696, 306048, 4558736]
+    assert shell_counts(golden_lattice, [math.sqrt(m) for m in squares]) == expected
 
 
 def test_realize_block_matches_single(golden_lattice):

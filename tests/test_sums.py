@@ -14,7 +14,8 @@ from detsums.sums import (SumCurve, SumSpec, convergence_probe, dyadic_bound,
                           evaluate_sum, inverse_det_sum, norm_det_sum,
                           shifted_det_sum, shifted_vs_mixed_bound, sum_curve)
 
-from conftest import box_scan_sum, random_small_lattice
+from conftest import (box_scan_coeffs, box_scan_sum, random_paired_lattice,
+                      random_small_lattice)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -201,6 +202,87 @@ def test_budget_shared_across_partitions():
         assert evaluate_sum(lat, spec, 2000.0, budget=4001, n_jobs=jobs)[1] == 4000
         curve = sum_curve(lat, spec, [1000.0, 2000.0], budget=4001, n_jobs=jobs)
         assert curve.point_counts == [2000, 4000]
+
+
+def test_budget_exact_on_paired_lattice():
+    # A thin paired ball: the long first pair never fits, so L(30) is the
+    # Gaussian integers of modulus <= 30 in the second slot, far more than the
+    # volume heuristic's 1,024.  The quarter walk charges four points per row
+    # and must still trip exactly when |L(M)| + 1 exceeds the budget.
+    B0, B1 = np.array([[1e5 + 0j, 0.0]]), np.array([[0.0, 1.0 + 0j]])
+    lat = build_lattice([B0, 1j * B0, B1, 1j * B1])
+    assert lat.orbit_size == 4
+    size = shell_counts(lat, [30.0])[0]
+    assert size == len(box_scan_coeffs(lat, 30.0)) == 2820
+    spec = SumSpec(family="shifted", m=2, c=1.0)
+    for jobs in (1, 2):
+        for budget in (1500, size - 3, size):
+            with pytest.raises(BudgetExceeded):
+                evaluate_sum(lat, spec, 30.0, budget=budget, n_jobs=jobs)
+            with pytest.raises(BudgetExceeded):
+                sum_curve(lat, spec, [15.0, 30.0], budget=budget, n_jobs=jobs)
+        assert evaluate_sum(lat, spec, 30.0, budget=size + 1, n_jobs=jobs)[1] == size
+        curve = sum_curve(lat, spec, [15.0, 30.0], budget=size + 1, n_jobs=jobs)
+        assert curve.point_counts == [shell_counts(lat, [15.0])[0], size]
+
+
+_FAMILY_SPECS = [SumSpec(family="shifted", m=2, c=0.7),
+                 SumSpec(family="approximate", m=3),
+                 SumSpec(family="mixed", m=3, i=1)]
+
+
+@pytest.mark.parametrize("spec", _FAMILY_SPECS, ids=lambda s: s.family)
+def test_sums_invariant_under_multiplication_by_i(golden_lattice, spec):
+    # On a paired basis, i * basis spans the same lattice by another basis,
+    # (i B_j, -B_j); every family's term takes the same value at iX as at X.
+    rotated = build_lattice(list(1j * golden_lattice.basis))
+    assert rotated.orbit_size == 4
+    radii = [1.0, SQRT2, 2.0]
+    base = sum_curve(golden_lattice, spec, radii)
+    turned = sum_curve(rotated, spec, radii)
+    assert turned.point_counts == base.point_counts
+    for a, b in zip(turned.values, base.values):
+        assert a == pytest.approx(b, rel=1e-12)
+    term = _oracle_terms(spec.family, spec.m, spec.c, spec.i)
+    terms_at_ix = []
+    for z in box_scan_coeffs(golden_lattice, 2.0):
+        X = golden_lattice.realize(z)
+        terms_at_ix.append(term(1j * X, float(np.sum(np.abs(X) ** 2))))
+    assert base.values[-1] == pytest.approx(math.fsum(terms_at_ix), rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pairs=st.integers(1, 3),
+       scale=st.floats(1.0, 3.0))
+def test_partition_invariance_on_paired_lattices(seed, pairs, scale):
+    lat = random_paired_lattice(np.random.default_rng(seed), pairs)
+    radius = scale * math.sqrt(lat.min_norm_sq)
+    spec = SumSpec(family="shifted", m=2, c=0.5)
+    radii = [radius / 2.0, radius]
+    base = sum_curve(lat, spec, radii)
+    assert base.point_counts == shell_counts(lat, radii)
+    for jobs in (1, 2, 3, 4):
+        split = sum_curve(lat, spec, radii, n_jobs=jobs)
+        assert split.point_counts == base.point_counts
+        for a, b in zip(split.values, base.values):
+            assert a == pytest.approx(b, rel=1e-9)
+
+
+# 4 zeta(2) G, the sum of |z|^-4 over the nonzero Gaussian integers: the
+# Dedekind zeta function of Q(i) factors as zeta(s) L(s, chi_-4), the four
+# units give each ideal four generators, so the sum is 4 zeta(2) beta(2) with
+# zeta(2) = pi^2 / 6 and beta(2) = G = 0.915965594177219... (Catalan's
+# constant).  Evaluated to 30 digits with mpmath, then rounded.
+_ZI_INVERSE_FOURTH = 6.02681203969194
+
+
+@pytest.mark.parametrize("radius,tol", [(16.0, 0.02), (64.0, 3e-3), (256.0, 5e-4)])
+def test_gaussian_integer_limit(zi_lattice, radius, tol):
+    # The tail beyond R is about the integral of r^-4 over the plane outside
+    # the disc of radius R, pi / R^2.
+    deficit = _ZI_INVERSE_FOURTH - inverse_det_sum(zi_lattice, 4, radius)
+    assert deficit > 0
+    assert radius * radius * deficit / math.pi == pytest.approx(1.0, abs=tol)
 
 
 def test_shell_points_land_in_the_same_bin():
