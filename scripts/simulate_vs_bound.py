@@ -13,7 +13,7 @@ import math
 import sys
 
 from detsums.channel import (ChannelConfig, diversity_slope, fixed_code,
-                             simulate, union_bound)
+                             simulate, union_bounds)
 from detsums.codes import CodeSpec
 from detsums.errors import InsufficientStatistics
 
@@ -53,8 +53,9 @@ def main() -> int:
     print(f"{'snr_db':>7} {'rate':>12} {'errors':>7} {'union_bound':>12} "
           f"{'local_slope':>11}")
     rates = result.error_rate
+    bounds = union_bounds(code, args.n_r, [10.0 ** (snr / 10.0) for snr in grid])
     for idx, snr in enumerate(grid):
-        ub = union_bound(code, args.n_r, 10.0 ** (snr / 10.0))
+        ub = bounds[idx]
         slope = ""
         if idx > 0 and rates[idx - 1] > 0 and rates[idx] > 0:
             drop = math.log10(rates[idx - 1]) - math.log10(rates[idx])

@@ -12,7 +12,8 @@ from .bounds import (DmtCurve, GrowthFit, dmt_envelope, dmt_ml_bound,
                      snr_threshold_exponent)
 from .channel import (ChannelConfig, SimResult, coding_scheme, diversity_slope,
                       fixed_code, naive_lattice_decode, normalize_energy,
-                      simulate, sphere_cvp, union_bound)
+                      simulate, sphere_cvp, union_bound,
+                      union_bounds)
 from .codes import (CodeSpec, diagonal_nf_code, gaussian_diagonal, golden_code,
                     normalize_unit_min_norm)
 from .lattice import (LatticePoint, MatrixLattice, build_lattice,
@@ -23,6 +24,6 @@ from .pipeline import ExperimentConfig, ExperimentReport, run
 from .presets import build_preset, preset_names
 from .sums import (SumCurve, SumSpec, convergence_probe, dyadic_bound,
                    inverse_det_sum, norm_det_sum, shifted_det_sum,
-                   shifted_vs_mixed_bound, sum_curve)
+                   shifted_vs_mixed_bound, sum_curve, sum_curves)
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from .errors import (CodeTooLarge, DimensionMismatch, InsufficientStatistics,
                      RadiusOverflow)
 from .lattice import (DEFAULT_BUDGET, MatrixLattice, coefficient_blocks,
                       orbit_images, realize_block)
-from .sums import shifted_det_sum
+from .sums import SumSpec, sum_curves
 
 __all__ = [
     "ChannelConfig",
@@ -50,6 +50,7 @@ __all__ = [
     "fixed_code",
     "normalize_energy",
     "union_bound",
+    "union_bounds",
     "simulate",
     "sphere_cvp",
     "naive_lattice_decode",
@@ -204,24 +205,34 @@ def normalize_energy(matrices: np.ndarray, T: int) -> float:
     return math.sqrt(T * matrices.shape[0] / total)
 
 
-def union_bound(code: FiniteCode, n_r: int, rho: float, *,
-                chernoff_scaling: bool = True,
-                budget: int = DEFAULT_BUDGET) -> float:
-    """Pairwise-error union bound for the code at SNR rho.
+def union_bounds(code: FiniteCode, n_r: int, rhos, *,
+                 chernoff_scaling: bool = True,
+                 budget: int = DEFAULT_BUDGET) -> list[float]:
+    """Pairwise-error union bound for the code at each SNR in ``rhos``.
 
     Sums det(I + c D D*)^-n_r over all nonzero lattice points D of Frobenius
-    norm at most twice the code radius (codeword differences live there).
+    norm at most twice the code radius (codeword differences live there),
+    for every SNR from one walk of that ball.
     With ``chernoff_scaling`` the shift is c = rho theta_eff^2 / (4 n_t),
     which makes the value a true upper bound on block error probability for
     the simulated channel; without it the conventional c = rho theta_eff^2
     is used, which only preserves the decay exponents.
     """
     theta = normalize_energy(code.matrices, code.lattice.T)
-    amp_sq = rho * (theta * code.scale) ** 2
+    shifts = [rho * (theta * code.scale) ** 2 for rho in rhos]
     if chernoff_scaling:
-        amp_sq /= 4.0 * code.lattice.n
-    return shifted_det_sum(code.lattice, n_r, amp_sq, 2.0 * code.radius,
-                           budget=budget)
+        shifts = [c / (4.0 * code.lattice.n) for c in shifts]
+    jobs = [(SumSpec(family="shifted", m=n_r, c=c), [2.0 * code.radius]) for c in shifts]
+    return [curve.values[0] for curve in sum_curves(code.lattice, jobs, budget=budget)]
+
+
+def union_bound(code: FiniteCode, n_r: int, rho: float, *,
+                chernoff_scaling: bool = True,
+                budget: int = DEFAULT_BUDGET) -> float:
+    """Pairwise-error union bound for the code at SNR rho (``union_bounds``
+    at one point)."""
+    return union_bounds(code, n_r, [rho], chernoff_scaling=chernoff_scaling,
+                        budget=budget)[0]
 
 
 @dataclass(frozen=True)

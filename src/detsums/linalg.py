@@ -16,9 +16,8 @@ coefficients straight off X: ``e_1 = ||X||_F^2`` and, for square X,
 
 with no Gram matrix formed.  The middle coefficients (n >= 3), and e_n of a
 non-square X, come from principal minors of the Gram matrix.  The scalar
-helpers use principal minors for ``n <= 4`` and a Faddeev-LeVerrier trace
-recurrence above that; no iterative eigensolver is involved, which keeps
-results deterministic.
+helpers are the batched kernels on a batch of one; no iterative eigensolver
+is involved, which keeps results deterministic.
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ __all__ = [
     "gram_batch",
     "frobenius_norm_sq",
     "symmetric_means",
-    "symmetric_means_from_gram",
     "symmetric_means_batch",
     "shifted_det",
-    "shifted_det_from_means",
     "shifted_det_batch",
     "det_batch",
     "det_gram_batch",
@@ -79,65 +76,14 @@ def frobenius_norm_sq(X: np.ndarray) -> float:
     return float(np.sum(np.abs(X) ** 2))
 
 
-def _clamp_means(p: np.ndarray, p1_powers: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative round-off; reject structurally negative values."""
-    thr = _CLAMP_REL * p1_powers
-    bad = p < -thr
-    if np.any(bad):
-        raise ValueError("symmetric mean is negative beyond round-off; input is not PSD")
-    return np.where(p < 0.0, 0.0, p)
-
-
-def _esp_from_minors(G: np.ndarray) -> np.ndarray:
-    """Elementary symmetric polynomials e_1..e_n of a Hermitian G via principal minors."""
-    n = G.shape[0]
-    e = np.empty(n)
-    for size in range(1, n + 1):
-        total = 0.0
-        for subset in combinations(range(n), size):
-            idx = np.asarray(subset)
-            total += float(np.linalg.det(G[np.ix_(idx, idx)]).real)
-        e[size - 1] = total
-    return e
-
-
-def _esp_leverrier(G: np.ndarray) -> np.ndarray:
-    """Elementary symmetric polynomials via the Faddeev-LeVerrier recurrence.
-
-    Used for n > 4 where the subset enumeration gets wasteful.  For the
-    characteristic polynomial det(t I - G) = t^n - a_1 t^(n-1) - ... - a_n
-    the recurrence gives a_k = tr(G M_k)/k with M_1 = I and
-    M_{k+1} = G M_k - a_k I, and e_k = (-1)^(k+1) a_k.
-    """
-    n = G.shape[0]
-    M = np.eye(n, dtype=G.dtype)
-    e = np.empty(n)
-    for k in range(1, n + 1):
-        GM = G @ M
-        a_k = float(np.trace(GM).real) / k
-        e[k - 1] = a_k if k % 2 == 1 else -a_k
-        M = GM - a_k * np.eye(n, dtype=G.dtype)
-    return e
-
-
-def symmetric_means_from_gram(G: np.ndarray) -> np.ndarray:
-    """Symmetric means p_1..p_n of the eigenvalues of a Hermitian PSD matrix."""
-    n = G.shape[0]
-    e = _esp_from_minors(G) if n <= 4 else _esp_leverrier(G)
-    binoms = np.array([math.comb(n, i) for i in range(1, n + 1)], dtype=float)
-    p = e / binoms
-    p1 = max(p[0], 0.0)
-    powers = p1 ** np.arange(1, n + 1)
-    return _clamp_means(p, powers)
-
-
 def symmetric_means(X: np.ndarray) -> np.ndarray:
-    """Symmetric means of the Gram eigenvalues of X.
+    """Symmetric means of the Gram eigenvalues of X (``symmetric_means_batch``
+    on a batch of one).
 
     p_1 equals ||X||_F^2 / n and p_n equals det(X X*) / 1; the vector has
     length n = rows(X) and is nonnegative.
     """
-    return symmetric_means_from_gram(gram(X))
+    return symmetric_means_batch(np.asarray(X, dtype=np.complex128)[None])[0]
 
 
 def det_batch(Mb: np.ndarray) -> np.ndarray:
@@ -205,22 +151,9 @@ def symmetric_means_batch(Xb: np.ndarray) -> np.ndarray:
     return _esp_batch(Xb) / np.array([math.comb(n, i) for i in range(1, n + 1)], dtype=float)
 
 
-def shifted_det_from_means(p: np.ndarray, c: float) -> float:
-    """Evaluate 1 + sum_i C(n,i) p_i c^i from a symmetric-mean vector."""
-    if c < 0:
-        raise ValueError("shift c must be nonnegative")
-    n = len(p)
-    value = 1.0
-    cp = 1.0
-    for i in range(1, n + 1):
-        cp *= c
-        value += math.comb(n, i) * p[i - 1] * cp
-    return value
-
-
 def shifted_det(X: np.ndarray, c: float) -> float:
-    """det(I + c X X*) for c >= 0, evaluated through the symmetric means."""
-    return shifted_det_from_means(symmetric_means(X), c)
+    """det(I + c X X*) for c >= 0 (``shifted_det_batch`` on a batch of one)."""
+    return float(shifted_det_batch(np.asarray(X, dtype=np.complex128)[None], c)[0])
 
 
 def shifted_det_batch(Xb: np.ndarray, c: float) -> np.ndarray:
@@ -228,7 +161,11 @@ def shifted_det_batch(Xb: np.ndarray, c: float) -> np.ndarray:
     1 + e_1 c + ... + e_n c^n, by Horner's rule on nonnegative terms."""
     if c < 0:
         raise ValueError("shift c must be nonnegative")
-    e = _esp_batch(Xb)
+    return _shifted_from_esp(_esp_batch(Xb), c)
+
+
+def _shifted_from_esp(e: np.ndarray, c: float) -> np.ndarray:
+    """1 + e_1 c + ... + e_n c^n for each row of an ``_esp_batch`` result."""
     value = e[:, -1] * c
     for i in range(e.shape[1] - 2, -1, -1):
         value += e[:, i]

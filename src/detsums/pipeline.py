@@ -1,5 +1,10 @@
 """End-to-end studies: construct, enumerate, sum, fit, bound, compare, persist.
 
+A run walks each ball it needs once: the determinant scan, then one
+``sum_curves`` walk to the largest radius that evaluates every sum job and
+every compare cell (one shifted spec per c), plus, with a simulation, one
+walk at twice the code radius for the union bound at every SNR point.
+
 A run is driven by an ``ExperimentConfig`` and produces a directory of CSV
 and JSON artifacts plus a plain-text summary.  Every artifact embeds the
 sha256 hash of the canonical config JSON; a run refuses to write into a
@@ -18,10 +23,10 @@ from pathlib import Path
 from .bounds import (BoundEnvelope, DmtCurve, dmt_envelope, dmt_ml_bound,
                      dmt_naive_bound, growth_fit, shift_bound_envelope,
                      snr_threshold_exponent)
-from .channel import ChannelConfig, SimResult, fixed_code, simulate, union_bound
+from .channel import ChannelConfig, SimResult, fixed_code, simulate, union_bounds
 from .codes import CodeSpec, min_abs_det_ball
 from .lattice import DEFAULT_BUDGET, MatrixLattice
-from .sums import SumSpec, shifted_det_sum, sum_curve
+from .sums import SumSpec, sum_curves
 
 __all__ = [
     "SumJob",
@@ -227,17 +232,29 @@ def compare_bound_vs_truth(lat: MatrixLattice, envelope: BoundEnvelope, m: float
 
     The envelope's unknown constant is fixed at the anchor cell (largest c,
     largest M); every other cell reports empirical / scaled-envelope with an
-    ``ok`` flag for ratio <= 1 + slack.
+    ``ok`` flag for ratio <= 1 + slack.  Every cell comes from one walk.
     """
-    c_values = sorted(float(c) for c in c_values)
-    radii = sorted(float(M) for M in radii)
+    c_values, radii = list(c_values), list(radii)
+    curves = sum_curves(lat, _compare_jobs(m, c_values, radii), budget=budget,
+                        n_jobs=n_jobs)
+    return _compare_rows(envelope, c_values, radii, curves, slack)
+
+
+def _compare_jobs(m: float, c_values, radii) -> list:
+    """One shifted spec per c on the compare radii, as ``sum_curves`` jobs."""
     if not c_values or not radii:
         raise ValueError("need at least one c and one radius")
-    table = {}
-    for c in c_values:
-        for M in radii:
-            table[(c, M)] = shifted_det_sum(lat, m, c, M, budget=budget,
-                                            n_jobs=n_jobs)
+    grid = sorted({float(M) for M in radii})
+    return [(SumSpec(family="shifted", m=m, c=float(c)), grid) for c in c_values]
+
+
+def _compare_rows(envelope: BoundEnvelope, c_values, radii, curves,
+                  slack: float = 1e-9) -> list:
+    """The compare table from the curves of ``_compare_jobs``."""
+    table = {(curve.spec.c, M): v for curve in curves
+             for M, v in zip(curve.radii, curve.values)}
+    c_values = sorted(float(c) for c in c_values)
+    radii = sorted(float(M) for M in radii)
     anchor = (c_values[-1], radii[-1])
     scale = table[anchor] / envelope.shape_value(*anchor)
     rows = []
@@ -265,8 +282,9 @@ def _json_text(doc) -> str:
 def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> ExperimentReport:
     """Execute all configured stages and persist the report.
 
-    Stage order: construct -> det scan -> sum curves -> growth fits ->
-    envelope -> DMT curves -> SNR thresholds -> simulation -> comparison.
+    Stage order: construct -> det scan -> sums (the curves and the compare
+    cells, one walk) -> growth fits -> envelope -> DMT curves -> SNR
+    thresholds -> simulation -> comparison.
     ``out_dir=None`` computes everything without touching the filesystem.
     """
     h = config_hash(config)
@@ -286,10 +304,14 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
         "minAbsDet": min_abs_det, "detScanRadius": config.det_scan_radius,
     }
 
-    curves = []
-    for job in config.sum_jobs:
-        curves.append(sum_curve(lat, job.spec(), job.radii, budget=config.budget,
-                                n_jobs=n_jobs))
+    jobs = [(job.spec(), job.radii) for job in config.sum_jobs]
+    compare_m = None
+    if config.envelope is not None and config.compare_c_values and config.compare_radii:
+        compare_m = (config.compare_m if config.compare_m is not None
+                     else float(config.envelope.m))
+        jobs += _compare_jobs(compare_m, config.compare_c_values, config.compare_radii)
+    curves = sum_curves(lat, jobs, budget=config.budget, n_jobs=n_jobs)
+    curves, compare_curves = curves[:len(config.sum_jobs)], curves[len(config.sum_jobs):]
 
     fits = {}
     for curve in curves:
@@ -340,18 +362,14 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
         sim_result = simulate(lat, config.sim)
         if config.sim.fixed_radius is not None:
             code = fixed_code(lat, config.sim.fixed_radius, budget=config.sim.budget)
-            for db in config.sim.snr_grid_db:
-                sim_bound.append(union_bound(
-                    code, config.sim.n_r, 10.0 ** (db / 10.0),
-                    chernoff_scaling=config.sim.chernoff_scaling,
-                    budget=config.budget))
+            sim_bound = union_bounds(
+                code, config.sim.n_r, [10.0 ** (db / 10.0) for db in config.sim.snr_grid_db],
+                chernoff_scaling=config.sim.chernoff_scaling, budget=config.budget)
 
     compare_table = []
-    if envelope is not None and config.compare_c_values and config.compare_radii:
-        m = config.compare_m if config.compare_m is not None else float(config.envelope.m)
-        compare_table = compare_bound_vs_truth(
-            lat, envelope, m, config.compare_c_values, config.compare_radii,
-            budget=config.budget, n_jobs=n_jobs)
+    if compare_m is not None:
+        compare_table = _compare_rows(envelope, config.compare_c_values,
+                                      config.compare_radii, compare_curves)
 
     report = ExperimentReport(config=config, hash=h, lattice_summary=lattice_summary,
                               curves=curves, fits=fits, envelope=envelope,

@@ -10,11 +10,19 @@ Every family is even in X, and on a Z[i]-paired lattice invariant under
 X -> iX as well: ||iX||_F = ||X||_F, |det iX| = |det X| and (iX)(iX)* = XX*.
 So each sum is one pass over the orbit walk (one X of each orbit of
 ``orbit_size`` points: {X, -X}, or {X, iX, -X, -iX} on a paired lattice) and
-``orbit_size`` times its total.  Terms are evaluated block-wise
-on the walk; each block adds one partial sum per shell of the radius grid,
-and the partials are merged with ``math.fsum``.  fsum is exactly rounded, so
-totals do not depend on the order in which blocks arrive or on how
-partitioned workers split the ball.
+``orbit_size`` times its total.
+
+``sum_curves`` is the one reduction: it evaluates every (spec, radius grid)
+pair of a run in a single walk to the largest radius.  Each block is realized
+once, and e (``_esp_batch``), |det X| and det(X X*) are computed at most once
+on it: each shifted c is one Horner pass on the shared e, |det X| serves every
+m of the approximate family and det(X X*) every m and i of the mixed one, and
+each spec bins only the rows inside its own last radius.  Each block adds one partial sum per shell of a spec's grid,
+and a spec's partials are merged with ``math.fsum``.  fsum is exactly
+rounded, so totals do not depend on the order in which blocks arrive or on
+how partitioned workers split the ball; only a different walk radius, which
+moves the block boundaries, can change their last bits.  ``sum_curve``,
+``evaluate_sum`` and the named sums are its one-spec cases.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +41,7 @@ from .errors import (BudgetExceeded, HypothesisViolated, ProofBoundExceeded,
 from .lattice import (DEFAULT_BUDGET, MatrixLattice, PointBudget,
                       _bound_sq, coefficient_blocks, predicted_point_count,
                       realize_block, top_level_range)
-from .linalg import det_batch, det_gram_batch, shifted_det_batch
+from .linalg import _esp_batch, _shifted_from_esp, det_batch, det_gram_batch
 
 __all__ = [
     "SumSpec",
@@ -43,6 +51,7 @@ __all__ = [
     "norm_det_sum",
     "evaluate_sum",
     "sum_curve",
+    "sum_curves",
     "MixedBoundCheck",
     "shifted_vs_mixed_bound",
     "DyadicBound",
@@ -92,12 +101,18 @@ class SumSpec:
 
 @dataclass
 class SumCurve:
-    """Sum values of one family on an increasing radius grid."""
+    """Sum values of one family on an increasing radius grid.
+
+    ``point_counts`` are the points that contributed and ``singular_counts``
+    the singular points ``skip_singular`` dropped, both cumulative per radius
+    (None when read from a file written before the drops were recorded).
+    """
 
     spec: SumSpec
     radii: list[float]
     values: list[float]
     point_counts: list[int]
+    singular_counts: list[int] | None = None
 
     def to_csv(self, path=None) -> str | None:
         buf = io.StringIO()
@@ -113,80 +128,32 @@ class SumCurve:
         return None
 
     def to_json_dict(self) -> dict:
+        points = [{"M": float(M), "value": float(v), "pointCount": int(cnt)}
+                  for M, v, cnt in zip(self.radii, self.values, self.point_counts)]
+        for p, cnt in zip(points, self.singular_counts or ()):
+            p["singularCount"] = int(cnt)
         return {
             "spec": {"family": self.spec.family, "m": self.spec.m, "c": self.spec.c,
                      "i": self.spec.i},
-            "points": [
-                {"M": float(M), "value": float(v), "pointCount": int(cnt)}
-                for M, v, cnt in zip(self.radii, self.values, self.point_counts)
-            ],
+            "points": points,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SumCurve":
         """Read a curve; the ``compensation`` and ``dedupSigns`` keys of older
-        files are ignored."""
+        files are ignored, and files without ``singularCount`` read as None."""
         spec = SumSpec(family=doc["spec"]["family"], m=doc["spec"]["m"],
                        c=doc["spec"].get("c", 0.0), i=doc["spec"].get("i"))
         pts = doc["points"]
         return cls(spec=spec, radii=[p["M"] for p in pts],
                    values=[p["value"] for p in pts],
-                   point_counts=[p["pointCount"] for p in pts])
+                   point_counts=[p["pointCount"] for p in pts],
+                   singular_counts=([p["singularCount"] for p in pts]
+                                    if pts and "singularCount" in pts[0] else None))
 
 
 def _singular_mask(det_g: np.ndarray, norm_sq: np.ndarray, n: int) -> np.ndarray:
     return det_g <= _SINGULAR_REL * (norm_sq / n) ** n
-
-
-def _term_function(lat: MatrixLattice, spec: SumSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray | None]]:
-    """Per-block evaluator (coeff block, norm_sq) -> (terms, keep mask).
-
-    The mask is None when every point contributed; otherwise it marks the
-    rows whose terms survived (skip_singular mode).
-    """
-    n = lat.n
-    if spec.family == "shifted":
-        def terms(coeffs, norm_sq):
-            X = realize_block(lat, coeffs)
-            return shifted_det_batch(X, spec.c) ** (-spec.m), None
-        return terms
-
-    if spec.family == "approximate":
-        if lat.n != lat.T:
-            raise ValueError("approximate family requires square matrices (n == T)")
-
-        def terms(coeffs, norm_sq):
-            X = realize_block(lat, coeffs)
-            a = np.abs(det_batch(X))
-            bad = _singular_mask(a * a, norm_sq, n)
-            if not np.any(bad):
-                return a ** (-spec.m), None
-            if not spec.skip_singular:
-                raise SingularPoint(
-                    "enumerated a point with det(X) = 0; enable skip_singular to drop it")
-            keep = ~bad
-            return a[keep] ** (-spec.m), keep
-        return terms
-
-    i = int(spec.i)
-
-    def terms(coeffs, norm_sq):
-        X = realize_block(lat, coeffs)
-        out = norm_sq ** (-float(i)) if i > 0 else np.ones(norm_sq.size)
-        if i >= spec.m:
-            return out, None
-        det_g = det_gram_batch(X)
-        bad = _singular_mask(det_g, norm_sq, n)
-        keep = None
-        if np.any(bad):
-            if not spec.skip_singular:
-                raise SingularPoint(
-                    "enumerated a point with det(X X*) = 0; enable skip_singular to drop it")
-            keep = ~bad
-            out = out[keep]
-            det_g = det_g[keep]
-        return out * det_g ** (-(spec.m - i)), keep
-    return terms
 
 
 def _partition_ranges(lat: MatrixLattice, radius: float, n_jobs: int) -> list[tuple[int, int]]:
@@ -214,66 +181,161 @@ def _partition_ranges(lat: MatrixLattice, radius: float, n_jobs: int) -> list[tu
     return ranges
 
 
-def _shell_partials(lat, radius, term_fn, bounds, budget, top_range):
-    """Per-block partial sums and point counts of each shell, on one partition."""
-    partials = []
-    counts = np.zeros(len(bounds), dtype=np.int64)
-    for coeffs, norm_sq in coefficient_blocks(lat, radius, orbits=True,
-                                              budget=budget, top_range=top_range,
-                                              skip_budget_check=True):
-        t, keep = term_fn(coeffs, norm_sq)
-        if keep is not None:
-            norm_sq = norm_sq[keep]
-        bins = np.searchsorted(bounds, norm_sq)
-        partials.append(np.bincount(bins, weights=t, minlength=len(bounds)))
-        counts += np.bincount(bins, minlength=len(bounds))
-    return partials, counts
+def _source(spec: SumSpec) -> str:
+    """The per-row quantity a spec's terms are computed from."""
+    if spec.family == "shifted":
+        return "esp"
+    if spec.family == "approximate":
+        return "det"
+    return "det_gram" if spec.i < spec.m else "norm"
 
 
-def _reduce(lat: MatrixLattice, spec: SumSpec, radii: list[float], budget: int,
-            n_jobs: int) -> tuple[list[float], list[int]]:
-    """Cumulative sum values and point counts on an increasing radius grid.
+def _quantity(name: str, X: np.ndarray) -> np.ndarray:
+    """A per-row quantity of a realized block (its kernel is looked up at call
+    time, so a tracer that rebinds the ``linalg`` names sees the call)."""
+    if name == "esp":
+        return _esp_batch(X)
+    return np.abs(det_batch(X)) if name == "det" else det_gram_batch(X)
 
-    One orbit walk to radii[-1], split into top-coefficient partitions on a
-    thread pool when ``n_jobs > 1``; the partitions share one point budget.
-    Every total is weighed by ``orbit_size``.
+
+def _inside(rows, bound):
+    """Norms and values of the rows within ``bound`` of a (bound, norms,
+    values) triple whose rows all lie within its own bound."""
+    top, ns, values = rows
+    if bound >= top:
+        return ns, values
+    keep = ns <= bound
+    return ns[keep], values[keep]
+
+
+def _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc):
+    """Add one walk block to the shell partials of every spec.
+
+    ``plan`` holds (spec, shell bounds, source quantity, last bound) per spec.
+    The block is realized once, and each quantity derived from it (the e of
+    ``_esp_batch``, |det X|, det(X X*)) is computed once, on the rows inside
+    ``reach[name]``, the largest last radius of the specs that use it.  Each
+    shifted c's det(I + c X X*) is one Horner pass on e, shared by every m.
+    A spec takes the rows inside its own last radius.  The arrays live only
+    for this call, so one block's are alive at a time; nothing may hold them
+    in a reference cycle (a self-calling closure over ``memo`` did, and kept
+    every block alive until the cyclic collector ran: three times the peak
+    memory on the golden preset).
     """
-    if any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
-        raise ValueError("radii must be positive and strictly increasing")
-    term_fn = _term_function(lat, spec)
-    if predicted_point_count(lat, radii[-1]) > budget:
+    memo = {"norm": (walk_bound, norm_sq, norm_sq)}
+    if reach:
+        X = realize_block(lat, coeffs)
+        for name, top in reach.items():
+            ns, Xs = _inside((walk_bound, norm_sq, X), top)
+            if ns.size:
+                memo[name] = (top, ns, _quantity(name, Xs))
+    for (spec, b, name, last), (partials, counts, singular) in zip(plan, acc):
+        ns, q = _inside(memo[name], last) if name in memo else (norm_sq[:0], None)
+        if not ns.size:
+            continue                    # no row of this block is in its ball
+        if name == "esp":
+            key = (spec.c, last)
+            if key not in memo:
+                memo[key] = _shifted_from_esp(q, spec.c)
+            t = memo[key] ** (-spec.m)
+        elif name == "norm":
+            t = ns ** (-float(spec.i))
+        else:
+            bad = _singular_mask(q * q if name == "det" else q, ns, lat.n)
+            if np.any(bad):
+                if not spec.skip_singular:
+                    raise SingularPoint(
+                        f"enumerated a point with det(X X*) = 0 ({spec.family} "
+                        "family); enable skip_singular to drop it")
+                singular += np.bincount(np.searchsorted(b, ns[bad]), minlength=b.size)
+                ns, q = ns[~bad], q[~bad]
+            if name == "det":
+                t = q ** (-spec.m)
+            else:
+                i = int(spec.i)
+                t = (ns ** (-float(i)) if i > 0 else 1.0) * q ** (-(spec.m - i))
+        bins = np.searchsorted(b, ns)
+        partials.append(np.bincount(bins, weights=t, minlength=b.size))
+        counts += np.bincount(bins, minlength=b.size)
+
+
+def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]]], *,
+               budget: int = DEFAULT_BUDGET, n_jobs: int = 1) -> list[SumCurve]:
+    """Evaluate several sums, each on its own increasing radius grid, from one
+    orbit walk to the largest radius.
+
+    ``jobs`` is a list of ``(spec, radii)`` pairs; one curve comes back per
+    pair, in order.  Each block of the walk is realized once and its shared
+    quantities serve every spec (see ``_block_partials``); each spec bins only
+    the rows inside its own last radius, so its singular points outside that
+    ball are neither counted nor raised on.  Terms are binned by the shell
+    their norm falls into, and each value is the exactly rounded sum of the
+    per-block bins up to its radius, weighed by ``orbit_size``.  With
+    ``n_jobs > 1`` the top coefficient range splits across a thread pool; the
+    partitions share one point budget, and values match the sequential run.
+    """
+    jobs = [(spec, [float(r) for r in radii]) for spec, radii in jobs]
+    if not jobs:
+        return []
+    for spec, radii in jobs:
+        if not radii or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ValueError("radii must be positive and strictly increasing")
+        if spec.family == "approximate" and lat.n != lat.T:
+            raise ValueError("approximate family requires square matrices (n == T)")
+    top = max(radii[-1] for _, radii in jobs)
+    if predicted_point_count(lat, top) > budget:
         raise BudgetExceeded(
-            f"predicted point count {predicted_point_count(lat, radii[-1]):.3e} "
+            f"predicted point count {predicted_point_count(lat, top):.3e} "
             f"exceeds budget {budget}")
-    bounds = np.array([_bound_sq(r) for r in radii])
+    plan = [(spec, np.array([_bound_sq(r) for r in radii]), _source(spec),
+             _bound_sq(radii[-1])) for spec, radii in jobs]
+    reach = {}                          # X-derived quantity -> rows it is needed on
+    for _, _, name, last in plan:
+        if name != "norm":
+            reach[name] = max(reach.get(name, 0.0), last)
+    walk_bound = _bound_sq(top)
     shared = PointBudget(budget)
-    ranges = _partition_ranges(lat, radii[-1], n_jobs) if n_jobs > 1 else [None]
+    ranges = _partition_ranges(lat, top, n_jobs) if n_jobs > 1 else [None]
 
     def run(rng):
-        return _shell_partials(lat, radii[-1], term_fn, bounds, shared, rng)
+        acc = [([], np.zeros(b.size, np.int64), np.zeros(b.size, np.int64))
+               for _, b, _, _ in plan]
+        for coeffs, norm_sq in coefficient_blocks(lat, top, orbits=True,
+                                                  budget=shared, top_range=rng,
+                                                  skip_budget_check=True):
+            _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc)
+        return acc
 
     if len(ranges) == 1:
         parts = [run(ranges[0])]
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             parts = list(pool.map(run, ranges))
-    partials = np.array([row for p in parts for row in p[0]]).reshape(-1, len(radii))
     orbit = lat.orbit_size
-    values = [orbit * math.fsum(partials[:, :j + 1].ravel()) for j in range(len(radii))]
-    counts = np.cumsum(sum(p[1] for p in parts))
-    return values, [orbit * int(c) for c in counts]
+    curves = []
+    for j, (spec, radii) in enumerate(jobs):
+        nb = len(radii)
+        partials = np.array([row for p in parts for row in p[j][0]]).reshape(-1, nb)
+        values = [orbit * math.fsum(partials[:, :s + 1].ravel()) for s in range(nb)]
+        counts = np.cumsum(sum(p[j][1] for p in parts))
+        singular = np.cumsum(sum(p[j][2] for p in parts))
+        curves.append(SumCurve(spec=spec, radii=radii, values=values,
+                               point_counts=[orbit * int(c) for c in counts],
+                               singular_counts=[orbit * int(c) for c in singular]))
+    return curves
+
+
+def sum_curve(lat: MatrixLattice, spec: SumSpec, radii: Sequence[float], *,
+              budget: int = DEFAULT_BUDGET, n_jobs: int = 1) -> SumCurve:
+    """One family on an increasing radius grid: ``sum_curves`` with one job."""
+    return sum_curves(lat, [(spec, radii)], budget=budget, n_jobs=n_jobs)[0]
 
 
 def evaluate_sum(lat: MatrixLattice, spec: SumSpec, radius: float, *,
                  budget: int = DEFAULT_BUDGET, n_jobs: int = 1) -> tuple[float, int]:
-    """Evaluate one sum over L(radius); returns (value, contributing points).
-
-    With ``n_jobs > 1`` the top coefficient range is split into disjoint
-    subranges processed on a thread pool; the merge is exactly rounded, so
-    the result does not depend on the split or on completion order.
-    """
-    values, counts = _reduce(lat, spec, [float(radius)], budget, n_jobs)
-    return values[0], counts[0]
+    """Evaluate one sum over L(radius); returns (value, contributing points)."""
+    curve = sum_curve(lat, spec, [radius], budget=budget, n_jobs=n_jobs)
+    return curve.values[0], curve.point_counts[0]
 
 
 def shifted_det_sum(lat: MatrixLattice, m: float, c: float, radius: float, *,
@@ -299,20 +361,6 @@ def norm_det_sum(lat: MatrixLattice, m: float, i: int, radius: float, *,
     return evaluate_sum(lat, spec, radius, budget=budget, n_jobs=n_jobs)[0]
 
 
-def sum_curve(lat: MatrixLattice, spec: SumSpec, radii: Sequence[float], *,
-              budget: int = DEFAULT_BUDGET, n_jobs: int = 1) -> SumCurve:
-    """Evaluate one family on an increasing radius grid with one enumeration.
-
-    Terms are binned by the shell their norm falls into, and each value is
-    the exactly rounded sum of the bins up to its radius.  With ``n_jobs > 1``
-    the top coefficient range splits across workers; values match the
-    sequential run.
-    """
-    radii = [float(r) for r in radii]
-    values, counts = _reduce(lat, spec, radii, budget, n_jobs)
-    return SumCurve(spec=spec, radii=radii, values=values, point_counts=counts)
-
-
 @dataclass(frozen=True)
 class MixedBoundCheck:
     lhs: float
@@ -323,8 +371,11 @@ class MixedBoundCheck:
 
 def shifted_vs_mixed_bound(lat: MatrixLattice, m: int, c: float, radius: float,
                            i: int, *, budget: int = DEFAULT_BUDGET) -> MixedBoundCheck:
-    """Check sum det(I+cXX*)^-m <= c^-(i + n(m-i)) * mixed sum at split i."""
-    lhs = shifted_det_sum(lat, m, c, radius, budget=budget)
+    """Check sum det(I+cXX*)^-m <= c^-(i + n(m-i)) * mixed sum at split i,
+    both sums from one walk."""
+    lhs, mixed = (curve.values[0] for curve in sum_curves(
+        lat, [(SumSpec(family="shifted", m=m, c=c), [radius]),
+              (SumSpec(family="mixed", m=m, i=i), [radius])], budget=budget))
     exponent = i + lat.n * (m - i)
     mixed = norm_det_sum(lat, m, i, radius, budget=budget)
     if c == 0.0:

@@ -54,6 +54,11 @@ def random_paired_lattice(rng: np.random.Generator, pairs: int, n: int = 2,
             return lat
 
 
+def _r8(n: int) -> int:
+    """Jacobi: the number of ways to write n as a sum of eight squares."""
+    return 16 * sum((-1) ** (n + d) * d ** 3 for d in range(1, n + 1) if n % d == 0)
+
+
 def naive_matmul_gram(X: np.ndarray) -> np.ndarray:
     """X @ X* by explicit loops."""
     n, T = X.shape

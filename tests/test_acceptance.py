@@ -24,7 +24,7 @@ from detsums.pipeline import run
 from detsums.presets import build_preset
 from detsums.sums import SumSpec, convergence_probe, dyadic_bound, sum_curve
 
-from conftest import box_scan_sum, cvp_box_oracle
+from conftest import _r8, box_scan_sum, cvp_box_oracle
 
 _Z95 = 1.959963984540054
 
@@ -189,6 +189,9 @@ def test_c07_rank8_growth_exponent():
     s2 = math.sqrt(2.0)
     radii = [1.0, s2, 2.0, 2 * s2, 4.0, 4 * s2, 8.0]
     curve = sum_curve(lat, SumSpec(family="approximate", m=4), radii, n_jobs=2)
+    # The golden real Gram is the identity, so |L(M)| = sum_{n <= M^2} r_8(n).
+    squares = [1, 2, 4, 8, 16, 32, 64]
+    assert curve.point_counts == [sum(_r8(n) for n in range(1, q + 1)) for q in squares]
     fit = growth_fit(curve)
     anchored = [v / M ** 4.5 for M, v in zip(curve.radii, curve.values)]
     last3 = anchored[-3:]

@@ -9,7 +9,8 @@ from detsums import channel
 from detsums.channel import (ChannelConfig, coding_scheme, diversity_slope,
                              fixed_code, naive_lattice_decode,
                              normalize_energy, simulate, sphere_cvp,
-                             union_bound, wilson_halfwidth, SimResult)
+                             union_bound, union_bounds, wilson_halfwidth,
+                             SimResult)
 from detsums.codes import gaussian_diagonal
 from detsums.errors import (BudgetExceeded, CodeTooLarge, DimensionMismatch,
                             InsufficientStatistics, RadiusOverflow)
@@ -74,6 +75,18 @@ def test_union_bound_direct_value(zi_lattice):
     got = union_bound(code, 2, rho, chernoff_scaling=False)
     assert got == pytest.approx(expected, rel=1e-9)
     assert got == pytest.approx(5.157e-4, rel=1e-3)
+
+
+@pytest.mark.parametrize("chernoff", [True, False])
+def test_union_bounds_equal_the_pointwise_bounds(golden_lattice, chernoff):
+    # Every SNR point walks the same 2R ball, so the blocks, the terms and
+    # the fsum are the same as one call per point: equal bit for bit.
+    code = fixed_code(golden_lattice, 1.0)
+    rhos = [10.0 ** (db / 10.0) for db in (5.0, 7.5, 10.0, 15.0, 25.0)]
+    grid = union_bounds(code, 2, rhos, chernoff_scaling=chernoff)
+    assert grid == [union_bound(code, 2, rho, chernoff_scaling=chernoff) for rho in rhos]
+    assert all(b < a for a, b in zip(grid, grid[1:]))
+    assert union_bounds(code, 2, []) == []
 
 
 def test_union_bound_chernoff_scaling_is_larger(zi_lattice):

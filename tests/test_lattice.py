@@ -13,7 +13,8 @@ from detsums.lattice import (build_lattice, coefficient_blocks,
                              realize_block, shell_counts, size_reduce,
                              top_level_range)
 
-from conftest import box_scan_coeffs, random_paired_lattice, random_small_lattice
+from conftest import (_r8, box_scan_coeffs, random_paired_lattice,
+                      random_small_lattice)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -277,11 +278,6 @@ def test_wide_levels_split_without_changing_the_walk(monkeypatch, code, radius):
     # A piece holds fewer than cap children before its last row, whose
     # children number at most 2 R / U[0, 0] + 1.
     assert largest < cap + 2 * radius / lat.chol_upper[0, 0] + 1
-
-
-def _r8(n: int) -> int:
-    """Jacobi: the number of ways to write n as a sum of eight squares."""
-    return 16 * sum((-1) ** (n + d) * d ** 3 for d in range(1, n + 1) if n % d == 0)
 
 
 def test_golden_counts_match_jacobi_r8(golden_lattice):

@@ -115,3 +115,28 @@ def test_summary_mentions_all_stages(tmp_path):
     for token in ("lattice:", "sum ", "fit ", "envelope i=", "dmt ",
                   "snr threshold", "compare ", "note:"):
         assert token in text
+
+
+@pytest.mark.parametrize("name", ["golden", "diagonal-nf-2", "gaussian-diagonal-2"])
+def test_run_walks_each_ball_once(name, monkeypatch):
+    # A run walks the determinant scan's ball and then one ball for every
+    # sum curve and compare cell.  Partitions of one n_jobs=2 walk share a
+    # PointBudget and count as one walk.
+    from detsums import codes, sums
+    walks = []
+
+    def counting(blocks):
+        def wrapped(lat, radius, **kw):
+            split = kw.get("top_range") is not None
+            key = ("split", id(kw["budget"])) if split else ("call", len(walks))
+            walks.append((key, kw.get("budget")))   # keeps the budget's id alive
+            return blocks(lat, radius, **kw)
+        return wrapped
+
+    for module in (codes, sums):
+        monkeypatch.setattr(module, "coefficient_blocks", counting(module.coefficient_blocks))
+    cfg = build_preset(name)
+    report = run(cfg, n_jobs=2)
+    assert len({key for key, _ in walks}) == 2
+    assert len(report.curves) == len(cfg.sum_jobs)
+    assert len(report.compare_table) == len(cfg.compare_c_values) * len(cfg.compare_radii)

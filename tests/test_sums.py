@@ -12,7 +12,8 @@ from detsums.lattice import (build_lattice, enumerate_points, rescale_lattice,
 from detsums.linalg import shifted_det
 from detsums.sums import (SumCurve, SumSpec, convergence_probe, dyadic_bound,
                           evaluate_sum, inverse_det_sum, norm_det_sum,
-                          shifted_det_sum, shifted_vs_mixed_bound, sum_curve)
+                          shifted_det_sum, shifted_vs_mixed_bound, sum_curve,
+                          sum_curves)
 
 from conftest import (box_scan_coeffs, box_scan_sum, random_paired_lattice,
                       random_small_lattice)
@@ -523,3 +524,156 @@ def test_approximate_requires_square():
     lat = build_lattice([np.array([[1.0 + 0j, 0.0]]), np.array([[1j, 0.0]])])
     with pytest.raises(ValueError):
         inverse_det_sum(lat, 2, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# several specs from one walk
+# ---------------------------------------------------------------------------
+
+def _spec_strategy(square):
+    families = ["shifted", "mixed"] + (["approximate"] if square else [])
+
+    @st.composite
+    def spec(draw):
+        family = draw(st.sampled_from(families))
+        m = draw(st.integers(1, 4))
+        if family == "shifted":
+            return SumSpec(family=family, m=m, c=draw(st.sampled_from([0.0, 0.3, 1.0, 7.0])))
+        if family == "mixed":
+            return SumSpec(family=family, m=m, i=draw(st.integers(0, m)),
+                           skip_singular=True)
+        return SumSpec(family=family, m=m, skip_singular=True)
+    return spec()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), paired=st.booleans(),
+       shape=st.sampled_from([(2, 2), (2, 3)]), n_jobs=st.integers(1, 3))
+def test_sum_curves_match_separate_curves(data, seed, paired, shape, n_jobs):
+    rng = np.random.default_rng(seed)
+    if paired:
+        lat = random_paired_lattice(rng, int(rng.integers(1, 3)), *shape)
+    else:
+        lat = random_small_lattice(rng, int(rng.integers(1, 5)), *shape)
+    assert lat.orbit_size == (4 if paired else 2)
+    unit = math.sqrt(lat.min_norm_sq)
+    jobs = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        spec = data.draw(_spec_strategy(shape[0] == shape[1]))
+        scales = data.draw(st.lists(st.sampled_from([0.5, 0.9, 1.0, 1.4, 2.0, 2.5]),
+                                    min_size=1, max_size=3, unique=True))
+        jobs.append((spec, [unit * s for s in sorted(scales)]))
+    together = sum_curves(lat, jobs, n_jobs=n_jobs)
+    for (spec, radii), curve in zip(jobs, together):
+        alone = sum_curve(lat, spec, radii, n_jobs=n_jobs)
+        assert curve.spec == spec and curve.radii == alone.radii
+        assert curve.point_counts == alone.point_counts
+        assert curve.singular_counts == alone.singular_counts
+        for a, b in zip(curve.values, alone.values):
+            assert a == pytest.approx(b, rel=1e-12)
+        one = sum_curves(lat, [(spec, radii)], n_jobs=n_jobs)[0]
+        assert one == alone                 # the one-spec call is bit-identical
+
+
+def test_sum_curves_share_blocks_on_golden(golden_lattice):
+    # The golden preset's shapes: two exponents on the largest ball and three
+    # shifts on an inner grid, all from one walk.
+    jobs = [(SumSpec(family="approximate", m=4), [2.0, 2 * SQRT2]),
+            (SumSpec(family="approximate", m=8), [2.0, 2 * SQRT2]),
+            (SumSpec(family="mixed", m=4, i=2), [SQRT2, 2.0])]
+    jobs += [(SumSpec(family="shifted", m=4, c=c), [1.0, 2.0]) for c in (1.0, 10.0, 100.0)]
+    for n_jobs in (1, 2):
+        for (spec, radii), curve in zip(jobs, sum_curves(golden_lattice, jobs, n_jobs=n_jobs)):
+            alone = sum_curve(golden_lattice, spec, radii)
+            assert curve.point_counts == alone.point_counts
+            for a, b in zip(curve.values, alone.values):
+                assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_sum_curves_validate_every_job(golden_lattice):
+    assert sum_curves(golden_lattice, []) == []
+    ok = (SumSpec(family="shifted", m=2, c=1.0), [1.0])
+    for radii in ([], [0.0, 1.0], [2.0, 1.0]):
+        with pytest.raises(ValueError):
+            sum_curves(golden_lattice, [ok, (SumSpec(family="shifted", m=2), radii)])
+    wide = build_lattice([np.array([[1.0 + 0j, 0.0]]), np.array([[1j, 0.0]])])
+    with pytest.raises(ValueError):
+        sum_curves(wide, [ok, (SumSpec(family="approximate", m=2), [1.0])])
+
+
+def test_sum_curves_budget_follows_the_largest_ball():
+    # The thin paired ball of test_budget_exact_on_paired_lattice: the walk
+    # goes to the largest radius of all jobs, so the budget trips at that
+    # ball's logical count, |L(30)| + 1 > budget, whatever the inner jobs.
+    B0, B1 = np.array([[1e5 + 0j, 0.0]]), np.array([[0.0, 1.0 + 0j]])
+    lat = build_lattice([B0, 1j * B0, B1, 1j * B1])
+    size = shell_counts(lat, [30.0])[0]
+    jobs = [(SumSpec(family="shifted", m=2, c=1.0), [15.0]),
+            (SumSpec(family="mixed", m=2, i=2), [10.0, 30.0])]
+    for n_jobs in (1, 2):
+        for budget in (1500, size - 3, size):
+            with pytest.raises(BudgetExceeded):
+                sum_curves(lat, jobs, budget=budget, n_jobs=n_jobs)
+        inner, outer = sum_curves(lat, jobs, budget=size + 1, n_jobs=n_jobs)
+        assert inner.point_counts == shell_counts(lat, [15.0])
+        assert outer.point_counts == shell_counts(lat, [10.0, 30.0])
+
+
+def test_singular_check_is_scoped_to_each_ball():
+    # Z[i] I + Z[i] diag(1, -1) holds a I + b D = diag(a + b, a - b), of norm^2
+    # 2(|a|^2 + |b|^2); it is singular only for a = +-b, so its shortest
+    # singular points, such as I + D = diag(2, 0), have norm 2.
+    D = np.diag([1.0, -1.0]).astype(complex)
+    lat = build_lattice([np.eye(2, dtype=complex), 1j * np.eye(2), D, 1j * D])
+    assert lat.orbit_size == 4
+    approx = (SumSpec(family="approximate", m=2), [1.0, 1.5])
+    mixed = (SumSpec(family="mixed", m=2, i=1), [1.5])
+    shifted = (SumSpec(family="shifted", m=2, c=1.0), [1.5, 2.5])
+    # These two share |det X| and det(X X*) with the specs above on the rows
+    # up to 2.5, singular ones included, and drop those.
+    skipping = [(SumSpec(family="approximate", m=3, skip_singular=True), [2.5]),
+                (SumSpec(family="mixed", m=3, i=1, skip_singular=True), [2.5])]
+    jobs = [approx, mixed, shifted] + skipping
+    for n_jobs in (1, 2):
+        curves = sum_curves(lat, jobs, n_jobs=n_jobs)
+        for (spec, radii), curve in zip(jobs, curves):
+            alone = sum_curve(lat, spec, radii)
+            assert curve.point_counts == alone.point_counts
+            assert curve.singular_counts == alone.singular_counts
+            for a, b in zip(curve.values, alone.values):
+                assert a == pytest.approx(b, rel=1e-12)
+        assert [c.singular_counts for c in curves[:3]] == [[0, 0], [0], [0, 0]]
+        assert all(c.singular_counts[0] > 0 for c in curves[3:])
+        for spec, _ in (approx, mixed):
+            with pytest.raises(SingularPoint):
+                sum_curve(lat, spec, [2.5], n_jobs=n_jobs)
+            with pytest.raises(SingularPoint):
+                sum_curves(lat, [(spec, [1.5, 2.5]), shifted], n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize("spec", [SumSpec(family="approximate", m=2, skip_singular=True),
+                                  SumSpec(family="mixed", m=2, i=1, skip_singular=True)],
+                         ids=lambda s: s.family)
+def test_singular_counts_complete_the_ball(spec):
+    lat = gaussian_diagonal(2)
+    radii = [1.0, SQRT2, 2.0, 3.0]
+    for n_jobs in (1, 2):
+        curve = sum_curve(lat, spec, radii, n_jobs=n_jobs)
+        assert curve.singular_counts[0] > 0
+        assert [p + s for p, s in zip(curve.point_counts, curve.singular_counts)] \
+            == shell_counts(lat, radii)
+        again = SumCurve.from_json_dict(curve.to_json_dict())
+        assert again.singular_counts == curve.singular_counts
+
+
+def test_curve_files_without_singular_counts_still_load(zi_lattice):
+    curve = sum_curve(zi_lattice, SumSpec(family="shifted", m=2, c=1.0), [1.0, 2.0])
+    assert curve.singular_counts == [0, 0]
+    old = curve.to_json_dict()
+    for p in old["points"]:
+        del p["singularCount"]
+    again = SumCurve.from_json_dict(old)
+    assert again.singular_counts is None
+    assert again.values == curve.values and again.point_counts == curve.point_counts
+    assert again.to_json_dict() == old
+    assert curve.to_csv().split("\n")[0] == "M,value,pointCount"
