@@ -17,9 +17,14 @@ stream, keyed by the seed with the counter starting at [0, trial, snr index,
 counter to that trial's start with an empty buffer, which yields exactly the
 stream a fresh per-trial Philox would.  A trial draws its codeword index, then
 one vector of standard normals holding the real and imaginary parts of H and
-of the noise.  Trials are drawn and decoded in fixed-size chunks; every trial
-sees the same stream and the same arithmetic in any chunk, so results are
-bit-identical however the trials are chunked.
+of the noise.  Trials are drawn and decoded in fixed-size chunks.  With a
+fixed code the (snr index, trial) rows of the whole grid form one sequence,
+so a chunk may span SNR points, each row amplified by its own point's SNR;
+in multiplexing mode the code changes per point and a chunk stays inside
+one.  The naive decoder runs its QR, projection and Babai point on the whole
+chunk at once (``_front_ends``) and then one Schnorr-Euchner search per
+trial.  Every trial sees the same stream and the same arithmetic in any
+chunk, so results are bit-identical however the trials are chunked.
 
 Finite codes of a few thousand codewords are kept in a small by-value memo
 (``_collect_code``), so repeated simulations of one fixed code build it once.
@@ -311,16 +316,16 @@ class _TrialStreams:
         self._rng = np.random.Generator(self._bitgen)
         self._fresh = self._bitgen.state
 
-    def draw(self, snr_index: int, trials: range, code_size: int,
+    def draw(self, snr_indices, trials, code_size: int,
              n_normals: int) -> tuple[np.ndarray, np.ndarray]:
-        """Codeword index and ``n_normals`` standard normals of each trial,
-        one row per trial."""
+        """Codeword index and ``n_normals`` standard normals of each
+        (snr index, trial) pair, one row per pair."""
         counter = self._fresh["state"]["counter"]
-        counter[2] = snr_index
         idx = np.empty(len(trials), dtype=np.int64)
         normals = np.empty((len(trials), n_normals))
-        for row, trial in enumerate(trials):
+        for row, (snr_index, trial) in enumerate(zip(snr_indices, trials)):
             counter[1] = trial
+            counter[2] = snr_index
             self._bitgen.state = self._fresh
             idx[row] = self._rng.integers(code_size)
             self._rng.standard_normal(out=normals[row])
@@ -347,65 +352,73 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig) -> SimResult:
         raise DimensionMismatch(
             f"naive-lattice decoding needs 2*n_r*T >= k; 2*{n_r}*{T} < {lat.k}: "
             f"the received signal cannot determine all lattice coefficients")
-    fixed = None
-    if cfg.fixed_radius is not None:
-        fixed = fixed_code(lat, cfg.fixed_radius, budget=cfg.budget)
     streams = _TrialStreams(cfg.seed)
     n_h = 2 * n_r * n                 # normals of H; the noise takes 2 n_r T
     ml = cfg.decoder == "ml-exhaustive"
-    rates, counts, trials_out, halfwidths, overflows = [], [], [], [], []
-    theta_last = math.nan
-    size_last = 0
-    for snr_index, snr_db in enumerate(cfg.snr_grid_db):
-        rho = 10.0 ** (snr_db / 10.0)
-        code = fixed if fixed is not None else coding_scheme(
-            lat, cfg.multiplexing_r, rho, budget=cfg.budget)
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_grid_db]
+    per_point = cfg.trials_per_point
+    errors = np.zeros(len(rhos), dtype=np.int64)
+    overflows = [0] * len(rhos)
+    # Each code with the SNR indices it serves: a fixed code serves the whole
+    # grid; in multiplexing mode each point builds its own when its turn comes.
+    if cfg.fixed_radius is not None:
+        fixed = fixed_code(lat, cfg.fixed_radius, budget=cfg.budget)
+        groups = [(fixed, range(len(rhos)))] if rhos else []
+    else:
+        groups = ((coding_scheme(lat, cfg.multiplexing_r, rho, budget=cfg.budget), [p])
+                  for p, rho in enumerate(rhos))
+    theta = math.nan
+    code = None
+    for code, snr_indices in groups:
         if code.size == 0:
             raise ValueError("finite code is empty at this SNR")
         if ml and code.size > cfg.ml_code_cap:
             raise CodeTooLarge(
                 f"code size {code.size} exceeds ml-exhaustive cap {cfg.ml_code_cap}")
         theta = normalize_energy(code.matrices, T)
-        amp = math.sqrt(rho / n) * theta
-        candidates = amp * code.matrices          # (N, n, T), pre-amplified
+        # Rows are the (snr index, trial) pairs of every point the code
+        # serves, in order; each row is amplified by its own point's SNR.
+        point_of = np.asarray(snr_indices, dtype=np.int64)
+        amp_of = np.array([math.sqrt(rhos[p] / n) * theta for p in snr_indices])
         chunk = max(1, _CHUNK_ENTRIES // ((code.size if ml else lat.k) * n_r * T))
-        errors = 0
-        overflow = 0
-        for start in range(0, cfg.trials_per_point, chunk):
-            trials = range(start, min(start + chunk, cfg.trials_per_point))
-            j, normals = streams.draw(snr_index, trials, code.size,
+        for start in range(0, len(snr_indices) * per_point, chunk):
+            rows = np.arange(start, min(start + chunk, len(snr_indices) * per_point))
+            points, amp = point_of[rows // per_point], amp_of[rows // per_point]
+            trials = rows % per_point
+            j, normals = streams.draw(points.tolist(), trials.tolist(), code.size,
                                       2 * n_r * (n + T))
-            H = _complex_pairs(normals[:, :n_h], (len(trials), n_r, n))
+            H = _complex_pairs(normals[:, :n_h], (len(rows), n_r, n))
             noise = cfg.noise_scale * _complex_pairs(normals[:, n_h:],
-                                                     (len(trials), n_r, T))
-            y = H @ candidates[j] + noise
+                                                     (len(rows), n_r, T))
+            y = H @ (amp[:, None, None] * code.matrices[j]) + noise
             if ml:
-                diff = y[:, None] - np.einsum("bri,nit->bnrt", H, candidates)
+                candidates = amp[:, None, None, None] * code.matrices
+                diff = y[:, None] - np.einsum("bri,bnit->bnrt", H, candidates)
                 metrics = (np.abs(diff) ** 2).sum(axis=(2, 3))
-                errors += int(np.count_nonzero(metrics.argmin(axis=1) != j))
+                wrong = metrics.argmin(axis=1) != j
             else:
-                gens = _real_generators(H, (amp * code.scale) * lat.basis)
+                gens = _real_generators(
+                    H, (amp * code.scale)[:, None, None, None] * lat.basis)
                 targets = _vec_real(y)
-                for row in range(len(trials)):
+                want = code.coeffs[j].tolist()
+                wrong = np.zeros(len(rows), dtype=bool)
+                for row, front in enumerate(_front_ends(gens, targets)):
                     try:
-                        z_hat = sphere_cvp(gens[row], targets[row])
+                        z_hat = sphere_cvp(gens[row], targets[row], front=front)
                     except RadiusOverflow:
-                        overflow += 1
-                        errors += 1
+                        overflows[points[row]] += 1
+                        wrong[row] = True
                         continue
-                    errors += not np.array_equal(z_hat, code.coeffs[j[row]])
-        n_trials = cfg.trials_per_point
-        rates.append(errors / n_trials)
-        counts.append(errors)
-        trials_out.append(n_trials)
-        halfwidths.append(wilson_halfwidth(errors, n_trials))
-        overflows.append(overflow)
-        theta_last = theta
-        size_last = code.size
-    return SimResult(snr_db=tuple(cfg.snr_grid_db), error_rate=tuple(rates),
-                     error_count=tuple(counts), trials=tuple(trials_out),
-                     wilson_halfwidth=tuple(halfwidths), code_size=size_last,
-                     theta=theta_last, decoder=cfg.decoder, seed=cfg.seed,
+                    wrong[row] = z_hat.tolist() != want[row]
+            errors += np.bincount(points[wrong], minlength=len(rhos))
+    counts = errors.tolist()
+    return SimResult(snr_db=tuple(cfg.snr_grid_db),
+                     error_rate=tuple(e / per_point for e in counts),
+                     error_count=tuple(counts), trials=(per_point,) * len(counts),
+                     wilson_halfwidth=tuple(wilson_halfwidth(e, per_point)
+                                            for e in counts),
+                     code_size=code.size if code is not None else 0,
+                     theta=theta, decoder=cfg.decoder, seed=cfg.seed,
                      overflow_count=tuple(overflows))
 
 
@@ -420,7 +433,8 @@ def _vec_real(Y: np.ndarray) -> np.ndarray:
 
 def _real_generators(H: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Real generator matrices, one per channel H[b]: column i of entry b is
-    the real vectorization of H[b] @ basis[i]."""
+    the real vectorization of H[b] @ basis[i], or of H[b] @ basis[b, i] when
+    each channel has its own (scaled) basis."""
     # A broadcast matmul makes one BLAS product per (b, i), as H @ basis does
     # for one channel, so entries round the same for any batch; einsum sums
     # the products in another way and differs in the last bits.
@@ -432,44 +446,65 @@ def _real_generators(H: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return A
 
 
-def sphere_cvp(A: np.ndarray, y: np.ndarray, *, node_budget: int = 2_000_000) -> np.ndarray:
+def _front_ends(A: np.ndarray, y: np.ndarray) -> list[tuple]:
+    """Start of the sphere search for each problem min_z ||A[b] z - y[b]||
+    of a stack: the QR projection and the Babai point, in one numpy pass.
+
+    Entry b is (y', diag R, columns of R, Babai z as floats, its squared
+    distance, the radius slack) of A[b] = Q R with diag R > 0 and y' = Q^T
+    y[b], as Python lists and floats.  Every product is a stacked matmul,
+    which makes the same BLAS dot or gemv call per row as the one-matrix
+    product does, so each entry is bit-identical for any stack that holds
+    its problem.
+    """
+    _, d, k = A.shape
+    if d < k:
+        raise ValueError("target dimension must be at least the lattice rank")
+    Q, R = np.linalg.qr(A)
+    signs = np.sign(np.diagonal(R, axis1=1, axis2=2))
+    signs[signs == 0] = 1.0
+    R = R * signs[:, :, None]
+    Q = Q * signs[:, None, :]
+    yp = (Q.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]
+    diag = R.diagonal(axis1=1, axis2=2)
+    if (diag <= 0).any():
+        raise ValueError("generator matrix is rank deficient")
+    # Babai point, one level at a time from the top; np.rint rounds halves
+    # to even, as round() does.
+    zf = np.zeros(yp.shape)
+    for i in range(k - 1, -1, -1):
+        above = (R[:, i, None, i + 1:] @ zf[:, i + 1:, None])[:, 0, 0]
+        zf[:, i] = np.rint((yp[:, i] - above) / diag[:, i])
+    resid = (R @ zf[:, :, None])[:, :, 0] - yp
+    best_dist = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+    slack = 1e-12 * (1.0 + (yp[:, None, :] @ yp[:, :, None])[:, 0, 0])
+    return list(zip(yp.tolist(), diag.tolist(), R.transpose(0, 2, 1).tolist(),
+                    zf.tolist(), best_dist.tolist(), slack.tolist()))
+
+
+def sphere_cvp(A: np.ndarray, y: np.ndarray, *, node_budget: int = 2_000_000,
+               front: tuple | None = None) -> np.ndarray:
     """Closest lattice point min_z ||A z - y|| over integer z, exact.
 
     Schnorr-Euchner depth-first search seeded at the Babai point, whose
     distance is a valid initial radius, so the search always terminates with
     the true minimizer.  RadiusOverflow marks an exhausted node budget.
+    ``front`` is this problem's entry of ``_front_ends`` on a stack that
+    holds it (``simulate`` computes one per chunk of trials); by default it
+    is computed here on a stack of one.
     """
-    d, k = A.shape
-    if d < k:
-        raise ValueError("target dimension must be at least the lattice rank")
-    Q, R = np.linalg.qr(A)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    R = R * signs[:, None]
-    Q = Q * signs[None, :]
-    yp = Q.T @ y
-    ys = yp.tolist()
-    diag = R.diagonal().tolist()
-    if min(diag) <= 0:
-        raise ValueError("generator matrix is rank deficient")
-
-    # Babai point.  The dot products stay in numpy so that they round exactly
-    # as the BLAS dot does; z is held as floats, which the products cast to.
-    zf = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        zf[i] = round((ys[i] - float(R[i, i + 1:] @ zf[i + 1:])) / diag[i])
-    resid = R @ zf - yp
-    best_dist = float(resid @ resid)
-    best_z = [int(v) for v in zf.tolist()]
-    slack = 1e-12 * (1.0 + float(yp @ yp))
+    if front is None:
+        front = _front_ends(np.asarray(A)[None], np.asarray(y)[None])[0]
+    ys, diag, cols, zf, best_dist, slack = front
+    k = len(ys)
+    best_z = [int(v) for v in zf]
     radius = best_dist * (1.0 + 1e-9) + slack
 
     # Iterative depth-first walk on Python floats.  Level l keeps its target
     # t, the next zig-zag step and the squared distance of the levels above
     # it; acc_at[l][i] = sum_{j > l} R[i, j] z[j] for i <= l, accumulated from
     # the top level down one product at a time, as numpy's elementwise
-    # updates round it.
-    cols = R.T.tolist()                  # cols[l][i] = R[i, l]
+    # updates round it.  cols[l][i] = R[i, l].
     t_at = [0.0] * k
     step_at = [0] * k
     partial_at = [0.0] * k

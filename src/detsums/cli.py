@@ -116,7 +116,8 @@ def _cmd_sum(args) -> int:
     spec = sums.SumSpec(family=args.family, m=args.m, c=args.c, i=args.i,
                         skip_singular=args.skip_singular)
     if args.grid:
-        curve = sums.sum_curve(lat, spec, args.grid, budget=args.budget)
+        curve = sums.sum_curve(lat, spec, args.grid, budget=args.budget,
+                               n_jobs=args.threads)
         _emit(curve.to_csv(), args.out)
     else:
         value, count = sums.evaluate_sum(lat, spec, args.M, budget=args.budget,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -113,7 +113,6 @@ class LatticePoint:
     coeffs: np.ndarray
     matrix: np.ndarray
     norm_f: float
-    sym: np.ndarray | None = field(default=None, compare=False)
 
 
 def _vectorize_real(basis: np.ndarray) -> np.ndarray:

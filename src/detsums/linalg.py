@@ -31,7 +31,6 @@ __all__ = [
     "as_complex_matrix",
     "gram",
     "gram_batch",
-    "frobenius_norm_sq",
     "symmetric_means",
     "symmetric_means_batch",
     "shifted_det",
@@ -70,10 +69,6 @@ def gram_batch(Xb: np.ndarray) -> np.ndarray:
     """Batched ``gram`` for a stack of matrices with shape (B, n, T)."""
     G = np.einsum("bij,bkj->bik", Xb, Xb.conj())
     return (G + np.conj(np.swapaxes(G, 1, 2))) / 2.0
-
-
-def frobenius_norm_sq(X: np.ndarray) -> float:
-    return float(np.sum(np.abs(X) ** 2))
 
 
 def symmetric_means(X: np.ndarray) -> np.ndarray:

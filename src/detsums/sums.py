@@ -377,7 +377,6 @@ def shifted_vs_mixed_bound(lat: MatrixLattice, m: int, c: float, radius: float,
         lat, [(SumSpec(family="shifted", m=m, c=c), [radius]),
               (SumSpec(family="mixed", m=m, i=i), [radius])], budget=budget))
     exponent = i + lat.n * (m - i)
-    mixed = norm_det_sum(lat, m, i, radius, budget=budget)
     if c == 0.0:
         rhs = mixed if exponent == 0 else math.inf
     else:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -449,6 +450,78 @@ def test_simulate_independent_of_chunking(golden_lattice, monkeypatch, decoder):
     monkeypatch.setattr(channel, "_CHUNK_ENTRIES", 200)
     chunked = simulate(golden_lattice, cfg)
     assert chunked == whole == _reference_simulate(golden_lattice, cfg)
+
+
+@pytest.mark.parametrize("decoder", ["ml-exhaustive", "naive-lattice"])
+def test_simulate_benchmark_shape_matches_reference(golden_lattice, decoder):
+    # A fixed code with 9 SNR points of 2 trials each: one chunk holds every
+    # point's rows, each amplified by its own SNR.
+    for seed in (5, 77, 2 ** 31 + 3):
+        cfg = _small_cfg(snr_grid_db=tuple(5.0 + 2.5 * j for j in range(9)),
+                         trials_per_point=2, seed=seed, decoder=decoder)
+        assert simulate(golden_lattice, cfg) == _reference_simulate(golden_lattice, cfg)
+
+
+@pytest.mark.parametrize("decoder", ["ml-exhaustive", "naive-lattice"])
+def test_multiplexing_chunks_stay_inside_a_point(golden_lattice, monkeypatch, decoder):
+    # The code changes with the SNR, so each point is chunked on its own:
+    # 16 codewords at 6 dB, 576 at 12 dB.
+    monkeypatch.setattr(channel, "_CHUNK_ENTRIES", 300)
+    cfg = ChannelConfig(n_t=2, n_r=2, T=2, snr_grid_db=(6.0, 9.0, 12.0),
+                        trials_per_point=11, seed=31, decoder=decoder,
+                        multiplexing_r=1.0)
+    assert simulate(golden_lattice, cfg) == _reference_simulate(golden_lattice, cfg)
+
+
+def test_simulate_calls_sphere_cvp_once_per_naive_trial(golden_lattice, monkeypatch):
+    monkeypatch.setattr(channel, "_CHUNK_ENTRIES", 200)
+    calls = []
+    real = channel.sphere_cvp
+
+    def counting(A, y, **kw):
+        calls.append(kw["front"])
+        return real(A, y, **kw)
+    monkeypatch.setattr(channel, "sphere_cvp", counting)
+    cfg = _small_cfg(trials_per_point=13, snr_grid_db=(5.0, 10.0, 15.0),
+                     decoder="naive-lattice")
+    simulate(golden_lattice, cfg)
+    assert len(calls) == 3 * 13
+    simulate(golden_lattice, replace(cfg, decoder="ml-exhaustive"))
+    assert len(calls) == 3 * 13
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6),
+       extra=st.integers(0, 2), rows=st.integers(1, 12),
+       spread=st.sampled_from([0.3, 3.0]))
+def test_stacked_front_end_matches_one_matrix_calls(seed, k, extra, rows, spread):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, k + extra, k))
+    assume(all(np.linalg.matrix_rank(a) == k for a in A))
+    y = (A @ rng.integers(-3, 4, (rows, k, 1)))[:, :, 0] + spread * rng.standard_normal(
+        (rows, k + extra))
+    fronts = channel._front_ends(A, y)
+    assert len(fronts) == rows
+    for b, front in enumerate(fronts):
+        assert front == channel._front_ends(A[b][None], y[b][None])[0]
+        want = sphere_cvp(A[b], y[b])
+        assert np.array_equal(sphere_cvp(A[b], y[b], front=front), want)
+        assert np.array_equal(want, _reference_sphere_cvp(A[b], y[b]))
+
+
+def test_front_end_rejects_bad_generators():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((3, 4, 3))
+    y = rng.standard_normal((3, 4))
+    A[1, :, 2] = 0.0                           # rank deficient
+    with pytest.raises(ValueError, match="rank deficient"):
+        channel._front_ends(A, y)
+    with pytest.raises(ValueError, match="rank deficient"):
+        sphere_cvp(A[1], y[1])
+    with pytest.raises(ValueError, match="target dimension"):
+        channel._front_ends(A[:, :2], y[:, :2])
+    with pytest.raises(ValueError, match="target dimension"):
+        sphere_cvp(A[0, :2], y[0, :2])
 
 
 @settings(max_examples=200, deadline=None)

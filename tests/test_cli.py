@@ -58,6 +58,23 @@ def test_sum_grid_csv(capsys):
     assert float(rows[0]["value"]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("span", [["--M", "2"], ["--grid", "1:2:2"]])
+def test_sum_passes_threads_to_the_walk(capsys, monkeypatch, span):
+    from detsums import sums
+    seen = []
+    real = sums.sum_curves
+
+    def recording(lat, jobs, **kw):
+        seen.append(kw.get("n_jobs"))
+        return real(lat, jobs, **kw)
+    monkeypatch.setattr(sums, "sum_curves", recording)
+    code, _, _ = run_cli(capsys, "sum", "--code", "gaussian-diagonal", "--n", "1",
+                         "--family", "shifted", "--m", "2", "--c", "1",
+                         "--threads", "2", *span)
+    assert code == 0
+    assert seen == [2]
+
+
 def test_construct_summary(capsys):
     code, out, _ = run_cli(capsys, "construct", "--code", "golden")
     assert code == 0

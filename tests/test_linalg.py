@@ -65,7 +65,7 @@ def test_symmetric_means_first_and_last():
         assert p[-1] == pytest.approx(det, rel=1e-10)
 
 
-def test_symmetric_means_leverrier_path():
+def test_symmetric_means_principal_minors_n5():
     rng = np.random.default_rng(13)
     for _ in range(10):
         X = random_complex(rng, 5, 5)

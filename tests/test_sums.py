@@ -143,6 +143,30 @@ def test_scaling_identity(beta, c):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), paired=st.booleans(),
+       a=st.sampled_from([0.25, 0.5, 2.0, 4.0]), reach=st.floats(1.0, 2.5),
+       c=st.floats(0.1, 5.0), m=st.sampled_from([1, 2, 3]))
+def test_scale_covariance(seed, paired, a, reach, c, m):
+    # L(M) of the lattice scaled by a is a * L(M / a), and
+    # det(I + c (aX)(aX)*) = det(I + c a^2 X X*), |det aX| = a^n |det X|.
+    # A power-of-two a scales norms and radii exactly, so the shells agree.
+    rng = np.random.default_rng(seed)
+    lat = random_paired_lattice(rng, 2) if paired else random_small_lattice(rng, 3)
+    radius = reach * math.sqrt(lat.min_norm_sq)
+    scaled = rescale_lattice(lat, a)
+    shifted = sum_curve(scaled, SumSpec(family="shifted", m=m, c=c), [a * radius])
+    base = sum_curve(lat, SumSpec(family="shifted", m=m, c=c * a * a), [radius])
+    assert shifted.point_counts == base.point_counts
+    assert shifted.values[0] == pytest.approx(base.values[0], rel=1e-12)
+    approx = SumSpec(family="approximate", m=m, skip_singular=True)
+    scaled_approx = sum_curve(scaled, approx, [a * radius])
+    base_approx = sum_curve(lat, approx, [radius])
+    assert scaled_approx.point_counts == base_approx.point_counts
+    assert scaled_approx.values[0] == pytest.approx(
+        a ** (-lat.n * m) * base_approx.values[0], rel=1e-12)
+
+
 def test_dedup_signs_matches_default(golden_lattice):
     # Sums run on the sign-deduplicated half walk; the full per-point stream
     # must give the same total.
@@ -357,6 +381,26 @@ def test_shifted_dominated_by_mixed_zi(zi_lattice, i):
 def test_shifted_dominated_by_mixed_golden(golden_lattice, i):
     check = shifted_vs_mixed_bound(golden_lattice, 4, 100.0, 2.0, i)
     assert check.holds
+
+
+def test_mixed_bound_walks_its_ball_once(golden_lattice, monkeypatch):
+    # Both sums come from one walk of the same ball, so they equal the
+    # separate one-family calls bit for bit.
+    from detsums import sums
+    lhs = shifted_det_sum(golden_lattice, 4, 100.0, 2.0)
+    mixed = norm_det_sum(golden_lattice, 4, 1, 2.0)
+    walks = []
+    real_blocks = sums.coefficient_blocks
+
+    def counting(lat, radius, **kw):
+        walks.append(radius)
+        return real_blocks(lat, radius, **kw)
+    monkeypatch.setattr(sums, "coefficient_blocks", counting)
+    check = shifted_vs_mixed_bound(golden_lattice, 4, 100.0, 2.0, 1)
+    assert walks == [2.0]
+    assert check.c_exponent == 1 + 2 * 3
+    assert check.lhs == lhs
+    assert check.rhs == 100.0 ** -7 * mixed
 
 
 def test_mixed_bound_zero_shift_boundary():
