@@ -169,7 +169,7 @@ def _collect_code(lat: MatrixLattice, radius: float, scale: float,
 def _build_code(lat: MatrixLattice, radius: float, scale: float,
                 budget: int) -> FiniteCode:
     blocks = [orbit_images(lat, c)
-              for c, _ in coefficient_blocks(lat, radius, orbits=True, budget=budget)]
+              for c, _ in coefficient_blocks(lat, radius, budget=budget)]
     coeffs = np.concatenate(blocks) if blocks else np.zeros((0, lat.k), dtype=np.int64)
     order = np.lexsort(coeffs.T[::-1])
     coeffs = coeffs[order]

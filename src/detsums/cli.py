@@ -37,6 +37,16 @@ def _geometric_grid(text: str) -> list[float]:
     return [start * factor ** j for j in range(count)]
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 thread, got {count}")
+    return count
+
+
 def _linear_grid(text: str) -> list[float]:
     try:
         start_s, stop_s, step_s = text.split(":")
@@ -112,6 +122,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sum(args) -> int:
+    if args.M is None and not args.grid:
+        print("error[sum]: give --M or --grid", file=sys.stderr)
+        return 2
     lat = _resolve_code_arg(args)
     spec = sums.SumSpec(family=args.family, m=args.m, c=args.c, i=args.i,
                         skip_singular=args.skip_singular)
@@ -263,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-singular", action="store_true")
     p.add_argument("--with-count", action="store_true")
     p.add_argument("--budget", type=int, default=lattice.DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sum)
 
@@ -321,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="experiment config JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--with-sim", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", help="report directory (default $DETSUMS_OUT)")
     p.set_defaults(func=_cmd_run)
 

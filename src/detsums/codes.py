@@ -141,13 +141,18 @@ def min_abs_det_box(lat: MatrixLattice, coeff_bound: int) -> float:
 
 def min_abs_det_ball(lat: MatrixLattice, radius: float, *, budget: int = 2 ** 26) -> float:
     """Minimum of |det(X)| over L(radius); |det(uX)| = |det X| for every unit
-    u of modulus one, so the orbit walk sees every value."""
+    u of modulus one, so the orbit walk sees every value.  Raises ValueError
+    when the ball holds no nonzero point."""
     if lat.n != lat.T:
         raise ValueError("determinant scan needs square matrices")
     best = math.inf
-    for coeffs, _ in coefficient_blocks(lat, radius, orbits=True, budget=budget):
+    for coeffs, _ in coefficient_blocks(lat, radius, budget=budget):
         dets = np.abs(det_batch(realize_block(lat, coeffs)))
         best = min(best, float(dets.min()))
+    if best == math.inf:
+        raise ValueError(
+            f"determinant scan radius {radius!r} is below the minimum norm "
+            f"{math.sqrt(lat.min_norm_sq)!r}: the ball holds no nonzero point")
     return best
 
 

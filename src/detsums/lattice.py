@@ -24,6 +24,12 @@ coefficient pair (a, b) into (-b, a); there the walk keeps the point of each
 orbit {X, iX, -X, -iX} whose highest nonzero pair has a > 0 and b >= 0, with
 one more flag carried from the odd level of each pair down to its even level.
 Every built-in code is Z[i]-paired, so its sums walk a quarter of the ball.
+
+``coefficient_blocks`` is the one entry point to that walk; ``enumerate_points``
+expands each orbit again with ``orbit_images`` when a caller wants the whole
+ball.  A walk splits into parts by the residue of its top coefficient: part
+(j, n) keeps the points whose last coefficient t has t = j (mod n), so the n
+parts are disjoint, cover the ball, and interleave its thick and thin slices.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ __all__ = [
     "orbit_images",
     "shell_counts",
     "predicted_point_count",
-    "top_level_range",
     "PointBudget",
     "DEFAULT_BUDGET",
 ]
@@ -68,6 +73,9 @@ _RADIUS_TOL = 1e-9
 # temporaries and the leaf blocks when a few rows fan out widely, as in the
 # low-rank presets at large radius.
 _MAX_CHILDREN = 1 << 15
+
+# Most rows one level of the walk passes down to the next at a time.
+_MAX_ROWS = 1 << 12
 
 # Internal budget for the shortest-vector search at build time.
 _MIN_NORM_BUDGET = 10 ** 7
@@ -193,7 +201,7 @@ def _shortest_nonzero_norm_sq(G: np.ndarray, U: np.ndarray) -> float:
     # radius is guaranteed to see a shortest vector.
     best = float(np.min(np.diag(G)))
     for _, norm_sq in _walk(U, _bound_sq(math.sqrt(best)),
-                            budget=PointBudget(_MIN_NORM_BUDGET), max_rows=1 << 16):
+                            budget=PointBudget(_MIN_NORM_BUDGET)):
         best = min(best, float(norm_sq.min()))
     if best <= 0:
         raise DependentBasis("lattice has a numerically zero nonzero vector")
@@ -220,20 +228,12 @@ def predicted_point_count(lat: MatrixLattice, radius: float) -> float:
     return 1.5 * vol + 1024.0
 
 
-def top_level_range(lat: MatrixLattice, radius: float) -> tuple[int, int]:
-    """Inclusive range of the last coefficient inside the ball; the natural
-    axis along which partitioned enumeration splits."""
-    d = lat.chol_upper[lat.k - 1, lat.k - 1]
-    half = radius * math.sqrt(1.0 + _RADIUS_TOL) / d
-    return (-int(math.floor(half + 1e-12)), int(math.floor(half + 1e-12)))
-
-
 class PointBudget:
     """Cap on the lattice points one enumeration may produce.
 
     It counts the points of the full ball, the origin included, so the walk
-    charges ``orbit_size`` points per row it emits.  Partitions of one
-    enumeration share one instance, so workers cannot exceed the cap together.
+    charges ``orbit_size`` points per row it emits.  The parts of one split
+    walk share one instance, so workers cannot exceed the cap together.
     """
 
     def __init__(self, limit: int):
@@ -258,8 +258,8 @@ def _ragged_expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, offsets
 
 
-def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget, max_rows: int,
-          top_range: tuple[int, int] | None = None,
+def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
+          part: tuple[int, int] | None = None,
           paired: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Depth-first block enumeration of 0 < z^T G z <= rad_sq, one point per orbit.
 
@@ -271,12 +271,13 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget, max_rows: int,
     and the walk yields one z of each orbit of four: the one whose highest
     nonzero pair has a > 0 and b >= 0.  The odd level of a pair hands the
     even level below it a flag, "every higher pair is zero"; a flagged row
-    whose b is nonzero (``used`` above 0.0) then takes a >= 1.  Charges
+    whose b is nonzero (``used`` above 0.0) then takes a >= 1.  With ``part``
+    = (j, n) the top level keeps only the values t = j (mod n).  Charges
     ``budget`` two points per row, or four with ``paired``.
 
     Frontiers do not carry their coefficient prefixes: each level keeps its
     values and the row of the parent they extend, and a leaf block gathers
-    its coefficients along that path.  A level passes at most ``max_rows``
+    its coefficients along that path.  A level passes at most ``_MAX_ROWS``
     rows down at a time and expands about ``_MAX_CHILDREN`` at a time.
     """
     k = U.shape[0]
@@ -293,9 +294,6 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget, max_rows: int,
         low = np.where(zero, np.maximum(low, 1.0 if level == 0 else 0.0), low)
         if top_zero is not None:
             low = np.where(top_zero & ~zero, np.maximum(low, 1.0), low)
-        if level == k - 1 and top_range is not None:
-            low = np.maximum(low, float(top_range[0]))
-            high = np.minimum(high, float(top_range[1]))
         counts = np.maximum(high - low + 1.0, 0.0).astype(np.int64)
         total = int(counts.sum())
         if total == 0:
@@ -321,6 +319,8 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget, max_rows: int,
         seg = d * zvals + y[rows, level]
         new_used = used[rows] + seg * seg
         keep = new_used <= rad_sq
+        if level == k - 1 and part is not None:
+            keep &= zvals % part[1] == part[0]
         rows = rows[keep]
         zvals = zvals[keep].astype(np.int64)
         new_used = new_used[keep]
@@ -340,8 +340,8 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget, max_rows: int,
         # pair, whether every higher pair is zero.
         child_top = zero[rows] if paired and level % 2 == 1 else None
         new_y = y[rows, :level] + U[:level, level][None, :] * zvals[:, None]
-        for s in range(0, rows.size, max_rows):
-            e = s + max_rows
+        for s in range(0, rows.size, _MAX_ROWS):
+            e = s + _MAX_ROWS
             yield from expand(level - 1, path + [(zvals[s:e], rows[s:e])],
                               new_y[s:e], new_used[s:e],
                               None if child_top is None else child_top[s:e])
@@ -369,39 +369,29 @@ def orbit_images(lat: MatrixLattice, coeffs: np.ndarray, *,
 
 
 def coefficient_blocks(lat: MatrixLattice, radius: float, *,
-                       orbits: bool = False,
-                       dedup_signs: bool = False,
                        budget: int | PointBudget = DEFAULT_BUDGET,
-                       max_rows: int = 1 << 12,
-                       top_range: tuple[int, int] | None = None,
-                       skip_budget_check: bool = False,
+                       part: tuple[int, int] | None = None,
                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (coeffs, norm_sq) blocks covering every nonzero point of L(radius).
+    """Yield the (coeffs, norm_sq) blocks of the orbit walk of L(radius).
 
-    Coefficient rows are in natural index order.  With ``orbits`` the blocks
-    come straight from the walk: one point of each orbit of ``orbit_size``
-    points (see ``_walk`` for which one).  Otherwise ``orbit_images`` expands
-    each walk block: with ``dedup_signs`` into exactly one of each +/-z pair,
-    with its highest nonzero coefficient positive, else into the full ball.
-    ``top_range`` restricts the last coefficient of the walk to a subrange of
-    its range [0, hi], which is how partitioned enumeration splits work
-    across workers; partitions pass one shared ``PointBudget`` as ``budget``.
+    Coefficient rows are in natural index order, one point of each orbit of
+    ``orbit_size`` nonzero points (see ``_walk`` for which one);
+    ``orbit_images`` expands a block to its orbits.  ``part`` = (j, n) keeps
+    the rows whose last coefficient is j mod n: the n parts of a walk are
+    disjoint and cover it, which is how ``sums.sum_curves`` splits a walk
+    across workers.  The parts of one walk share one ``PointBudget`` as
+    ``budget``.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if not isinstance(budget, PointBudget):
         budget = PointBudget(budget)
-    if not skip_budget_check and predicted_point_count(lat, radius) > budget.limit:
+    if predicted_point_count(lat, radius) > budget.limit:
         raise BudgetExceeded(
             f"predicted point count {predicted_point_count(lat, radius):.3e} "
             f"exceeds budget {budget.limit}")
-    for coeffs, norm_sq in _walk(lat.chol_upper, _bound_sq(radius), budget=budget,
-                                 max_rows=max_rows, top_range=top_range,
-                                 paired=lat.orbit_size == 4):
-        if not orbits:
-            coeffs = orbit_images(lat, coeffs, dedup_signs=dedup_signs)
-            norm_sq = np.tile(norm_sq, coeffs.shape[0] // norm_sq.size)
-        yield coeffs, norm_sq
+    yield from _walk(lat.chol_upper, _bound_sq(radius), budget=budget, part=part,
+                     paired=lat.orbit_size == 4)
 
 
 def realize_block(lat: MatrixLattice, coeffs: np.ndarray) -> np.ndarray:
@@ -417,9 +407,11 @@ def realize_block(lat: MatrixLattice, coeffs: np.ndarray) -> np.ndarray:
 def enumerate_points(lat: MatrixLattice, radius: float, *,
                      dedup_signs: bool = False,
                      budget: int = DEFAULT_BUDGET) -> Iterator[LatticePoint]:
-    """Per-point stream over L(radius); convenience wrapper for small balls."""
-    for coeffs, norm_sq in coefficient_blocks(lat, radius, dedup_signs=dedup_signs,
-                                              budget=budget):
+    """Per-point stream over L(radius), or over one of each +/-X pair of it
+    with ``dedup_signs``; convenience wrapper for small balls."""
+    for coeffs, norm_sq in coefficient_blocks(lat, radius, budget=budget):
+        coeffs = orbit_images(lat, coeffs, dedup_signs=dedup_signs)
+        norm_sq = np.tile(norm_sq, coeffs.shape[0] // norm_sq.size)
         mats = realize_block(lat, coeffs)
         for row in range(coeffs.shape[0]):
             yield LatticePoint(coeffs=coeffs[row].copy(), matrix=mats[row],
@@ -430,14 +422,15 @@ def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,
                  budget: int = DEFAULT_BUDGET) -> list[int]:
     """|L(M)| for each radius M in an increasing list, from one orbit walk."""
     radii = list(radii)
+    if not radii:
+        raise ValueError("radii must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     if radii[0] <= 0:
         raise ValueError("radii must be positive")
     bounds = np.array([_bound_sq(r) for r in radii])
     counts = np.zeros(len(radii), dtype=np.int64)
-    for _, norm_sq in coefficient_blocks(lat, radii[-1], orbits=True,
-                                         budget=budget):
+    for _, norm_sq in coefficient_blocks(lat, radii[-1], budget=budget):
         counts += np.bincount(np.searchsorted(bounds, norm_sq), minlength=len(radii))
     return [lat.orbit_size * int(c) for c in np.cumsum(counts)]
 

@@ -17,12 +17,14 @@ pair of a run in a single walk to the largest radius.  Each block is realized
 once, and e (``_esp_batch``), |det X| and det(X X*) are computed at most once
 on it: each shifted c is one Horner pass on the shared e, |det X| serves every
 m of the approximate family and det(X X*) every m and i of the mixed one, and
-each spec bins only the rows inside its own last radius.  Each block adds one partial sum per shell of a spec's grid,
-and a spec's partials are merged with ``math.fsum``.  fsum is exactly
-rounded, so totals do not depend on the order in which blocks arrive or on
-how partitioned workers split the ball; only a different walk radius, which
-moves the block boundaries, can change their last bits.  ``sum_curve``,
-``evaluate_sum`` and the named sums are its one-spec cases.
+each spec bins only the rows inside its own last radius.  Each block adds
+one partial sum per shell of a spec's grid, and a spec's partials are merged
+with ``math.fsum``.  fsum is exactly rounded, so totals do not depend on the
+order in which blocks arrive or on how ``n_jobs`` workers split the walk (by
+the residue of the top coefficient, see ``lattice.coefficient_blocks``); only
+a different walk radius, which moves the block boundaries, can change their
+last bits.  ``sum_curve``, ``evaluate_sum`` and the named sums are its
+one-spec cases.
 """
 
 from __future__ import annotations
@@ -36,11 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceeded, HypothesisViolated, ProofBoundExceeded,
-                     SingularPoint)
-from .lattice import (DEFAULT_BUDGET, MatrixLattice, PointBudget,
-                      _bound_sq, coefficient_blocks, predicted_point_count,
-                      realize_block, top_level_range)
+from .errors import HypothesisViolated, ProofBoundExceeded, SingularPoint
+from .lattice import (DEFAULT_BUDGET, MatrixLattice, PointBudget, _bound_sq,
+                      coefficient_blocks, realize_block)
 from .linalg import _esp_batch, _shifted_from_esp, det_batch, det_gram_batch
 
 __all__ = [
@@ -156,31 +156,6 @@ def _singular_mask(det_g: np.ndarray, norm_sq: np.ndarray, n: int) -> np.ndarray
     return det_g <= _SINGULAR_REL * (norm_sq / n) ** n
 
 
-def _partition_ranges(lat: MatrixLattice, radius: float, n_jobs: int) -> list[tuple[int, int]]:
-    """Split the walked range [0, hi] of the top coefficient into up to
-    ``n_jobs`` contiguous ranges of about equal point counts.
-
-    The slice at top coefficient t holds about w(t) = (R^2 - (d t)^2)^((k-1)/2)
-    points.  The half walk keeps all of a slice with t > 0 and half of the
-    t = 0 slice.  The quarter walk keeps about half of a slice with t > 0
-    (the a of the top pair is positive) and a quarter of the t = 0 slice;
-    those are the same weights up to a factor 1/2, so one split serves both.
-    Each range ends at the slice whose cumulative weight is nearest its share.
-    """
-    hi = top_level_range(lat, radius)[1]
-    d = lat.chol_upper[lat.k - 1, lat.k - 1]
-    weight = np.maximum(radius * radius - (d * np.arange(hi + 1)) ** 2, 0.0) ** ((lat.k - 1) / 2.0)
-    weight[0] /= 2.0
-    cum = np.cumsum(weight)
-    ends = [int(np.argmin(np.abs(cum - cum[-1] * j / n_jobs))) for j in range(1, n_jobs)]
-    ranges, start = [], 0
-    for end in ends + [hi]:
-        if end >= start:
-            ranges.append((start, end))
-            start = end + 1
-    return ranges
-
-
 def _source(spec: SumSpec) -> str:
     """The per-row quantity a spec's terms are computed from."""
     if spec.family == "shifted":
@@ -271,9 +246,12 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     ball are neither counted nor raised on.  Terms are binned by the shell
     their norm falls into, and each value is the exactly rounded sum of the
     per-block bins up to its radius, weighed by ``orbit_size``.  With
-    ``n_jobs > 1`` the top coefficient range splits across a thread pool; the
-    partitions share one point budget, and values match the sequential run.
+    ``n_jobs > 1`` a thread pool walks the parts (j, n_jobs) of the ball, the
+    top coefficients congruent to j mod n_jobs; the parts share one point
+    budget, and values match the sequential run.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     jobs = [(spec, [float(r) for r in radii]) for spec, radii in jobs]
     if not jobs:
         return []
@@ -283,10 +261,6 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
         if spec.family == "approximate" and lat.n != lat.T:
             raise ValueError("approximate family requires square matrices (n == T)")
     top = max(radii[-1] for _, radii in jobs)
-    if predicted_point_count(lat, top) > budget:
-        raise BudgetExceeded(
-            f"predicted point count {predicted_point_count(lat, top):.3e} "
-            f"exceeds budget {budget}")
     plan = [(spec, np.array([_bound_sq(r) for r in radii]), _source(spec),
              _bound_sq(radii[-1])) for spec, radii in jobs]
     reach = {}                          # X-derived quantity -> rows it is needed on
@@ -295,22 +269,19 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
             reach[name] = max(reach.get(name, 0.0), last)
     walk_bound = _bound_sq(top)
     shared = PointBudget(budget)
-    ranges = _partition_ranges(lat, top, n_jobs) if n_jobs > 1 else [None]
 
-    def run(rng):
+    def run(part):
         acc = [([], np.zeros(b.size, np.int64), np.zeros(b.size, np.int64))
                for _, b, _, _ in plan]
-        for coeffs, norm_sq in coefficient_blocks(lat, top, orbits=True,
-                                                  budget=shared, top_range=rng,
-                                                  skip_budget_check=True):
+        for coeffs, norm_sq in coefficient_blocks(lat, top, budget=shared, part=part):
             _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc)
         return acc
 
-    if len(ranges) == 1:
-        parts = [run(ranges[0])]
+    if n_jobs == 1:
+        parts = [run(None)]
     else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(run, ranges))
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            parts = list(pool.map(run, [(j, n_jobs) for j in range(n_jobs)]))
     orbit = lat.orbit_size
     curves = []
     for j, (spec, radii) in enumerate(jobs):

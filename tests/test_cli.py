@@ -75,6 +75,26 @@ def test_sum_passes_threads_to_the_walk(capsys, monkeypatch, span):
     assert seen == [2]
 
 
+def test_sum_needs_a_radius_or_grid(capsys):
+    code, out, err = run_cli(capsys, "sum", "--code", "gaussian-diagonal", "--n", "1",
+                             "--family", "shifted", "--m", "2")
+    assert code == 2
+    assert out == ""
+    assert "error[sum]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("verb", [
+    ["sum", "--code", "gaussian-diagonal", "--n", "1", "--family", "shifted",
+     "--m", "2", "--M", "1"],
+    ["run", "--preset", "gaussian-diagonal-2"]])
+def test_threads_below_one_is_a_usage_error(capsys, tmp_path, verb, threads):
+    code, out, _ = run_cli(capsys, *verb, "--threads", threads, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_construct_summary(capsys):
     code, out, _ = run_cli(capsys, "construct", "--code", "golden")
     assert code == 0

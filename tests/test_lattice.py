@@ -3,15 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detsums.errors import BudgetExceeded, DependentBasis, DimensionMismatch
 from detsums.lattice import (build_lattice, coefficient_blocks,
                              enumerate_points, lattice_from_json,
-                             lattice_to_json, predicted_point_count,
-                             realize_block, shell_counts, size_reduce,
-                             top_level_range)
+                             lattice_to_json, orbit_images,
+                             predicted_point_count, realize_block,
+                             shell_counts, size_reduce)
 
 from conftest import (_r8, box_scan_coeffs, random_paired_lattice,
                       random_small_lattice)
@@ -73,6 +73,8 @@ def test_shell_counts_examples():
     lat = gaussian_int_lattice()
     assert shell_counts(lat, [1.0, SQRT2, 2.0]) == [4, 8, 12]
     assert shell_counts(lat, [0.5]) == [0]
+    with pytest.raises(ValueError):
+        shell_counts(lat, [])
 
 
 def test_budget_exceeded():
@@ -108,9 +110,7 @@ def test_symmetry_and_no_duplicates():
 def test_enumeration_matches_box_scan(seed, k, radius):
     rng = np.random.default_rng(seed)
     lat = random_small_lattice(rng, k)
-    mine = set()
-    for coeffs, _ in coefficient_blocks(lat, radius):
-        mine.update(tuple(int(v) for v in row) for row in coeffs)
+    mine = {tuple(int(v) for v in p.coeffs) for p in enumerate_points(lat, radius)}
     oracle = set(box_scan_coeffs(lat, radius))
     assert mine == oracle
 
@@ -125,10 +125,10 @@ _SHAPES = st.sampled_from([(2, 2), (2, 3)])
 def test_half_walk_and_negation_match_box_scan(seed, k, radius, shape):
     lat = random_small_lattice(np.random.default_rng(seed), k, *shape)
     half = []
-    for coeffs, norm_sq in coefficient_blocks(lat, radius, dedup_signs=True):
-        half.extend(tuple(int(v) for v in row) for row in coeffs)
-        mats = realize_block(lat, coeffs)
-        assert np.allclose(norm_sq, np.sum(np.abs(mats) ** 2, axis=(1, 2)))
+    for p in enumerate_points(lat, radius, dedup_signs=True):
+        half.append(tuple(int(v) for v in p.coeffs))
+        assert p.norm_f ** 2 == pytest.approx(float(np.sum(np.abs(p.matrix) ** 2)),
+                                              rel=1e-9)
     half_set = set(half)
     negated = {tuple(-v for v in z) for z in half}
     assert len(half_set) == len(half)
@@ -151,29 +151,46 @@ def test_half_walk_on_non_square_lattice():
     lat = build_lattice([np.array([[1.0, 0.5j, 0.0], [0.0, 1.0, 0.0]]),
                          np.array([[0.0, 1j, 0.0], [0.5, 0.0, 1.0]]),
                          np.array([[1j, 0.0, 1.0], [0.0, 0.0, 1j]])])
-    full = {tuple(int(v) for v in row)
-            for coeffs, _ in coefficient_blocks(lat, 2.5) for row in coeffs}
-    half = [tuple(int(v) for v in row)
-            for coeffs, _ in coefficient_blocks(lat, 2.5, dedup_signs=True)
-            for row in coeffs]
+    full = {tuple(int(v) for v in p.coeffs) for p in enumerate_points(lat, 2.5)}
+    half = [tuple(int(v) for v in p.coeffs)
+            for p in enumerate_points(lat, 2.5, dedup_signs=True)]
     assert 2 * len(half) == len(full)
     assert full == set(half) | {tuple(-v for v in z) for z in half}
     assert full == set(box_scan_coeffs(lat, 2.5))
 
 
-def test_partitioned_enumeration_covers_ball(golden_lattice):
-    lo, hi = top_level_range(golden_lattice, 1.5)
-    full = set()
-    for coeffs, _ in coefficient_blocks(golden_lattice, 1.5):
-        full.update(tuple(int(v) for v in row) for row in coeffs)
-    split = set()
-    ranges = [(lo, -1), (0, 0), (1, hi)]
-    for rng_pair in ranges:
-        for coeffs, _ in coefficient_blocks(golden_lattice, 1.5,
-                                            top_range=rng_pair,
-                                            skip_budget_check=True):
-            split.update(tuple(int(v) for v in row) for row in coeffs)
-    assert split == full
+def _walk_rows(lat, radius, part=None):
+    """(coeffs, norm_sq) rows of one walk, or of one part of it, sorted."""
+    blocks = list(coefficient_blocks(lat, radius, part=part))
+    if not blocks:
+        return np.zeros((0, lat.k), dtype=np.int64), np.zeros(0)
+    coeffs = np.concatenate([c for c, _ in blocks])
+    norms = np.concatenate([n for _, n in blocks])
+    order = np.lexsort(coeffs.T[::-1])
+    return coeffs[order], norms[order]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), paired=st.booleans(), size=st.integers(1, 4),
+       scale=st.floats(1.0, 3.0))
+@example(seed=0, paired=False, size=1, scale=3.0)
+def test_parts_split_the_walk(seed, paired, size, scale):
+    # Unpaired ranks run from 1 (the top level is the leaf level 0) to 4.
+    rng = np.random.default_rng(seed)
+    lat = (random_paired_lattice(rng, (size + 1) // 2) if paired
+           else random_small_lattice(rng, size))
+    radius = scale * math.sqrt(lat.min_norm_sq)
+    whole, whole_norms = _walk_rows(lat, radius)
+    for n in range(1, 5):
+        parts = [_walk_rows(lat, radius, (j, n)) for j in range(n)]
+        for j, (coeffs, _) in enumerate(parts):
+            assert np.all(coeffs[:, -1] % n == j)
+        coeffs = np.concatenate([c for c, _ in parts])
+        norms = np.concatenate([v for _, v in parts])
+        order = np.lexsort(coeffs.T[::-1])
+        # The parts are disjoint (no row twice) and their union is the walk.
+        assert np.array_equal(coeffs[order], whole)
+        assert np.array_equal(norms[order], whole_norms)
 
 
 def _times_i(z):
@@ -186,7 +203,7 @@ def _times_i(z):
 
 def _orbit_rows(lat, radius):
     rows = []
-    for coeffs, norm_sq in coefficient_blocks(lat, radius, orbits=True):
+    for coeffs, norm_sq in coefficient_blocks(lat, radius):
         rows.extend(tuple(int(v) for v in row) for row in coeffs)
         mats = realize_block(lat, coeffs)
         assert np.allclose(norm_sq, np.sum(np.abs(mats) ** 2, axis=(1, 2)))
@@ -216,9 +233,8 @@ def test_quarter_walk_rotations_match_box_scan(seed, pairs, scale, shape):
                     if a or b)
         assert a > 0 and b >= 0
     # The sign-deduplicated stream is each quarter block plus its rotation.
-    half = {tuple(int(v) for v in row)
-            for coeffs, _ in coefficient_blocks(lat, radius, dedup_signs=True)
-            for row in coeffs}
+    half = {tuple(int(v) for v in p.coeffs)
+            for p in enumerate_points(lat, radius, dedup_signs=True)}
     assert half == set(quarter) | set(rotations[1])
 
 
@@ -240,9 +256,8 @@ def test_non_paired_lattice_keeps_half_walk():
     lat = lattice_from_json(doc)
     assert lat.orbit_size == 2
     rows = _orbit_rows(lat, 2.5)
-    half = [tuple(int(v) for v in row)
-            for coeffs, _ in coefficient_blocks(lat, 2.5, dedup_signs=True)
-            for row in coeffs]
+    half = [tuple(int(v) for v in p.coeffs)
+            for p in enumerate_points(lat, 2.5, dedup_signs=True)]
     assert rows == half
     full = set(box_scan_coeffs(lat, 2.5))
     assert 2 * len(rows) == len(full)
@@ -262,17 +277,11 @@ def test_wide_levels_split_without_changing_the_walk(monkeypatch, code, radius):
                                           np.array([[0.3j, 1.0]]),
                                           np.array([[0.2, 0.7 + 0.1j]])])}[code]()
 
-    def walk():
-        blocks = list(coefficient_blocks(lat, radius, orbits=True))
-        coeffs = np.concatenate([c for c, _ in blocks])
-        norms = np.concatenate([n for _, n in blocks])
-        order = np.lexsort(coeffs.T[::-1])
-        return coeffs[order], norms[order], max(c.shape[0] for c, _ in blocks)
-
-    whole, whole_norms, _ = walk()
+    whole, whole_norms = _walk_rows(lat, radius)
     cap = 8
     monkeypatch.setattr(lattice, "_MAX_CHILDREN", cap)
-    split, split_norms, largest = walk()
+    split, split_norms = _walk_rows(lat, radius)
+    largest = max(c.shape[0] for c, _ in coefficient_blocks(lat, radius))
     assert np.array_equal(split, whole)
     assert np.array_equal(split_norms, whole_norms)
     # A piece holds fewer than cap children before its last row, whose
@@ -291,7 +300,7 @@ def test_golden_counts_match_jacobi_r8(golden_lattice):
 
 def test_realize_block_matches_single(golden_lattice):
     blocks = list(coefficient_blocks(golden_lattice, 1.0))
-    coeffs = np.concatenate([b[0] for b in blocks])
+    coeffs = orbit_images(golden_lattice, np.concatenate([b[0] for b in blocks]))
     mats = realize_block(golden_lattice, coeffs)
     for row in range(coeffs.shape[0]):
         assert np.allclose(mats[row], golden_lattice.realize(coeffs[row]), atol=1e-12)

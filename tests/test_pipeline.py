@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,15 @@ def test_gaussian_preset_report(tmp_path):
     # negative control: determinant scan finds the missing gap
     assert report.lattice_summary["minAbsDet"] == pytest.approx(0.0, abs=1e-12)
     assert any("no determinant gap" in n for n in report.notes)
+
+
+def test_det_scan_below_the_minimum_norm_rejected(tmp_path):
+    # An empty det scan ball has no minimum; the run must not write
+    # "minAbsDet": Infinity, which is not JSON.
+    cfg = replace(build_preset("gaussian-diagonal-2"), det_scan_radius=0.5)
+    with pytest.raises(ValueError, match=r"radius 0\.5 .* minimum norm 1\.0"):
+        run(cfg, tmp_path / "out")
+    assert not (tmp_path / "out" / "lattice.json").exists()
 
 
 def test_golden_preset_core_numbers(tmp_path):
@@ -120,14 +130,14 @@ def test_summary_mentions_all_stages(tmp_path):
 @pytest.mark.parametrize("name", ["golden", "diagonal-nf-2", "gaussian-diagonal-2"])
 def test_run_walks_each_ball_once(name, monkeypatch):
     # A run walks the determinant scan's ball and then one ball for every
-    # sum curve and compare cell.  Partitions of one n_jobs=2 walk share a
+    # sum curve and compare cell.  The parts of one n_jobs=2 walk share a
     # PointBudget and count as one walk.
     from detsums import codes, sums
     walks = []
 
     def counting(blocks):
         def wrapped(lat, radius, **kw):
-            split = kw.get("top_range") is not None
+            split = kw.get("part") is not None
             key = ("split", id(kw["budget"])) if split else ("call", len(walks))
             walks.append((key, kw.get("budget")))   # keeps the budget's id alive
             return blocks(lat, radius, **kw)

@@ -183,6 +183,13 @@ def test_partition_invariance(golden_lattice):
         assert split == pytest.approx(base, rel=1e-9)
 
 
+def test_n_jobs_below_one_rejected(golden_lattice):
+    spec = SumSpec(family="shifted", m=4, c=1.0)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="n_jobs"):
+            sum_curve(golden_lattice, spec, [1.0], n_jobs=jobs)
+
+
 def test_partitioned_curve_matches_sequential(golden_lattice):
     spec = SumSpec(family="shifted", m=4, c=1.0)
     radii = [1.0, 2.0, 3.0]
@@ -334,10 +341,11 @@ def test_shell_points_land_in_the_same_bin():
 
 def test_order_robustness(golden_lattice):
     # Summing the same terms sorted by magnitude agrees with stream order.
-    from detsums.lattice import coefficient_blocks, realize_block
+    from detsums.lattice import coefficient_blocks, orbit_images, realize_block
     from detsums.linalg import shifted_det_batch
     terms = []
     for coeffs, _ in coefficient_blocks(golden_lattice, 2.0):
+        coeffs = orbit_images(golden_lattice, coeffs)
         terms.extend(shifted_det_batch(realize_block(golden_lattice, coeffs), 1.0) ** -4.0)
     sorted_sum = math.fsum(sorted(terms))
     stream = shifted_det_sum(golden_lattice, 4, 1.0, 2.0)
