@@ -270,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--i", type=int)
-    p.add_argument("--M", type=float)
-    p.add_argument("--grid", type=_geometric_grid,
-                   help="geometric radius grid start:factor:count")
+    radius = p.add_mutually_exclusive_group()
+    radius.add_argument("--M", type=float)
+    radius.add_argument("--grid", type=_geometric_grid,
+                        help="geometric radius grid start:factor:count")
     p.add_argument("--skip-singular", action="store_true")
     p.add_argument("--with-count", action="store_true")
     p.add_argument("--budget", type=int, default=lattice.DEFAULT_BUDGET)

@@ -141,7 +141,8 @@ def min_abs_det_box(lat: MatrixLattice, coeff_bound: int) -> float:
 
 def min_abs_det_ball(lat: MatrixLattice, radius: float, *, budget: int = 2 ** 26) -> float:
     """Minimum of |det(X)| over L(radius); |det(uX)| = |det X| for every unit
-    u of modulus one, so the orbit walk sees every value.  Raises ValueError
+    u of modulus one, and |det(XE)| = |det X| on the golden code, so the
+    orbit walk sees every value.  Raises ValueError
     when the ball holds no nonzero point."""
     if lat.n != lat.T:
         raise ValueError("determinant scan needs square matrices")

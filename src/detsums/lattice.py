@@ -25,6 +25,16 @@ orbit {X, iX, -X, -iX} whose highest nonzero pair has a > 0 and b >= 0, with
 one more flag carried from the odd level of each pair down to its even level.
 Every built-in code is Z[i]-paired, so its sums walk a quarter of the ball.
 
+The golden code is closed under X -> XE as well, with E = [[0, 1], [i, 0]]
+unitary and E^2 = iI: its second half of basis matrices is its first half
+times E, so on the halves (A, B) of a coefficient vector the map is
+(A, B) -> (iB, A), of order 8.  Its two halves are orthogonal, so
+||X||^2 = ||A||^2 + ||B||^2 and XE swaps the two half norms.  The walk, which
+chooses B first, keeps the quarter points with ||A|| <= ||B||: below the
+upper half it walks to the radius^2 min(R^2 - ||B||^2, ||B||^2), and of the
+two quarter points of an orbit of 8 whose half norms tie it keeps the
+lexicographically smaller.  That walks an eighth of the ball.
+
 ``coefficient_blocks`` is the one entry point to that walk; ``enumerate_points``
 expands each orbit again with ``orbit_images`` when a caller wants the whole
 ball.  A walk splits into parts by the residue of its top coefficient: part
@@ -69,6 +79,15 @@ DEFAULT_BUDGET = 2 ** 31
 # boundary (norm^2 an integer, radius sqrt of an integer) are always included.
 _RADIUS_TOL = 1e-9
 
+# Relative band within which the eighth walk takes the two half norms
+# ||A||^2 and ||B||^2 of a point for a tie: round-off makes a tied pair's two
+# computed norms differ by a few ulps, and the two quarter points of an orbit
+# of 8 must agree on whether they tie.
+_TIE_TOL = 1e-9
+
+# X -> X @ _E maps the golden code to itself (see ``MatrixLattice.orbit_size``).
+_E = np.array([[0.0, 1.0], [1j, 0.0]])
+
 # Most rows one level of the walk expands at once: bounds the walk's
 # temporaries and the leaf blocks when a few rows fan out widely, as in the
 # low-rank presets at large radius.
@@ -104,12 +123,24 @@ class MatrixLattice:
 
     @property
     def orbit_size(self) -> int:
-        """Points in each orbit the walk emits one point of: 4 when the basis
-        is Z[i]-paired (basis[2j+1] == 1j * basis[2j] bit for bit, so X -> iX
-        maps the lattice to itself), else 2 (the sign pair +/-X)."""
-        if self.k % 2 == 0 and np.array_equal(self.basis[1::2], 1j * self.basis[0::2]):
-            return 4
-        return 2
+        """Points in each orbit the walk emits one point of, each condition
+        checked bit for bit.
+
+        2 (the sign pair +/-X) unless the basis is Z[i]-paired, basis[2j+1]
+        == 1j * basis[2j], so that X -> iX maps the lattice to itself; then 4.
+        8 when besides n = T = 2, k % 4 == 0, basis[k/2 + j] == basis[j] @ E
+        for every j < k/2 (so X -> XE maps it to itself too) and the two
+        halves are orthogonal (``gram_real[:k/2, k/2:]`` is zero), as in the
+        golden code.
+        """
+        if self.k % 2 or not np.array_equal(self.basis[1::2], 1j * self.basis[0::2]):
+            return 2
+        h = self.k // 2
+        if (self.n == self.T == 2 and self.k % 4 == 0
+                and np.array_equal(self.basis[h:], self.basis[:h] @ _E)
+                and not self.gram_real[:h, h:].any()):
+            return 8
+        return 4
 
     def realize(self, coeffs: Sequence[int]) -> np.ndarray:
         z = np.asarray(coeffs, dtype=float)
@@ -260,20 +291,31 @@ def _ragged_expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
           part: tuple[int, int] | None = None,
-          paired: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+          orbit: int = 2) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Depth-first block enumeration of 0 < z^T G z <= rad_sq, one point per orbit.
 
     Yields (coeffs, norm_sq) with coefficients in natural index order, one
     z of each +/-z pair: the one whose highest nonzero coefficient is
     positive.  A row whose higher coefficients are all zero has ``used``
-    exactly 0.0, so that is the mask.  With ``paired`` the coefficients form
+    exactly 0.0, so that is the mask.  With ``orbit`` 4 the coefficients form
     pairs (z[2j], z[2j+1]) = (a, b) on which X -> iX acts as (a, b) -> (-b, a),
     and the walk yields one z of each orbit of four: the one whose highest
     nonzero pair has a > 0 and b >= 0.  The odd level of a pair hands the
     even level below it a flag, "every higher pair is zero"; a flagged row
-    whose b is nonzero (``used`` above 0.0) then takes a >= 1.  With ``part``
-    = (j, n) the top level keeps only the values t = j (mod n).  Charges
-    ``budget`` two points per row, or four with ``paired``.
+    whose b is nonzero (``used`` above 0.0) then takes a >= 1.
+
+    With ``orbit`` 8 the halves (A, B) = (z[:k/2], z[k/2:]) are orthogonal
+    as well (U is block diagonal) and X -> XE acts as (A, B) -> (iB, A), so
+    of the two quarter points of an orbit of eight the walk yields the one
+    with ||A|| < ||B||.  Level k/2 hands every row below it ||B||^2 as
+    ``upper``, and the levels below walk to the radius^2
+    min(rad_sq, 2 ||B||^2 / (1 - _TIE_TOL)), which is ||A||^2 <= ||B||^2 up
+    to the tie band.  A leaf row whose ||A||^2 lies within the band of
+    ||B||^2 is kept only if it is lexicographically below the quarter point
+    of its E-image (``_below_e_image``), so exactly one of the two ties is.
+
+    With ``part`` = (j, n) the top level keeps only the values t = j (mod n).
+    Charges ``budget`` ``orbit`` points per row.
 
     Frontiers do not carry their coefficient prefixes: each level keeps its
     values and the row of the parent they extend, and a leaf block gathers
@@ -281,12 +323,13 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
     rows down at a time and expands about ``_MAX_CHILDREN`` at a time.
     """
     k = U.shape[0]
-    orbit = 4 if paired else 2
+    cap = 2.0 / (1.0 - _TIE_TOL)
 
     def expand(level: int, path: list, y: np.ndarray, used: np.ndarray,
-               top_zero: np.ndarray | None):
+               top_zero: np.ndarray | None, upper: np.ndarray | None):
         d = U[level, level]
-        half = np.sqrt(np.maximum(rad_sq - used, 0.0)) / d
+        lim = rad_sq if upper is None else np.minimum(rad_sq, cap * upper)
+        half = np.sqrt(np.maximum(lim - used, 0.0)) / d
         center = -y[:, level] / d
         low = np.ceil(center - half - 1e-12)
         high = np.floor(center + half + 1e-12)
@@ -312,13 +355,14 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
             for a, b in zip(cuts, cuts[1:]):
                 yield from expand(level, path[:-1] + [(zs[a:b], parents[a:b])],
                                   y[a:b], used[a:b],
-                                  None if top_zero is None else top_zero[a:b])
+                                  None if top_zero is None else top_zero[a:b],
+                                  None if upper is None else upper[a:b])
             return
         rows, offs = _ragged_expand(counts)
         zvals = low[rows] + offs
         seg = d * zvals + y[rows, level]
         new_used = used[rows] + seg * seg
-        keep = new_used <= rad_sq
+        keep = new_used <= (lim if upper is None else lim[rows])
         if level == k - 1 and part is not None:
             keep &= zvals % part[1] == part[0]
         rows = rows[keep]
@@ -333,38 +377,98 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
             for j, (z, parent) in enumerate(reversed(path), start=1):
                 coeffs[j] = z[idx]
                 idx = parent[idx]
-            budget.charge(orbit * zvals.size)
+            if upper is not None:
+                # ||A||^2 = new_used - ||B||^2 within the band of ||B||^2.
+                tie = np.flatnonzero(new_used * (1.0 + _TIE_TOL) >= 2.0 * upper[rows])
+                lose = tie[~_below_e_image(coeffs[:, tie])]
+                if lose.size:
+                    keep = np.ones(rows.size, dtype=bool)
+                    keep[lose] = False
+                    coeffs, new_used = coeffs[:, keep], new_used[keep]
+            budget.charge(orbit * new_used.size)
             yield coeffs.T, new_used
             return
         # An odd level tells the even level below it, the other half of its
-        # pair, whether every higher pair is zero.
-        child_top = zero[rows] if paired and level % 2 == 1 else None
+        # pair, whether every higher pair is zero; level k/2 of an eighth walk
+        # tells the levels below it ||B||^2.
+        child_top = zero[rows] if orbit >= 4 and level % 2 == 1 else None
+        if upper is not None:
+            child_upper = upper[rows]
+        elif orbit == 8 and level == k // 2:
+            child_upper = new_used
+        else:
+            child_upper = None
         new_y = y[rows, :level] + U[:level, level][None, :] * zvals[:, None]
         for s in range(0, rows.size, _MAX_ROWS):
             e = s + _MAX_ROWS
             yield from expand(level - 1, path + [(zvals[s:e], rows[s:e])],
                               new_y[s:e], new_used[s:e],
-                              None if child_top is None else child_top[s:e])
+                              None if child_top is None else child_top[s:e],
+                              None if child_upper is None else child_upper[s:e])
 
-    yield from expand(k - 1, [], np.zeros((1, k)), np.zeros(1), None)
+    yield from expand(k - 1, [], np.zeros((1, k)), np.zeros(1), None, None)
+
+
+def _times_i(coeffs: np.ndarray) -> np.ndarray:
+    """Rows of iX on a Z[i]-paired basis: each pair (a, b) -> (-b, a)."""
+    out = np.empty_like(coeffs)
+    out[:, 0::2] = -coeffs[:, 1::2]
+    out[:, 1::2] = coeffs[:, 0::2]
+    return out
+
+
+def _times_e(coeffs: np.ndarray) -> np.ndarray:
+    """Rows of XE on an orbit-8 basis: the halves (A, B) -> (iB, A)."""
+    h = coeffs.shape[1] // 2
+    return np.concatenate([_times_i(coeffs[:, h:]), coeffs[:, :h]], axis=1)
+
+
+def _below_e_image(z: np.ndarray) -> np.ndarray:
+    """Whether each quarter point z = (A, B), A nonzero, given as a column of
+    a (k, t) block, is lexicographically below the quarter point of its
+    E-image: (iB, A) times the power of i that brings the highest nonzero
+    pair (a, b) of A to a > 0, b >= 0.  The two are never equal, since XE is
+    not a unit multiple of X."""
+    k = z.shape[0]
+    w = _times_e(z.T).T
+    a, b = w[k - 2], w[k - 1]
+    for j in range(k - 4, k // 2 - 1, -2):
+        empty = (a == 0) & (b == 0)
+        a, b = np.where(empty, w[j], a), np.where(empty, w[j + 1], b)
+    # (a, b) times i^turns lies in a > 0, b >= 0.
+    turns = np.select([(a > 0) & (b >= 0), (a >= 0) & (b < 0), (a < 0) & (b <= 0)],
+                      [0, 1, 2], 3)
+    cos, sin = np.array([1, 0, -1, 0])[turns], np.array([0, 1, 0, -1])[turns]
+    re, im = w[0::2], w[1::2]
+    w = np.empty_like(z)
+    w[0::2] = cos * re - sin * im
+    w[1::2] = sin * re + cos * im
+    first = np.argmax(z != w, axis=0)
+    cols = np.arange(z.shape[1])
+    return z[first, cols] < w[first, cols]
 
 
 def orbit_images(lat: MatrixLattice, coeffs: np.ndarray, *,
                  dedup_signs: bool = False) -> np.ndarray:
     """Every point of the orbits of the rows of an orbit-walk block.
 
-    The block is followed by its images: -z for ``orbit_size`` 2, and iz,
-    -z, -iz for 4.  With ``dedup_signs`` only one of each +/-z pair is kept
-    (the block, and iz for 4), which has its highest nonzero coefficient
-    positive, as the half walk gives it.  Images of a row keep its norm.
+    The block is followed by its images: for ``orbit_size`` 8 first its
+    E-image, XE; then, for 4 and 8, i times all of those; then the negatives
+    of everything.  With ``dedup_signs`` only one of each +/-z pair is kept,
+    the one whose highest nonzero coefficient is positive, as the half walk
+    gives it (the block and its i-image already are; an E-image may need its
+    sign flipped).  Images of a row keep its norm.
     """
-    if lat.orbit_size == 4:
-        turned = np.empty_like(coeffs)      # iX: each pair (a, b) -> (-b, a)
-        turned[:, 0::2] = -coeffs[:, 1::2]
-        turned[:, 1::2] = coeffs[:, 0::2]
-        coeffs = np.concatenate([coeffs, turned])
+    orbit = lat.orbit_size
+    if orbit == 8:
+        coeffs = np.concatenate([coeffs, _times_e(coeffs)])
+    if orbit >= 4:
+        coeffs = np.concatenate([coeffs, _times_i(coeffs)])
     if not dedup_signs:
-        coeffs = np.concatenate([coeffs, -coeffs])
+        return np.concatenate([coeffs, -coeffs])
+    if orbit == 8:
+        top = coeffs.shape[1] - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+        coeffs = coeffs * np.sign(coeffs[np.arange(len(coeffs)), top])[:, None]
     return coeffs
 
 
@@ -391,7 +495,7 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
             f"predicted point count {predicted_point_count(lat, radius):.3e} "
             f"exceeds budget {budget.limit}")
     yield from _walk(lat.chol_upper, _bound_sq(radius), budget=budget, part=part,
-                     paired=lat.orbit_size == 4)
+                     orbit=lat.orbit_size)
 
 
 def realize_block(lat: MatrixLattice, coeffs: np.ndarray) -> np.ndarray:

@@ -6,11 +6,13 @@ Three families are supported, all over the nonzero points of L(M):
 * ``approximate``  sum of |det(X)|^(-m)        (square lattices)
 * ``mixed``        sum of ||X||_F^(-2i) * det(X X*)^(-(m-i))
 
-Every family is even in X, and on a Z[i]-paired lattice invariant under
-X -> iX as well: ||iX||_F = ||X||_F, |det iX| = |det X| and (iX)(iX)* = XX*.
-So each sum is one pass over the orbit walk (one X of each orbit of
-``orbit_size`` points: {X, -X}, or {X, iX, -X, -iX} on a paired lattice) and
-``orbit_size`` times its total.
+Every term is unchanged when X is multiplied by a unit scalar or on the right
+by a unitary matrix U: ||XU||_F = ||X||_F, |det XU| = |det X| and
+(XU)(XU)* = XX*.  So each sum is one pass over the orbit walk and
+``orbit_size`` times its total: one X of each orbit {X, -X}; of
+{X, iX, -X, -iX} on a Z[i]-paired lattice; and on the golden code, which is
+closed under X -> XE as well (E = [[0, 1], [i, 0]], E^2 = iI), of the orbit
+of eight {i^j X E^l}.
 
 ``sum_curves`` is the one reduction: it evaluates every (spec, radius grid)
 pair of a run in a single walk to the largest radius.  Each block is realized

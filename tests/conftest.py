@@ -7,10 +7,10 @@ coefficient-box scans, and sums through math.fsum.
 """
 
 import math
-from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from detsums.errors import DependentBasis
 from detsums.lattice import MatrixLattice, build_lattice
@@ -52,6 +52,35 @@ def random_paired_lattice(rng: np.random.Generator, pairs: int, n: int = 2,
             continue
         if np.linalg.cond(lat.gram_real) < 100.0:
             return lat
+
+
+# X -> X @ E maps the golden code to itself (E = [[0, 1], [i, 0]], E^2 = iI).
+GOLDEN_E = np.array([[0.0, 1.0], [1j, 0.0]])
+
+
+def random_golden_shaped_lattice(rng: np.random.Generator, halves: int) -> MatrixLattice:
+    """Rank-4 * halves lattice laid out like the golden code: diagonal
+    Gaussian-integer matrices B_j, then (B_0, i B_0, ..., B_0 E, i B_0 E, ...).
+    Diagonal and antidiagonal halves are orthogonal, so ``orbit_size`` is 8."""
+    while True:
+        first = []
+        for _ in range(halves):
+            B = np.diag(rng.integers(-2, 3, 2) + 1j * rng.integers(-2, 3, 2)).astype(complex)
+            first.extend([B, 1j * B])
+        try:
+            lat = build_lattice(first + [B @ GOLDEN_E for B in first])
+        except DependentBasis:
+            continue
+        # rank 8 at a condition number near 100 makes boxes of 4e7 points
+        if np.linalg.cond(lat.gram_real) < 20.0:
+            return lat
+
+
+def golden_shaped_lattices():
+    """Hypothesis strategy: ``random_golden_shaped_lattice`` at rank 4 and 8."""
+    return st.builds(lambda seed, halves: random_golden_shaped_lattice(
+        np.random.default_rng(seed), halves),
+        st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
 
 
 def _r8(n: int) -> int:
@@ -100,6 +129,20 @@ def coefficient_box(lat: MatrixLattice, radius: float) -> np.ndarray:
 
 _BOX_CACHE: dict = {}
 
+# Box points the oracles hold at once.
+_BOX_CHUNK = 1 << 16
+
+
+def _box_chunks(bounds):
+    """Every integer vector z with |z_i| <= bounds[i], in the order of
+    ``itertools.product`` over the ranges, as (B, k) arrays of at most
+    ``_BOX_CHUNK`` rows."""
+    sizes = tuple(2 * int(b) + 1 for b in bounds)
+    total = math.prod(sizes)
+    for start in range(0, total, _BOX_CHUNK):
+        idx = np.arange(start, min(start + _BOX_CHUNK, total))
+        yield np.stack(np.unravel_index(idx, sizes), axis=1) - np.asarray(bounds)
+
 
 def box_scan_coeffs(lat: MatrixLattice, radius: float) -> list:
     """All nonzero coefficient vectors with ||X||_F <= radius, by full scan."""
@@ -111,12 +154,10 @@ def box_scan_coeffs(lat: MatrixLattice, radius: float) -> list:
     bounds = coefficient_box(lat, radius)
     rad_sq = radius * radius * (1.0 + 1e-9)
     out = []
-    for z in product(*[range(-b, b + 1) for b in bounds]):
-        if all(v == 0 for v in z):
-            continue
-        X = lat.realize(z)
-        if float(np.sum(np.abs(X) ** 2)) <= rad_sq:
-            out.append(z)
+    for z in _box_chunks(bounds):
+        X = np.tensordot(z.astype(float), lat.basis, axes=(1, 0))
+        inside = (np.sum(np.abs(X) ** 2, axis=(1, 2)) <= rad_sq) & np.any(z != 0, axis=1)
+        out.extend(map(tuple, z[inside].tolist()))
     _BOX_CACHE[key] = out
     return out
 
@@ -161,12 +202,13 @@ def cvp_box_oracle(A: np.ndarray, y: np.ndarray) -> np.ndarray:
               for i in range(k)]
     best = None
     best_dist = math.inf
-    for dz in product(*[range(-w, w + 1) for w in widths]):
-        z = zb + np.array(dz)
-        dist = float(np.linalg.norm(A @ z - y))
-        if dist < best_dist:
-            best_dist = dist
-            best = z.copy()
+    for dz in _box_chunks(widths):
+        z = zb + dz
+        dist = np.linalg.norm(z @ A.T - y, axis=1)
+        i = int(np.argmin(dist))        # the first minimum, in product order
+        if dist[i] < best_dist:
+            best_dist = float(dist[i])
+            best = z[i].copy()
     return best
 
 

@@ -17,7 +17,7 @@ from detsums.errors import (BudgetExceeded, CodeTooLarge, DimensionMismatch,
                             InsufficientStatistics, RadiusOverflow)
 from detsums.lattice import DEFAULT_BUDGET
 
-from conftest import cvp_box_oracle
+from conftest import box_scan_coeffs, cvp_box_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +189,25 @@ def test_fixed_code_is_built_once_per_value(golden_lattice, monkeypatch):
     coding_scheme(golden_lattice, 0.5, 10.0)
     fixed_code(golden_lattice, 1.0, budget=10 ** 6)
     assert walks == [1.0, 1.5, 10.0 ** (0.5 * 2 / 8), 1.0]
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_golden_fixed_code_is_sorted_ball(golden_lattice, monkeypatch, radius):
+    # The code is the whole ball in lexicographic coefficient order, however
+    # the walk picks its orbit representatives.
+    import hashlib
+    from detsums.lattice import realize_block
+    monkeypatch.setattr(channel, "_CODE_CACHE", type(channel._CODE_CACHE)())
+    code = fixed_code(golden_lattice, radius)
+    ball = np.array(sorted(box_scan_coeffs(golden_lattice, radius)), dtype=np.int64)
+    assert code.coeffs.tobytes() == ball.tobytes()
+    assert code.matrices.tobytes() == realize_block(golden_lattice, ball).tobytes()
+    if radius == 1.0:
+        # The bytes the quarter walk built, before the eighth walk.
+        assert hashlib.sha256(code.coeffs.tobytes()).hexdigest() == (
+            "4c6253fa409c6d40d722d6cc74db2b7770cfd5940211795647a2ce8fc28609cb")
+        assert hashlib.sha256(code.matrices.tobytes()).hexdigest() == (
+            "519b7a7776cb507b5597ad6042f29a3c0c4166a8c870e2cebf02fc346aef12ab")
 
 
 def test_failed_code_build_is_not_cached(golden_lattice, monkeypatch):

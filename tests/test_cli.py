@@ -83,6 +83,15 @@ def test_sum_needs_a_radius_or_grid(capsys):
     assert "error[sum]" in err and "Traceback" not in err
 
 
+def test_sum_rejects_both_radius_and_grid(capsys):
+    code, out, err = run_cli(capsys, "sum", "--code", "gaussian-diagonal", "--n", "1",
+                             "--family", "shifted", "--m", "2", "--c", "1",
+                             "--M", "1", "--grid", "1:2:2")
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 @pytest.mark.parametrize("verb", [
     ["sum", "--code", "gaussian-diagonal", "--n", "1", "--family", "shifted",

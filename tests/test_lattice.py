@@ -13,8 +13,8 @@ from detsums.lattice import (build_lattice, coefficient_blocks,
                              predicted_point_count, realize_block,
                              shell_counts, size_reduce)
 
-from conftest import (_r8, box_scan_coeffs, random_paired_lattice,
-                      random_small_lattice)
+from conftest import (GOLDEN_E, _r8, box_scan_coeffs, golden_shaped_lattices,
+                      random_paired_lattice, random_small_lattice)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -179,7 +179,10 @@ def test_parts_split_the_walk(seed, paired, size, scale):
     rng = np.random.default_rng(seed)
     lat = (random_paired_lattice(rng, (size + 1) // 2) if paired
            else random_small_lattice(rng, size))
-    radius = scale * math.sqrt(lat.min_norm_sq)
+    _check_parts(lat, scale * math.sqrt(lat.min_norm_sq))
+
+
+def _check_parts(lat, radius):
     whole, whole_norms = _walk_rows(lat, radius)
     for n in range(1, 5):
         parts = [_walk_rows(lat, radius, (j, n)) for j in range(n)]
@@ -238,13 +241,93 @@ def test_quarter_walk_rotations_match_box_scan(seed, pairs, scale, shape):
     assert half == set(quarter) | set(rotations[1])
 
 
+def _times_e(z):
+    """Coefficients of XE on an orbit-8 basis: the halves (A, B) -> (iB, A)."""
+    h = len(z) // 2
+    return _times_i(z[h:]) + z[:h]
+
+
+@settings(max_examples=20, deadline=None)
+@given(lat=golden_shaped_lattices(), scale=st.floats(1.0, 2.4))
+def test_eighth_walk_images_match_box_scan(lat, scale):
+    assert lat.orbit_size == 8
+    radius = scale * math.sqrt(lat.min_norm_sq)
+    eighth = _orbit_rows(lat, radius)
+    images = [eighth, [_times_e(z) for z in eighth]]
+    for _ in range(6):
+        images.append([_times_i(z) for z in images[-2]])
+    full = [z for image in images for z in image]
+    # The eight images of the rows: no zero, no point twice, the whole ball.
+    assert all(any(z) for z in full)
+    assert len(set(full)) == len(full) == 8 * len(eighth)
+    oracle = set(box_scan_coeffs(lat, radius))
+    assert set(full) == oracle
+    blocks = [c for c, _ in coefficient_blocks(lat, radius)]
+    expanded = orbit_images(lat, np.concatenate(blocks))
+    assert sorted(map(tuple, expanded.tolist())) == sorted(full)
+    # Each row is a quarter point: its highest nonzero pair lies in a > 0, b >= 0.
+    for z in eighth:
+        a, b = next((a, b) for a, b in reversed(list(zip(z[0::2], z[1::2])))
+                    if a or b)
+        assert a > 0 and b >= 0
+    # dedup_signs: one of each +/-X pair, highest nonzero coefficient positive.
+    half = [tuple(int(v) for v in p.coeffs)
+            for p in enumerate_points(lat, radius, dedup_signs=True)]
+    negated = {tuple(-v for v in z) for z in half}
+    assert len(set(half)) == len(half) == len(oracle) // 2
+    assert not set(half) & negated
+    assert set(half) | negated == oracle
+    assert all(next(v for v in reversed(z) if v) > 0 for z in half)
+
+
+@settings(max_examples=15, deadline=None)
+@given(lat=golden_shaped_lattices(), scale=st.floats(1.0, 2.4))
+def test_parts_split_the_eighth_walk(lat, scale):
+    _check_parts(lat, scale * math.sqrt(lat.min_norm_sq))
+
+
+def test_golden_eighth_walk_halves_the_quarter_walk(golden_lattice):
+    # The golden real Gram is the identity, so the ball of radius 2 holds
+    # 1,712 points of Z^8: 214 orbits of eight.  The tied points, with
+    # ||A||^2 = ||B||^2 = 1 or 2, number r4(1)^2 + r4(2)^2 = 8^2 + 24^2, and
+    # one in eight of them is kept.
+    rows = np.array(_orbit_rows(golden_lattice, 2.0))
+    assert len(rows) == 214
+    half_norms = (rows[:, :4] ** 2).sum(axis=1), (rows[:, 4:] ** 2).sum(axis=1)
+    assert np.all(half_norms[0] <= half_norms[1])
+    assert np.sum(half_norms[0] == half_norms[1]) == (8 ** 2 + 24 ** 2) // 8
+    assert shell_counts(golden_lattice, [2.0]) == [1712]
+
+
+def test_orbit_size_8_needs_every_condition(golden_lattice):
+    basis = list(golden_lattice.basis)
+    # The halves swapped: the second half is the first times E^-1, not E.
+    assert build_lattice(basis[4:] + basis[:4]).orbit_size == 4
+    # One entry off by an ulp breaks basis[4 + j] == basis[j] @ E and nothing
+    # else: the entry is off the diagonal, so the halves stay orthogonal.
+    nudged = [B.copy() for B in basis]
+    nudged[6][0, 1] = np.nextafter(nudged[6][0, 1].real, 1.0) + 1j * nudged[6][0, 1].imag
+    nudged[7] = 1j * nudged[6]
+    lat = build_lattice(nudged)
+    assert not lat.gram_real[:4, 4:].any() and lat.orbit_size == 4
+    # basis[2 + j] == basis[j] @ E, but the halves are not orthogonal.
+    B = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    skew = build_lattice([B, 1j * B, B @ GOLDEN_E, 1j * B @ GOLDEN_E])
+    assert skew.gram_real[:2, 2:].any() and skew.orbit_size == 4
+    # A paired rank-2 basis cannot split into two paired halves.
+    D = np.diag([1.0 + 0j, 2.0])
+    assert build_lattice([D, 1j * D]).orbit_size == 4
+
+
 def test_presets_are_paired(golden_lattice, nf_lattice, zi_lattice):
     from detsums.codes import gaussian_diagonal, golden_code
     # Rescaling multiplies both matrices of a pair by the same real factor,
-    # which keeps basis[2j+1] == 1j * basis[2j] bit for bit.
-    for lat in (golden_lattice, nf_lattice, zi_lattice, gaussian_diagonal(3),
-                golden_code("unit-minnorm")):
+    # which keeps basis[2j+1] == 1j * basis[2j] bit for bit, and the golden
+    # code's basis[4 + j] == basis[j] @ E as well.
+    for lat in (nf_lattice, zi_lattice, gaussian_diagonal(3)):
         assert lat.orbit_size == 4
+    for lat in (golden_lattice, golden_code("unit-minnorm")):
+        assert lat.orbit_size == 8
 
 
 def test_non_paired_lattice_keeps_half_walk():

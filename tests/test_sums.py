@@ -15,8 +15,8 @@ from detsums.sums import (SumCurve, SumSpec, convergence_probe, dyadic_bound,
                           shifted_det_sum, shifted_vs_mixed_bound, sum_curve,
                           sum_curves)
 
-from conftest import (box_scan_coeffs, box_scan_sum, random_paired_lattice,
-                      random_small_lattice)
+from conftest import (box_scan_coeffs, box_scan_sum, golden_shaped_lattices,
+                      random_paired_lattice, random_small_lattice)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -268,7 +268,7 @@ def test_sums_invariant_under_multiplication_by_i(golden_lattice, spec):
     # On a paired basis, i * basis spans the same lattice by another basis,
     # (i B_j, -B_j); every family's term takes the same value at iX as at X.
     rotated = build_lattice(list(1j * golden_lattice.basis))
-    assert rotated.orbit_size == 4
+    assert rotated.orbit_size == 8
     radii = [1.0, SQRT2, 2.0]
     base = sum_curve(golden_lattice, spec, radii)
     turned = sum_curve(rotated, spec, radii)
@@ -281,6 +281,46 @@ def test_sums_invariant_under_multiplication_by_i(golden_lattice, spec):
         X = golden_lattice.realize(z)
         terms_at_ix.append(term(1j * X, float(np.sum(np.abs(X) ** 2))))
     assert base.values[-1] == pytest.approx(math.fsum(terms_at_ix), rel=1e-9)
+
+
+_SKIPPING_SPECS = [SumSpec(family="shifted", m=2, c=0.7),
+                   SumSpec(family="approximate", m=3, skip_singular=True),
+                   SumSpec(family="mixed", m=3, i=1, skip_singular=True)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(lat=golden_shaped_lattices(), scale=st.floats(1.0, 2.4))
+def test_eighth_walk_curves_match_the_quarter_walk(lat, scale):
+    # The same lattice with its halves swapped fails basis[k/2 + j] ==
+    # basis[j] @ E, so it takes the quarter walk; every curve must agree.
+    h = lat.k // 2
+    swapped = build_lattice(list(lat.basis[h:]) + list(lat.basis[:h]))
+    assert (lat.orbit_size, swapped.orbit_size) == (8, 4)
+    radius = scale * math.sqrt(lat.min_norm_sq)
+    radii = [radius / 2.0, radius]
+    for eighth, quarter in zip(sum_curves(lat, [(s, radii) for s in _SKIPPING_SPECS]),
+                               sum_curves(swapped, [(s, radii) for s in _SKIPPING_SPECS])):
+        assert eighth.point_counts == quarter.point_counts
+        assert eighth.singular_counts == quarter.singular_counts
+        for a, b in zip(eighth.values, quarter.values):
+            assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_budget_exact_on_golden(golden_lattice, monkeypatch):
+    # The eighth walk charges eight points per row; with the volume
+    # prediction out of the way the budget trips exactly when |L(M)| + 1
+    # (the origin counts) exceeds it.
+    from detsums import lattice
+    monkeypatch.setattr(lattice, "predicted_point_count", lambda lat, radius: 0.0)
+    assert golden_lattice.orbit_size == 8
+    size = 1712
+    spec = SumSpec(family="shifted", m=4, c=1.0)
+    for jobs in (1, 2):
+        for budget in (size - 7, size):
+            with pytest.raises(BudgetExceeded):
+                evaluate_sum(golden_lattice, spec, 2.0, budget=budget, n_jobs=jobs)
+        assert evaluate_sum(golden_lattice, spec, 2.0, budget=size + 1,
+                            n_jobs=jobs)[1] == size
 
 
 @settings(max_examples=20, deadline=None)
