@@ -32,7 +32,6 @@ __all__ = [
     "resolve_code",
     "normalize_unit_min_norm",
     "diagonal_nf_norm",
-    "min_abs_det_box",
     "min_abs_det_ball",
 ]
 
@@ -124,19 +123,6 @@ def diagonal_nf_norm(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     vv = (c * c - d * d, 2 * c * d)
     uv = (a * c - b * d, a * d + b * c)
     return (uu[0] + uv[0] - vv[0], uu[1] + uv[1] - vv[1])
-
-
-def min_abs_det_box(lat: MatrixLattice, coeff_bound: int) -> float:
-    """Minimum of |det(X)| over all nonzero points with coefficients in
-    [-coeff_bound, coeff_bound]^k.  Square lattices only."""
-    if lat.n != lat.T:
-        raise ValueError("determinant scan needs square matrices")
-    rng = np.arange(-coeff_bound, coeff_bound + 1)
-    grids = np.meshgrid(*([rng] * lat.k), indexing="ij")
-    coeffs = np.stack([g.reshape(-1) for g in grids], axis=1)
-    coeffs = coeffs[np.any(coeffs != 0, axis=1)]
-    dets = np.abs(det_batch(realize_block(lat, coeffs)))
-    return float(dets.min())
 
 
 def min_abs_det_ball(lat: MatrixLattice, radius: float, *, budget: int = 2 ** 26) -> float:

@@ -25,17 +25,20 @@ orbit {X, iX, -X, -iX} whose highest nonzero pair has a > 0 and b >= 0, with
 one more flag carried from the odd level of each pair down to its even level.
 Every built-in code is Z[i]-paired, so its sums walk a quarter of the ball.
 
-The golden code is closed under X -> XE as well, with E = [[0, 1], [i, 0]]
-unitary and E^2 = iI: its second half of basis matrices is its first half
-times E, so on the halves (A, B) of a coefficient vector the map is
-(A, B) -> (iB, A), of order 8.  Its two halves are orthogonal, so
-||X||^2 = ||A||^2 + ||B||^2 and XE swaps the two half norms.  The walk, which
-chooses B first, keeps the quarter points with ||A|| <= ||B||: below the
-upper half it walks to the radius^2 min(R^2 - ||B||^2, ||B||^2), and of the
-two quarter points of an orbit of 8 whose half norms tie it keeps the
-lexicographically smaller.  That walks an eighth of the ball.
+The golden code (Belfiore, Rekaya and Viterbo, IEEE T-IT 2005) is closed
+under X -> XE as well, with E = [[0, 1], [i, 0]] unitary and E^2 = iI: its
+second half of basis matrices is its first half times E, so on the halves
+(A, B) of a coefficient vector the map is (A, B) -> (iB, A), of order 8.
+Its two halves are orthogonal, so ||X||^2 = ||A||^2 + ||B||^2 and XE swaps
+the two half norms.  The eighth walk keeps the quarter points with
+||A|| <= ||B||, and of the two quarter points of an orbit of 8 whose half
+norms tie it keeps the lexicographically smaller.  It is a product, not a
+walk of all k levels: the A-half ball is walked once and sorted by norm, the
+quarter B-half ball once, and the A that go with a B are the prefix of the
+sorted ball with ||A||^2 <= min(R^2 - ||B||^2, ||B||^2), found by one
+``searchsorted``.
 
-``coefficient_blocks`` is the one entry point to that walk; ``enumerate_points``
+``coefficient_blocks`` is the one entry point to both walks; ``enumerate_points``
 expands each orbit again with ``orbit_images`` when a caller wants the whole
 ball.  A walk splits into parts by the residue of its top coefficient: part
 (j, n) keeps the points whose last coefficient t has t = j (mod n), so the n
@@ -87,6 +90,12 @@ _TIE_TOL = 1e-9
 
 # X -> X @ _E maps the golden code to itself (see ``MatrixLattice.orbit_size``).
 _E = np.array([[0.0, 1.0], [1j, 0.0]])
+
+# i^t turns a nonzero pair (a, b) into a > 0, b >= 0 for t = _TURNS[3 sign(a)
+# + sign(b) + 4]; i^t is _COS[t] + i _SIN[t].
+_TURNS = np.array([2, 2, 3, 1, 0, 3, 1, 0, 0])
+_COS = np.array([1, 0, -1, 0])
+_SIN = np.array([0, 1, 0, -1])
 
 # Most rows one level of the walk expands at once: bounds the walk's
 # temporaries and the leaf blocks when a few rows fan out widely, as in the
@@ -289,7 +298,7 @@ def _ragged_expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, offsets
 
 
-def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
+def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
           part: tuple[int, int] | None = None,
           orbit: int = 2) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Depth-first block enumeration of 0 < z^T G z <= rad_sq, one point per orbit.
@@ -304,18 +313,9 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
     even level below it a flag, "every higher pair is zero"; a flagged row
     whose b is nonzero (``used`` above 0.0) then takes a >= 1.
 
-    With ``orbit`` 8 the halves (A, B) = (z[:k/2], z[k/2:]) are orthogonal
-    as well (U is block diagonal) and X -> XE acts as (A, B) -> (iB, A), so
-    of the two quarter points of an orbit of eight the walk yields the one
-    with ||A|| < ||B||.  Level k/2 hands every row below it ||B||^2 as
-    ``upper``, and the levels below walk to the radius^2
-    min(rad_sq, 2 ||B||^2 / (1 - _TIE_TOL)), which is ||A||^2 <= ||B||^2 up
-    to the tie band.  A leaf row whose ||A||^2 lies within the band of
-    ||B||^2 is kept only if it is lexicographically below the quarter point
-    of its E-image (``_below_e_image``), so exactly one of the two ties is.
-
     With ``part`` = (j, n) the top level keeps only the values t = j (mod n).
-    Charges ``budget`` ``orbit`` points per row.
+    Charges ``budget``, when given, ``orbit`` points per row.  The walk of
+    orbits of eight is ``_product_walk``, which runs this one on each half.
 
     Frontiers do not carry their coefficient prefixes: each level keeps its
     values and the row of the parent they extend, and a leaf block gathers
@@ -323,13 +323,11 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
     rows down at a time and expands about ``_MAX_CHILDREN`` at a time.
     """
     k = U.shape[0]
-    cap = 2.0 / (1.0 - _TIE_TOL)
 
     def expand(level: int, path: list, y: np.ndarray, used: np.ndarray,
-               top_zero: np.ndarray | None, upper: np.ndarray | None):
+               top_zero: np.ndarray | None):
         d = U[level, level]
-        lim = rad_sq if upper is None else np.minimum(rad_sq, cap * upper)
-        half = np.sqrt(np.maximum(lim - used, 0.0)) / d
+        half = np.sqrt(np.maximum(rad_sq - used, 0.0)) / d
         center = -y[:, level] / d
         low = np.ceil(center - half - 1e-12)
         high = np.floor(center + half + 1e-12)
@@ -355,14 +353,13 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
             for a, b in zip(cuts, cuts[1:]):
                 yield from expand(level, path[:-1] + [(zs[a:b], parents[a:b])],
                                   y[a:b], used[a:b],
-                                  None if top_zero is None else top_zero[a:b],
-                                  None if upper is None else upper[a:b])
+                                  None if top_zero is None else top_zero[a:b])
             return
         rows, offs = _ragged_expand(counts)
         zvals = low[rows] + offs
         seg = d * zvals + y[rows, level]
         new_used = used[rows] + seg * seg
-        keep = new_used <= (lim if upper is None else lim[rows])
+        keep = new_used <= rad_sq
         if level == k - 1 and part is not None:
             keep &= zvals % part[1] == part[0]
         rows = rows[keep]
@@ -377,36 +374,81 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
             for j, (z, parent) in enumerate(reversed(path), start=1):
                 coeffs[j] = z[idx]
                 idx = parent[idx]
-            if upper is not None:
-                # ||A||^2 = new_used - ||B||^2 within the band of ||B||^2.
-                tie = np.flatnonzero(new_used * (1.0 + _TIE_TOL) >= 2.0 * upper[rows])
-                lose = tie[~_below_e_image(coeffs[:, tie])]
-                if lose.size:
-                    keep = np.ones(rows.size, dtype=bool)
-                    keep[lose] = False
-                    coeffs, new_used = coeffs[:, keep], new_used[keep]
-            budget.charge(orbit * new_used.size)
+            if budget is not None:
+                budget.charge(orbit * rows.size)
             yield coeffs.T, new_used
             return
         # An odd level tells the even level below it, the other half of its
-        # pair, whether every higher pair is zero; level k/2 of an eighth walk
-        # tells the levels below it ||B||^2.
-        child_top = zero[rows] if orbit >= 4 and level % 2 == 1 else None
-        if upper is not None:
-            child_upper = upper[rows]
-        elif orbit == 8 and level == k // 2:
-            child_upper = new_used
-        else:
-            child_upper = None
+        # pair, whether every higher pair is zero.
+        child_top = zero[rows] if orbit == 4 and level % 2 == 1 else None
         new_y = y[rows, :level] + U[:level, level][None, :] * zvals[:, None]
         for s in range(0, rows.size, _MAX_ROWS):
             e = s + _MAX_ROWS
             yield from expand(level - 1, path + [(zvals[s:e], rows[s:e])],
                               new_y[s:e], new_used[s:e],
-                              None if child_top is None else child_top[s:e],
-                              None if child_upper is None else child_upper[s:e])
+                              None if child_top is None else child_top[s:e])
 
-    yield from expand(k - 1, [], np.zeros((1, k)), np.zeros(1), None, None)
+    yield from expand(k - 1, [], np.zeros((1, k)), np.zeros(1), None)
+
+
+def _product_walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
+                  part: tuple[int, int] | None = None,
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The eighth walk of an orbit-8 basis, as in ``_walk``: one quarter point
+    (A, B) of each orbit {i^j X E^l}, with ||A|| <= ||B||.
+
+    U is block diagonal, so ||X||^2 = ||A||^2 + ||B||^2, and the A that go
+    with one B are a prefix of the signed A-half ball sorted by norm: those
+    with ||A||^2 <= min(rad_sq, cap ||B||^2) - ||B||^2, where
+    cap = 2 / (1 - _TIE_TOL) lets ||A||^2 reach ||B||^2 up to the tie band.
+    The A-half ball (zero and every +/-A) is walked once, the quarter B-half
+    ball once (B holds the top coefficient, so ``part`` splits that walk), and
+    each B takes its prefix through one ``searchsorted``.  Rows go out in
+    blocks of a quarter of ``_MAX_CHILDREN``.  A row whose ||A||^2 lies
+    within the band of ||B||^2 is kept only if it is lexicographically below
+    the quarter point of its E-image (``_below_e_image``), so exactly one of
+    the two ties is.  Charges ``budget`` 8 points per row.
+    """
+    h = U.shape[0] // 2
+    cap = 2.0 / (1.0 - _TIE_TOL)
+    # Product rows are cheap to make and costly to consume: blocks this size
+    # keep a block's matrices and terms in cache downstream.
+    block = _MAX_CHILDREN // 4
+    # Every A kept has ||A||^2 <= (1 - 1/cap) rad_sq; walk a hair past it.
+    signed = list(_walk(U[:h, :h], (1.0 - 1.0 / cap) * rad_sq * (1.0 + _RADIUS_TOL)))
+    a = np.concatenate([np.zeros((1, h), dtype=np.int64)]
+                       + [c for c, _ in signed] + [-c for c, _ in signed])
+    a_norm = np.concatenate([np.zeros(1)] + [v for _, v in signed] * 2)
+    order = np.argsort(a_norm, kind="stable")
+    a_cols, a_norm = np.ascontiguousarray(a[order].T), a_norm[order]
+    for b, b_norm in _walk(U[h:, h:], rad_sq, part=part, orbit=4):
+        b_cols = b.T
+        ends = np.cumsum(np.searchsorted(
+            a_norm, np.minimum(rad_sq, cap * b_norm) - b_norm, side="right"))
+        starts = np.concatenate(([0], ends[:-1]))
+        # A B's rows from this index of the A-half ball on are in the tie band,
+        # ||A||^2 >= 2 ||B||^2 / (1 + _TIE_TOL) - ||B||^2.
+        tied = np.searchsorted(a_norm, 2.0 * b_norm / (1.0 + _TIE_TOL) - b_norm)
+        total = int(ends[-1])
+        for s in range(0, total, block):
+            e = min(s + block, total)
+            # The B rows whose ranges of rows meet [s, e), clipped to it.
+            first, last = np.searchsorted(ends, [s, e - 1], side="right")
+            sl = slice(first, last + 1)
+            counts = np.minimum(ends[sl], e) - np.maximum(starts[sl], s)
+            ib = np.repeat(np.arange(first, last + 1), counts)
+            ia = np.arange(s, e) - np.repeat(starts[sl], counts)
+            tie = np.flatnonzero(ia >= np.repeat(tied[sl], counts))
+            lose = tie[~_below_e_image(np.concatenate(
+                [np.take(a_cols, ia[tie], axis=1), np.take(b_cols, ib[tie], axis=1)]))]
+            if lose.size:
+                ia, ib = np.delete(ia, lose), np.delete(ib, lose)
+            # The indices are in range; mode="wrap" spares take a buffered copy.
+            coeffs = np.empty((2 * h, ia.size), dtype=np.int64)
+            np.take(a_cols, ia, axis=1, out=coeffs[:h], mode="wrap")
+            np.take(b_cols, ib, axis=1, out=coeffs[h:], mode="wrap")
+            budget.charge(8 * ia.size)
+            yield coeffs.T, np.take(a_norm, ia) + np.take(b_norm, ib)
 
 
 def _times_i(coeffs: np.ndarray) -> np.ndarray:
@@ -426,26 +468,25 @@ def _times_e(coeffs: np.ndarray) -> np.ndarray:
 def _below_e_image(z: np.ndarray) -> np.ndarray:
     """Whether each quarter point z = (A, B), A nonzero, given as a column of
     a (k, t) block, is lexicographically below the quarter point of its
-    E-image: (iB, A) times the power of i that brings the highest nonzero
-    pair (a, b) of A to a > 0, b >= 0.  The two are never equal, since XE is
-    not a unit multiple of X."""
+    E-image: (iB, A) times the power i^t of i that brings the highest nonzero
+    pair (a, b) of A to a > 0, b >= 0, that is (i^(t+1) B, i^t A).  The two
+    are never equal, since XE is not a unit multiple of X."""
     k = z.shape[0]
-    w = _times_e(z.T).T
-    a, b = w[k - 2], w[k - 1]
-    for j in range(k - 4, k // 2 - 1, -2):
+    h = k // 2
+    a, b = z[h - 2], z[h - 1]
+    for j in range(h - 4, -1, -2):
         empty = (a == 0) & (b == 0)
-        a, b = np.where(empty, w[j], a), np.where(empty, w[j + 1], b)
-    # (a, b) times i^turns lies in a > 0, b >= 0.
-    turns = np.select([(a > 0) & (b >= 0), (a >= 0) & (b < 0), (a < 0) & (b <= 0)],
-                      [0, 1, 2], 3)
-    cos, sin = np.array([1, 0, -1, 0])[turns], np.array([0, 1, 0, -1])[turns]
-    re, im = w[0::2], w[1::2]
+        a, b = np.where(empty, z[j], a), np.where(empty, z[j + 1], b)
+    turns = _TURNS[3 * np.sign(a) + np.sign(b) + 4]
+    cos, sin = _COS[turns], _SIN[turns]
     w = np.empty_like(z)
-    w[0::2] = cos * re - sin * im
-    w[1::2] = sin * re + cos * im
-    first = np.argmax(z != w, axis=0)
-    cols = np.arange(z.shape[1])
-    return z[first, cols] < w[first, cols]
+    re, im = z[h::2], z[h + 1::2]
+    w[0:h:2], w[1:h:2] = -sin * re - cos * im, cos * re - sin * im
+    re, im = z[0:h:2], z[1:h:2]
+    w[h::2], w[h + 1::2] = cos * re - sin * im, sin * re + cos * im
+    # The sign of the first difference outweighs every later one: its weight
+    # 2^j exceeds the sum of all lower weights.
+    return 2 ** np.arange(k - 1, -1, -1) @ np.sign(z - w) < 0
 
 
 def orbit_images(lat: MatrixLattice, coeffs: np.ndarray, *,
@@ -479,12 +520,12 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
     """Yield the (coeffs, norm_sq) blocks of the orbit walk of L(radius).
 
     Coefficient rows are in natural index order, one point of each orbit of
-    ``orbit_size`` nonzero points (see ``_walk`` for which one);
-    ``orbit_images`` expands a block to its orbits.  ``part`` = (j, n) keeps
-    the rows whose last coefficient is j mod n: the n parts of a walk are
-    disjoint and cover it, which is how ``sums.sum_curves`` splits a walk
-    across workers.  The parts of one walk share one ``PointBudget`` as
-    ``budget``.
+    ``orbit_size`` nonzero points (see ``_walk``, and ``_product_walk`` for
+    orbits of eight, for which one); ``orbit_images`` expands a block to its
+    orbits.  ``part`` = (j, n) keeps the rows whose last coefficient is j mod
+    n: the n parts of a walk are disjoint and cover it, which is how
+    ``sums.sum_curves`` splits a walk across workers.  The parts of one walk
+    share one ``PointBudget`` as ``budget``.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -494,8 +535,13 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
         raise BudgetExceeded(
             f"predicted point count {predicted_point_count(lat, radius):.3e} "
             f"exceeds budget {budget.limit}")
-    yield from _walk(lat.chol_upper, _bound_sq(radius), budget=budget, part=part,
-                     orbit=lat.orbit_size)
+    orbit = lat.orbit_size
+    if orbit == 8:
+        yield from _product_walk(lat.chol_upper, _bound_sq(radius), budget=budget,
+                                 part=part)
+    else:
+        yield from _walk(lat.chol_upper, _bound_sq(radius), budget=budget, part=part,
+                         orbit=orbit)
 
 
 def realize_block(lat: MatrixLattice, coeffs: np.ndarray) -> np.ndarray:

@@ -8,11 +8,12 @@ Three families are supported, all over the nonzero points of L(M):
 
 Every term is unchanged when X is multiplied by a unit scalar or on the right
 by a unitary matrix U: ||XU||_F = ||X||_F, |det XU| = |det X| and
-(XU)(XU)* = XX*.  So each sum is one pass over the orbit walk and
-``orbit_size`` times its total: one X of each orbit {X, -X}; of
-{X, iX, -X, -iX} on a Z[i]-paired lattice; and on the golden code, which is
-closed under X -> XE as well (E = [[0, 1], [i, 0]], E^2 = iI), of the orbit
-of eight {i^j X E^l}.
+(XU)(XU)* = XX*.  So each sum is one pass over the orbit walk of
+``lattice.coefficient_blocks``, whose every row stands for the
+``orbit_size`` points of its orbit, and ``orbit_size`` times its total: 2
+for the orbit {X, -X}; 4 for {X, iX, -X, -iX} on a Z[i]-paired lattice; and
+8 on the golden code, which is closed under X -> XE as well
+(E = [[0, 1], [i, 0]], E^2 = iI), for the orbit {i^j X E^l}.
 
 ``sum_curves`` is the one reduction: it evaluates every (spec, radius grid)
 pair of a run in a single walk to the largest radius.  Each block is realized
@@ -22,9 +23,9 @@ m of the approximate family and det(X X*) every m and i of the mixed one, and
 each spec bins only the rows inside its own last radius.  Each block adds
 one partial sum per shell of a spec's grid, and a spec's partials are merged
 with ``math.fsum``.  fsum is exactly rounded, so totals do not depend on the
-order in which blocks arrive or on how ``n_jobs`` workers split the walk (by
-the residue of the top coefficient, see ``lattice.coefficient_blocks``); only
-a different walk radius, which moves the block boundaries, can change their
+order in which blocks arrive.  A split across ``n_jobs`` workers (by the
+residue of the top coefficient, see ``lattice.coefficient_blocks``) or a
+different walk radius moves the block boundaries, so either can change their
 last bits.  ``sum_curve``, ``evaluate_sum`` and the named sums are its
 one-spec cases.
 """

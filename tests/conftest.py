@@ -83,6 +83,16 @@ def golden_shaped_lattices():
         st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
 
 
+# 4 zeta(2) G, the sum of |z|^-4 over the nonzero Gaussian integers: the
+# Dedekind zeta function of Q(i) factors as zeta(s) L(s, chi_-4), the four
+# units give each ideal four generators, so the sum is 4 zeta(2) beta(2) with
+# zeta(2) = pi^2 / 6 and beta(2) = G = 0.915965594177219... (Catalan's
+# constant).  Evaluated to 30 digits with mpmath, then rounded.  The part
+# beyond radius R is about the integral of r^-4 over the plane outside the
+# disc of radius R, pi / R^2.
+ZI_INVERSE_FOURTH = 6.02681203969194
+
+
 def _r8(n: int) -> int:
     """Jacobi: the number of ways to write n as a sum of eight squares."""
     return 16 * sum((-1) ** (n + d) * d ** 3 for d in range(1, n + 1) if n % d == 0)
@@ -176,6 +186,18 @@ def box_scan_sum(lat: MatrixLattice, radius: float, term, skip_singular=False) -
             continue
         vals.append(v)
     return math.fsum(vals)
+
+
+def min_abs_det_box(lat: MatrixLattice, coeff_bound: int) -> float:
+    """Minimum of |det X| over the nonzero points with coefficients in
+    [-coeff_bound, coeff_bound]^k, by LU determinants over the whole box."""
+    best = math.inf
+    for z in _box_chunks([coeff_bound] * lat.k):
+        z = z[np.any(z != 0, axis=1)]
+        if z.size:
+            X = np.tensordot(z.astype(float), lat.basis, axes=(1, 0))
+            best = min(best, float(np.abs(np.linalg.det(X)).min()))
+    return best
 
 
 def cvp_box_oracle(A: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -6,11 +6,11 @@ import pytest
 
 from detsums.codes import (CodeSpec, diagonal_nf_code, diagonal_nf_norm,
                            gaussian_diagonal, golden_code, min_abs_det_ball,
-                           min_abs_det_box, normalize_unit_min_norm)
+                           normalize_unit_min_norm)
 from detsums.errors import UnsupportedDegree
 from detsums.lattice import enumerate_points, shell_counts
 
-from conftest import box_scan_coeffs
+from conftest import box_scan_coeffs, min_abs_det_box
 
 SQRT5 = math.sqrt(5.0)
 

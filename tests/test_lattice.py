@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detsums.errors import BudgetExceeded, DependentBasis, DimensionMismatch
-from detsums.lattice import (build_lattice, coefficient_blocks,
-                             enumerate_points, lattice_from_json,
-                             lattice_to_json, orbit_images,
+from detsums.lattice import (DEFAULT_BUDGET, PointBudget, build_lattice,
+                             coefficient_blocks, enumerate_points,
+                             lattice_from_json, lattice_to_json, orbit_images,
                              predicted_point_count, realize_block,
                              shell_counts, size_reduce)
 
@@ -81,6 +81,49 @@ def test_budget_exceeded():
     lat = gaussian_int_lattice()
     with pytest.raises(BudgetExceeded):
         list(coefficient_blocks(lat, 1e6, budget=10 ** 6))
+
+
+@pytest.mark.parametrize("code,radius,orbit", [("json", 3.0, 2), ("nf", 6.0, 4),
+                                                ("golden", 3.0, 8)])
+def test_budget_charges_every_point_of_the_ball(code, radius, orbit):
+    from detsums.codes import diagonal_nf_code, golden_code
+    lat = {"json": lambda: build_lattice([np.array([[1.0, 0.5j]]),
+                                          np.array([[0.3j, 1.0]]),
+                                          np.array([[0.2, 0.7 + 0.1j]])]),
+           "nf": diagonal_nf_code, "golden": golden_code}[code]()
+    assert lat.orbit_size == orbit
+    budget = PointBudget(DEFAULT_BUDGET)
+    for _ in coefficient_blocks(lat, radius, budget=budget):
+        pass
+    # The budget counts the origin too.
+    assert budget.used == shell_counts(lat, [radius])[-1] + 1
+
+
+def test_parts_of_a_golden_walk_trip_their_shared_budget(golden_lattice):
+    # An int budget this small would fail the predicted-count check before
+    # the walk starts, so the parts share a PointBudget whose count is
+    # already within 10^6 points of its limit: the ball holds 4,558,736.
+    radius = 4 * SQRT2
+    budget = PointBudget(10 ** 7)
+    assert predicted_point_count(golden_lattice, radius) < budget.limit
+    budget.used = budget.limit - 10 ** 6
+    parts = [coefficient_blocks(golden_lattice, radius, budget=budget, part=(j, 2))
+             for j in range(2)]
+    rows = [0, 0]
+    with pytest.raises(BudgetExceeded):
+        for blocks in zip(*parts):
+            for j, (coeffs, _) in enumerate(blocks):
+                rows[j] += len(coeffs)
+    assert budget.used > budget.limit
+    assert rows[0] > 0 and rows[1] > 0
+    assert 8 * sum(rows) < 10 ** 6
+
+
+def test_golden_walk_row_counts(golden_lattice):
+    # |L(4)| = 306,048 and |L(4 sqrt 2)| = 4,558,736 points, one row per
+    # orbit of eight.
+    for radius, rows in ((4.0, 38_256), (4 * SQRT2, 569_842)):
+        assert sum(len(c) for c, _ in coefficient_blocks(golden_lattice, radius)) == rows
 
 
 def test_point_reconstruction_and_norm():

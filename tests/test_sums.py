@@ -15,8 +15,9 @@ from detsums.sums import (SumCurve, SumSpec, convergence_probe, dyadic_bound,
                           shifted_det_sum, shifted_vs_mixed_bound, sum_curve,
                           sum_curves)
 
-from conftest import (box_scan_coeffs, box_scan_sum, golden_shaped_lattices,
-                      random_paired_lattice, random_small_lattice)
+from conftest import (ZI_INVERSE_FOURTH, box_scan_coeffs, box_scan_sum,
+                      golden_shaped_lattices, random_paired_lattice,
+                      random_small_lattice)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -340,19 +341,10 @@ def test_partition_invariance_on_paired_lattices(seed, pairs, scale):
             assert a == pytest.approx(b, rel=1e-9)
 
 
-# 4 zeta(2) G, the sum of |z|^-4 over the nonzero Gaussian integers: the
-# Dedekind zeta function of Q(i) factors as zeta(s) L(s, chi_-4), the four
-# units give each ideal four generators, so the sum is 4 zeta(2) beta(2) with
-# zeta(2) = pi^2 / 6 and beta(2) = G = 0.915965594177219... (Catalan's
-# constant).  Evaluated to 30 digits with mpmath, then rounded.
-_ZI_INVERSE_FOURTH = 6.02681203969194
-
-
 @pytest.mark.parametrize("radius,tol", [(16.0, 0.02), (64.0, 3e-3), (256.0, 5e-4)])
 def test_gaussian_integer_limit(zi_lattice, radius, tol):
-    # The tail beyond R is about the integral of r^-4 over the plane outside
-    # the disc of radius R, pi / R^2.
-    deficit = _ZI_INVERSE_FOURTH - inverse_det_sum(zi_lattice, 4, radius)
+    # The tail beyond R is about pi / R^2 (see ZI_INVERSE_FOURTH).
+    deficit = ZI_INVERSE_FOURTH - inverse_det_sum(zi_lattice, 4, radius)
     assert deficit > 0
     assert radius * radius * deficit / math.pi == pytest.approx(1.0, abs=tol)
 
@@ -554,6 +546,19 @@ def test_probe_zero_shift_counts(zi_lattice):
                                          [2.0, 4.0, 8.0, 16.0])
     assert not saturated
     assert curve.values == [float(c) for c in curve.point_counts]
+
+
+def test_probe_matches_the_gaussian_integer_limit(zi_lattice):
+    # c^2 (1 + c |z|^2)^-2 = |z|^-4 (1 + 1 / (c |z|^2))^-2 lies within 2 / c
+    # relative of |z|^-4, so at a large shift c^2 times the probe's last value
+    # is the sum of |z|^-4 over the disc of radius R: the limit less its tail
+    # pi / R^2, as in test_gaussian_integer_limit.
+    c = 1e6
+    radii = [2.0 ** j for j in range(1, 9)]
+    curve, saturated = convergence_probe(zi_lattice, 2.0, c, radii)
+    assert radii[-1] == 256.0 and saturated
+    expected = ZI_INVERSE_FOURTH - math.pi / radii[-1] ** 2
+    assert c * c * curve.values[-1] == pytest.approx(expected, rel=1e-4)
 
 
 def test_probe_requires_unit_min_norm():
