@@ -16,10 +16,8 @@ from .channel import (ChannelConfig, SimResult, coding_scheme, diversity_slope,
                       union_bounds)
 from .codes import (CodeSpec, diagonal_nf_code, gaussian_diagonal, golden_code,
                     normalize_unit_min_norm)
-from .lattice import (LatticePoint, MatrixLattice, build_lattice,
-                      enumerate_points, lattice_from_json, lattice_to_json,
-                      shell_counts, size_reduce)
-from .linalg import gram, shifted_det, symmetric_means
+from .lattice import (MatrixLattice, build_lattice, lattice_from_json,
+                      lattice_to_json, shell_counts)
 from .pipeline import ExperimentConfig, ExperimentReport, run
 from .presets import build_preset, preset_names
 from .sums import (SumCurve, SumSpec, convergence_probe, dyadic_bound,

@@ -248,18 +248,13 @@ class DmtCurve:
             "provenance": dict(self.provenance),
         }
 
-    def to_csv(self, grid: Sequence[float], path=None) -> str | None:
+    def to_csv(self, grid: Sequence[float]) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["r", "d"])
         for r, d in zip(grid, self.evaluate_grid(grid)):
             w.writerow([repr(float(r)), repr(float(d))])
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        return None
+        return buf.getvalue()
 
 
 def dmt_ml_bound(a, b, k: int, T: int) -> DmtCurve:

@@ -253,7 +253,7 @@ class SimResult:
     seed: int
     overflow_count: tuple = ()
 
-    def to_csv(self, path=None) -> str | None:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["snr_db", "error_rate", "errors", "trials", "ci_halfwidth",
@@ -263,12 +263,7 @@ class SimResult:
                        strict=True):
             w.writerow([repr(float(row[0])), repr(float(row[1])), int(row[2]),
                         int(row[3]), repr(float(row[4])), int(row[5])])
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        return None
+        return buf.getvalue()
 
     def to_json_dict(self) -> dict:
         return {

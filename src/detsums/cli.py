@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -109,13 +110,14 @@ def _cmd_construct(args) -> int:
 def _cmd_enumerate(args) -> int:
     lat = _resolve_code_arg(args)
     rows = ["coeffs,norm_f"]
-    count = 0
-    for pt in lattice.enumerate_points(lat, args.M, dedup_signs=args.dedup_signs,
-                                       budget=args.budget):
-        rows.append("\"" + " ".join(str(int(v)) for v in pt.coeffs) + "\","
-                    + repr(pt.norm_f))
-        count += 1
-        if args.limit and count >= args.limit:
+    for coeffs, norm_sq in lattice.coefficient_blocks(lat, args.M, budget=args.budget):
+        # Each image of the block follows it in the same row order.
+        norms = norm_sq.tolist()
+        coeffs = lattice.orbit_images(lat, coeffs, dedup_signs=args.dedup_signs)
+        rows.extend(f"\"{' '.join(map(str, z))}\",{math.sqrt(norms[j % len(norms)])!r}"
+                    for j, z in enumerate(coeffs.tolist()))
+        if 0 < args.limit < len(rows):
+            del rows[args.limit + 1:]
             break
     _emit("\n".join(rows) + "\n", args.out)
     return 0

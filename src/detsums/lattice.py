@@ -38,11 +38,12 @@ quarter B-half ball once, and the A that go with a B are the prefix of the
 sorted ball with ||A||^2 <= min(R^2 - ||B||^2, ||B||^2), found by one
 ``searchsorted``.
 
-``coefficient_blocks`` is the one entry point to both walks; ``enumerate_points``
-expands each orbit again with ``orbit_images`` when a caller wants the whole
-ball.  A walk splits into parts by the residue of its top coefficient: part
-(j, n) keeps the points whose last coefficient t has t = j (mod n), so the n
-parts are disjoint, cover the ball, and interleave its thick and thin slices.
+``coefficient_blocks`` is the one entry point to both walks; ``orbit_images``
+expands a block's orbits again when a caller wants the whole ball, and
+``realize_block`` turns coefficient rows into matrices.  A walk splits into
+parts by the residue of its top coefficient: part (j, n) keeps the points
+whose last coefficient t has t = j (mod n), so the n parts are disjoint,
+cover the ball, and interleave its thick and thin slices.
 """
 
 from __future__ import annotations
@@ -60,14 +61,11 @@ from .linalg import as_complex_matrix
 
 __all__ = [
     "MatrixLattice",
-    "LatticePoint",
     "build_lattice",
     "rescale_lattice",
-    "size_reduce",
     "lattice_from_json",
     "lattice_to_json",
     "coefficient_blocks",
-    "enumerate_points",
     "realize_block",
     "orbit_images",
     "shell_counts",
@@ -156,13 +154,6 @@ class MatrixLattice:
         return np.tensordot(z, self.basis, axes=(0, 0))
 
 
-@dataclass
-class LatticePoint:
-    coeffs: np.ndarray
-    matrix: np.ndarray
-    norm_f: float
-
-
 def _vectorize_real(basis: np.ndarray) -> np.ndarray:
     k = basis.shape[0]
     flat = basis.reshape(k, -1)
@@ -206,34 +197,6 @@ def rescale_lattice(lat: MatrixLattice, factor: float) -> MatrixLattice:
     if factor <= 0:
         raise ValueError("scale factor must be positive")
     return build_lattice(list(lat.basis * factor))
-
-
-def size_reduce(lat: MatrixLattice, max_passes: int = 32) -> MatrixLattice:
-    """Same lattice on a size-reduced basis.
-
-    Pairwise sweeps subtract rounded Gram projections, shortening skewed
-    bases before enumeration.  Desk-scale ranks rarely need it (the built-in
-    constructions are already near-orthogonal), so it is opt-in rather than
-    part of build_lattice.
-    """
-    basis = [B.copy() for B in lat.basis]
-    V = _vectorize_real(np.stack(basis))
-    G = V @ V.T
-    for _ in range(max_passes):
-        changed = False
-        for i in range(lat.k):
-            for j in range(lat.k):
-                if i == j:
-                    continue
-                q = round(G[i, j] / G[j, j])
-                if q != 0:
-                    basis[i] = basis[i] - q * basis[j]
-                    G[i, :] -= q * G[j, :]
-                    G[:, i] -= q * G[:, j]
-                    changed = True
-        if not changed:
-            break
-    return build_lattice(basis)
 
 
 def _shortest_nonzero_norm_sq(G: np.ndarray, U: np.ndarray) -> float:
@@ -554,20 +517,6 @@ def realize_block(lat: MatrixLattice, coeffs: np.ndarray) -> np.ndarray:
     return flat.view(np.complex128).reshape(-1, lat.n, lat.T)
 
 
-def enumerate_points(lat: MatrixLattice, radius: float, *,
-                     dedup_signs: bool = False,
-                     budget: int = DEFAULT_BUDGET) -> Iterator[LatticePoint]:
-    """Per-point stream over L(radius), or over one of each +/-X pair of it
-    with ``dedup_signs``; convenience wrapper for small balls."""
-    for coeffs, norm_sq in coefficient_blocks(lat, radius, budget=budget):
-        coeffs = orbit_images(lat, coeffs, dedup_signs=dedup_signs)
-        norm_sq = np.tile(norm_sq, coeffs.shape[0] // norm_sq.size)
-        mats = realize_block(lat, coeffs)
-        for row in range(coeffs.shape[0]):
-            yield LatticePoint(coeffs=coeffs[row].copy(), matrix=mats[row],
-                               norm_f=math.sqrt(float(norm_sq[row])))
-
-
 def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,
                  budget: int = DEFAULT_BUDGET) -> list[int]:
     """|L(M)| for each radius M in an increasing list, from one orbit walk."""
@@ -591,17 +540,18 @@ def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,
 # ---------------------------------------------------------------------------
 
 def lattice_from_json(source) -> MatrixLattice:
-    """Load a lattice basis from a JSON file path, file object, or dict."""
+    """Load a lattice basis from a JSON file path or dict."""
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    n, T = int(doc["n"]), int(doc["T"])
+    try:
+        n, T, entries = int(doc["n"]), int(doc["T"]), doc["basis"]
+    except KeyError as exc:
+        raise ValueError(f"basis JSON lacks the key {exc}") from None
     basis = []
-    for flat in doc["basis"]:
+    for flat in entries:
         if len(flat) != n * T:
             raise DimensionMismatch(
                 f"basis entry list has {len(flat)} entries, expected {n * T}")

@@ -15,9 +15,9 @@ coefficients straight off X: ``e_1 = ||X||_F^2`` and, for square X,
     det(I + c X X*) = 1 + c ||X||_F^2 + c^2 |det X|^2,
 
 with no Gram matrix formed.  The middle coefficients (n >= 3), and e_n of a
-non-square X, come from principal minors of the Gram matrix.  The scalar
-helpers are the batched kernels on a batch of one; no iterative eigensolver
-is involved, which keeps results deterministic.
+non-square X, come from principal minors of the Gram matrix.  Every kernel
+takes a (B, n, T) stack; a single matrix is a stack of one.  No iterative
+eigensolver is involved, which keeps results deterministic.
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ import numpy as np
 
 __all__ = [
     "as_complex_matrix",
-    "gram",
     "gram_batch",
-    "symmetric_means",
     "symmetric_means_batch",
-    "shifted_det",
     "shifted_det_batch",
     "det_batch",
     "det_gram_batch",
@@ -58,27 +55,11 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
     return X
 
 
-def gram(X: np.ndarray) -> np.ndarray:
-    """Return the Hermitian positive-semidefinite product ``X @ X*`` (n x n)."""
-    G = X @ X.conj().T
-    # Symmetrize so the stored triangles are exact conjugates of each other.
-    return (G + G.conj().T) / 2.0
-
-
 def gram_batch(Xb: np.ndarray) -> np.ndarray:
-    """Batched ``gram`` for a stack of matrices with shape (B, n, T)."""
+    """Hermitian positive-semidefinite products ``X @ X*`` of a (B, n, T) stack."""
     G = np.einsum("bij,bkj->bik", Xb, Xb.conj())
+    # Symmetrize so the stored triangles are exact conjugates of each other.
     return (G + np.conj(np.swapaxes(G, 1, 2))) / 2.0
-
-
-def symmetric_means(X: np.ndarray) -> np.ndarray:
-    """Symmetric means of the Gram eigenvalues of X (``symmetric_means_batch``
-    on a batch of one).
-
-    p_1 equals ||X||_F^2 / n and p_n equals det(X X*) / 1; the vector has
-    length n = rows(X) and is nonnegative.
-    """
-    return symmetric_means_batch(np.asarray(X, dtype=np.complex128)[None])[0]
 
 
 def det_batch(Mb: np.ndarray) -> np.ndarray:
@@ -141,18 +122,14 @@ def det_gram_batch(Xb: np.ndarray) -> np.ndarray:
 
 
 def symmetric_means_batch(Xb: np.ndarray) -> np.ndarray:
-    """Batched symmetric means, shape (B, n)."""
+    """Symmetric means p_1..p_n of the Gram eigenvalues of a (B, n, T) stack,
+    shape (B, n), nonnegative: p_1 = ||X||_F^2 / n and p_n = det(X X*)."""
     n = Xb.shape[1]
     return _esp_batch(Xb) / np.array([math.comb(n, i) for i in range(1, n + 1)], dtype=float)
 
 
-def shifted_det(X: np.ndarray, c: float) -> float:
-    """det(I + c X X*) for c >= 0 (``shifted_det_batch`` on a batch of one)."""
-    return float(shifted_det_batch(np.asarray(X, dtype=np.complex128)[None], c)[0])
-
-
 def shifted_det_batch(Xb: np.ndarray, c: float) -> np.ndarray:
-    """Batched ``shifted_det`` over a stack of matrices with shape (B, n, T):
+    """det(I + c X X*) for c >= 0 over a (B, n, T) stack:
     1 + e_1 c + ... + e_n c^n, by Horner's rule on nonnegative terms."""
     if c < 0:
         raise ValueError("shift c must be nonnegative")

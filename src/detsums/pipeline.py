@@ -139,20 +139,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        return cls(
-            name=doc["name"],
-            code=CodeSpec.from_dict(doc["code"]),
-            sum_jobs=tuple(SumJob.from_dict(j) for j in doc.get("sumJobs", [])),
-            envelope=EnvelopeJob.from_dict(doc["envelope"]) if doc.get("envelope") else None,
-            dmt=DmtJob.from_dict(doc["dmt"]) if doc.get("dmt") else None,
-            sim=ChannelConfig.from_dict(doc["sim"]) if doc.get("sim") else None,
-            compare_c_values=tuple(doc.get("compareCValues", [])),
-            compare_m=doc.get("compareM"),
-            compare_radii=tuple(doc.get("compareRadii", [])),
-            det_scan_radius=doc.get("detScanRadius"),
-            seed=doc.get("seed", 0),
-            budget=doc.get("budget", DEFAULT_BUDGET),
-        )
+        try:
+            return cls(
+                name=doc["name"],
+                code=CodeSpec.from_dict(doc["code"]),
+                sum_jobs=tuple(SumJob.from_dict(j) for j in doc.get("sumJobs", [])),
+                envelope=EnvelopeJob.from_dict(doc["envelope"]) if doc.get("envelope") else None,
+                dmt=DmtJob.from_dict(doc["dmt"]) if doc.get("dmt") else None,
+                sim=ChannelConfig.from_dict(doc["sim"]) if doc.get("sim") else None,
+                compare_c_values=tuple(doc.get("compareCValues", [])),
+                compare_m=doc.get("compareM"),
+                compare_radii=tuple(doc.get("compareRadii", [])),
+                det_scan_radius=doc.get("detScanRadius"),
+                seed=doc.get("seed", 0),
+                budget=doc.get("budget", DEFAULT_BUDGET),
+            )
+        except KeyError as exc:
+            raise ValueError(f"experiment config lacks the key {exc}") from None
 
 
 def _canonical_json(doc: dict) -> str:
@@ -396,7 +399,7 @@ def _persist(report: ExperimentReport, out: Path) -> None:
                 _json_text(dict(report.lattice_summary, hash=report.hash)))
     for curve in report.curves:
         stem = f"curve_{curve.spec.label()}"
-        curve.to_csv(out / f"{stem}.csv")
+        _write_text(out / f"{stem}.csv", curve.to_csv())
         _write_text(out / f"{stem}.json",
                     _json_text(dict(curve.to_json_dict(), hash=report.hash)))
     if report.fits:
@@ -409,14 +412,14 @@ def _persist(report: ExperimentReport, out: Path) -> None:
     grid = [round(0.01 * j, 2) for j in range(0, 201)]
     for curve in report.dmt_curves:
         stem = "dmt_" + _slug(curve.label)
-        curve.to_csv(grid, out / f"{stem}.csv")
+        _write_text(out / f"{stem}.csv", curve.to_csv(grid))
         _write_text(out / f"{stem}.json",
                     _json_text(dict(curve.to_json_dict(), hash=report.hash)))
     if report.thresholds:
         _write_text(out / "thresholds.json",
                     _json_text({"hash": report.hash, "thresholds": report.thresholds}))
     if report.sim_result is not None:
-        report.sim_result.to_csv(out / "sim.csv")
+        _write_text(out / "sim.csv", report.sim_result.to_csv())
         _write_text(out / "sim.json", _json_text(
             dict(report.sim_result.to_json_dict(), hash=report.hash,
                  unionBound=report.sim_bound)))

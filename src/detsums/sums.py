@@ -107,52 +107,32 @@ class SumCurve:
     """Sum values of one family on an increasing radius grid.
 
     ``point_counts`` are the points that contributed and ``singular_counts``
-    the singular points ``skip_singular`` dropped, both cumulative per radius
-    (None when read from a file written before the drops were recorded).
+    the singular points ``skip_singular`` dropped, both cumulative per radius.
     """
 
     spec: SumSpec
     radii: list[float]
     values: list[float]
     point_counts: list[int]
-    singular_counts: list[int] | None = None
+    singular_counts: list[int]
 
-    def to_csv(self, path=None) -> str | None:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["M", "value", "pointCount"])
         for M, v, cnt in zip(self.radii, self.values, self.point_counts):
             w.writerow([repr(float(M)), repr(float(v)), cnt])
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        return None
+        return buf.getvalue()
 
     def to_json_dict(self) -> dict:
-        points = [{"M": float(M), "value": float(v), "pointCount": int(cnt)}
-                  for M, v, cnt in zip(self.radii, self.values, self.point_counts)]
-        for p, cnt in zip(points, self.singular_counts or ()):
-            p["singularCount"] = int(cnt)
         return {
             "spec": {"family": self.spec.family, "m": self.spec.m, "c": self.spec.c,
                      "i": self.spec.i},
-            "points": points,
+            "points": [{"M": float(M), "value": float(v), "pointCount": int(cnt),
+                        "singularCount": int(sing)}
+                       for M, v, cnt, sing in zip(self.radii, self.values,
+                                                  self.point_counts, self.singular_counts)],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SumCurve":
-        """Read a curve; the ``compensation`` and ``dedupSigns`` keys of older
-        files are ignored, and files without ``singularCount`` read as None."""
-        spec = SumSpec(family=doc["spec"]["family"], m=doc["spec"]["m"],
-                       c=doc["spec"].get("c", 0.0), i=doc["spec"].get("i"))
-        pts = doc["points"]
-        return cls(spec=spec, radii=[p["M"] for p in pts],
-                   values=[p["value"] for p in pts],
-                   point_counts=[p["pointCount"] for p in pts],
-                   singular_counts=([p["singularCount"] for p in pts]
-                                    if pts and "singularCount" in pts[0] else None))
 
 
 def _singular_mask(det_g: np.ndarray, norm_sq: np.ndarray, n: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own computation paths:
 matrix products by explicit triple loops, symmetric means through an
 eigenvalue solver, determinants through LU, point sets through exhaustive
-coefficient-box scans, and sums through math.fsum.
+coefficient-box scans, and sums through math.fsum.  ``ball_points`` is
+not an oracle: it is the library's own walk, expanded to the whole ball.
 """
 
 import math
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import strategies as st
 
 from detsums.errors import DependentBasis
-from detsums.lattice import MatrixLattice, build_lattice
+from detsums.lattice import (MatrixLattice, build_lattice, coefficient_blocks,
+                             orbit_images)
 
 
 def random_complex(rng: np.random.Generator, n: int, T: int) -> np.ndarray:
@@ -96,6 +98,19 @@ ZI_INVERSE_FOURTH = 6.02681203969194
 def _r8(n: int) -> int:
     """Jacobi: the number of ways to write n as a sum of eight squares."""
     return 16 * sum((-1) ** (n + d) * d ** 3 for d in range(1, n + 1) if n % d == 0)
+
+
+def ball_points(lat: MatrixLattice, radius: float, *,
+                dedup_signs: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs, norm_sq) of every nonzero point of L(radius), or of one of
+    each +/-X pair with ``dedup_signs``: the orbit walk of
+    ``coefficient_blocks``, each block expanded by ``orbit_images``."""
+    coeffs, norms = [np.zeros((0, lat.k), dtype=np.int64)], [np.zeros(0)]
+    for block, norm_sq in coefficient_blocks(lat, radius):
+        block = orbit_images(lat, block, dedup_signs=dedup_signs)
+        coeffs.append(block)
+        norms.append(np.tile(norm_sq, len(block) // len(norm_sq)))
+    return np.concatenate(coeffs), np.concatenate(norms)
 
 
 def naive_matmul_gram(X: np.ndarray) -> np.ndarray:

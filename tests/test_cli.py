@@ -2,9 +2,14 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from detsums.cli import main
+from detsums.codes import golden_code
+from detsums.lattice import shell_counts
+
+from conftest import box_scan_coeffs
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +134,52 @@ def test_enumerate_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "coeffs,norm_f"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_enumerate_prints_the_ball(capsys, dedup):
+    lat = golden_code()
+    code, out, _ = run_cli(capsys, "enumerate", "--code", "golden", "--M", "1.5",
+                           *(["--dedup-signs"] if dedup else []))
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    points = [tuple(int(v) for v in r["coeffs"].split()) for r in rows]
+    ball = set(box_scan_coeffs(lat, 1.5))
+    assert len(set(points)) == len(points)
+    if dedup:
+        # One point of each +/-z pair.
+        negated = {tuple(-v for v in z) for z in points}
+        assert not set(points) & negated
+        assert set(points) | negated == ball
+    else:
+        assert set(points) == ball
+    for z, r in zip(points, rows):
+        z = np.array(z, dtype=float)
+        assert abs(float(r["norm_f"]) ** 2 - z @ lat.gram_real @ z) <= 1e-12
+    assert (2 if dedup else 1) * len(rows) == shell_counts(lat, [1.5])[0] == 128
+
+
+def test_basis_json_without_n_is_a_computation_error(capsys, tmp_path):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"T": 1, "basis": [[[1.0, 0.0]]]}))
+    code, out, err = run_cli(capsys, "construct", "--basis-json", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error[construct]: basis JSON lacks the key 'n'\n"
+
+
+def test_config_without_code_is_a_computation_error(capsys, tmp_path):
+    from detsums.presets import build_preset
+    doc = build_preset("gaussian-diagonal-2").to_dict()
+    del doc["code"]
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", "--config", str(path),
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert err == "error[run]: experiment config lacks the key 'code'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_from_csv(capsys, tmp_path):

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from detsums.errors import BudgetExceeded, DependentBasis, DimensionMismatch
 from detsums.lattice import (DEFAULT_BUDGET, PointBudget, build_lattice,
-                             coefficient_blocks, enumerate_points,
-                             lattice_from_json, lattice_to_json, orbit_images,
+                             coefficient_blocks, lattice_from_json,
+                             lattice_to_json, orbit_images,
                              predicted_point_count, realize_block,
-                             shell_counts, size_reduce)
+                             shell_counts)
 
-from conftest import (GOLDEN_E, _r8, box_scan_coeffs, golden_shaped_lattices,
-                      random_paired_lattice, random_small_lattice)
+from conftest import (GOLDEN_E, _r8, ball_points, box_scan_coeffs,
+                      golden_shaped_lattices, random_paired_lattice,
+                      random_small_lattice)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -45,28 +46,28 @@ def test_empty_basis_rejected():
         build_lattice([])
 
 
+def coeff_tuples(coeffs):
+    return [tuple(z) for z in coeffs.tolist()]
+
+
 def test_enumerate_unit_ball():
     lat = gaussian_int_lattice()
-    pts = list(enumerate_points(lat, 1.0))
-    got = sorted(tuple(int(v) for v in p.coeffs) for p in pts)
-    assert got == [(-1, 0), (0, -1), (0, 1), (1, 0)]
-    for p in pts:
-        assert p.norm_f == pytest.approx(1.0, abs=1e-12)
+    coeffs, norm_sq = ball_points(lat, 1.0)
+    assert sorted(coeff_tuples(coeffs)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert np.allclose(norm_sq, 1.0, atol=1e-12)
 
 
 def test_enumerate_sqrt2_ball():
     lat = gaussian_int_lattice()
-    assert len(list(enumerate_points(lat, SQRT2))) == 8
+    assert len(ball_points(lat, SQRT2)[0]) == 8
 
 
 def test_enumerate_sign_dedup():
     lat = gaussian_int_lattice()
-    pts = list(enumerate_points(lat, SQRT2, dedup_signs=True))
-    assert len(pts) == 4
-    coeffs = {tuple(int(v) for v in p.coeffs) for p in pts}
+    coeffs = coeff_tuples(ball_points(lat, SQRT2, dedup_signs=True)[0])
+    assert len(set(coeffs)) == len(coeffs) == 4
     for z in coeffs:
-        neg = tuple(-v for v in z)
-        assert neg not in coeffs
+        assert tuple(-v for v in z) not in coeffs
 
 
 def test_shell_counts_examples():
@@ -128,11 +129,11 @@ def test_golden_walk_row_counts(golden_lattice):
 
 def test_point_reconstruction_and_norm():
     lat = gaussian_int_lattice()
-    for p in enumerate_points(lat, 2.0):
-        again = lat.realize(p.coeffs)
-        assert np.max(np.abs(again - p.matrix)) < 1e-9
-        assert p.norm_f ** 2 == pytest.approx(float(np.sum(np.abs(p.matrix) ** 2)),
-                                              rel=1e-9)
+    coeffs, norm_sq = ball_points(lat, 2.0)
+    mats = realize_block(lat, coeffs)
+    for z, X, v in zip(coeffs, mats, norm_sq):
+        assert np.max(np.abs(lat.realize(z) - X)) < 1e-9
+        assert v == pytest.approx(float(np.sum(np.abs(X) ** 2)), rel=1e-9)
 
 
 def test_symmetry_and_no_duplicates():
@@ -140,7 +141,7 @@ def test_symmetry_and_no_duplicates():
              np.array([[1j, 0.0], [0.3, 0.0]]),
              np.array([[0.0, 1.0], [0.5j, 1.0]])]
     lat = build_lattice(basis)
-    pts = [tuple(int(v) for v in p.coeffs) for p in enumerate_points(lat, 2.5)]
+    pts = coeff_tuples(ball_points(lat, 2.5)[0])
     assert len(pts) == len(set(pts))
     as_set = set(pts)
     for z in as_set:
@@ -153,9 +154,9 @@ def test_symmetry_and_no_duplicates():
 def test_enumeration_matches_box_scan(seed, k, radius):
     rng = np.random.default_rng(seed)
     lat = random_small_lattice(rng, k)
-    mine = {tuple(int(v) for v in p.coeffs) for p in enumerate_points(lat, radius)}
-    oracle = set(box_scan_coeffs(lat, radius))
-    assert mine == oracle
+    mine = coeff_tuples(ball_points(lat, radius)[0])
+    assert len(set(mine)) == len(mine)
+    assert set(mine) == set(box_scan_coeffs(lat, radius))
 
 
 # Random bases of rank <= 4 in 2 x 2 matrices, plus the non-square 2 x 3 case.
@@ -167,11 +168,10 @@ _SHAPES = st.sampled_from([(2, 2), (2, 3)])
        radius=st.floats(0.6, 4.0), shape=_SHAPES)
 def test_half_walk_and_negation_match_box_scan(seed, k, radius, shape):
     lat = random_small_lattice(np.random.default_rng(seed), k, *shape)
-    half = []
-    for p in enumerate_points(lat, radius, dedup_signs=True):
-        half.append(tuple(int(v) for v in p.coeffs))
-        assert p.norm_f ** 2 == pytest.approx(float(np.sum(np.abs(p.matrix) ** 2)),
-                                              rel=1e-9)
+    coeffs, norm_sq = ball_points(lat, radius, dedup_signs=True)
+    mats = realize_block(lat, coeffs)
+    assert np.allclose(norm_sq, np.sum(np.abs(mats) ** 2, axis=(1, 2)), rtol=1e-9)
+    half = coeff_tuples(coeffs)
     half_set = set(half)
     negated = {tuple(-v for v in z) for z in half}
     assert len(half_set) == len(half)
@@ -194,9 +194,8 @@ def test_half_walk_on_non_square_lattice():
     lat = build_lattice([np.array([[1.0, 0.5j, 0.0], [0.0, 1.0, 0.0]]),
                          np.array([[0.0, 1j, 0.0], [0.5, 0.0, 1.0]]),
                          np.array([[1j, 0.0, 1.0], [0.0, 0.0, 1j]])])
-    full = {tuple(int(v) for v in p.coeffs) for p in enumerate_points(lat, 2.5)}
-    half = [tuple(int(v) for v in p.coeffs)
-            for p in enumerate_points(lat, 2.5, dedup_signs=True)]
+    full = set(coeff_tuples(ball_points(lat, 2.5)[0]))
+    half = coeff_tuples(ball_points(lat, 2.5, dedup_signs=True)[0])
     assert 2 * len(half) == len(full)
     assert full == set(half) | {tuple(-v for v in z) for z in half}
     assert full == set(box_scan_coeffs(lat, 2.5))
@@ -279,8 +278,7 @@ def test_quarter_walk_rotations_match_box_scan(seed, pairs, scale, shape):
                     if a or b)
         assert a > 0 and b >= 0
     # The sign-deduplicated stream is each quarter block plus its rotation.
-    half = {tuple(int(v) for v in p.coeffs)
-            for p in enumerate_points(lat, radius, dedup_signs=True)}
+    half = set(coeff_tuples(ball_points(lat, radius, dedup_signs=True)[0]))
     assert half == set(quarter) | set(rotations[1])
 
 
@@ -314,8 +312,7 @@ def test_eighth_walk_images_match_box_scan(lat, scale):
                     if a or b)
         assert a > 0 and b >= 0
     # dedup_signs: one of each +/-X pair, highest nonzero coefficient positive.
-    half = [tuple(int(v) for v in p.coeffs)
-            for p in enumerate_points(lat, radius, dedup_signs=True)]
+    half = coeff_tuples(ball_points(lat, radius, dedup_signs=True)[0])
     negated = {tuple(-v for v in z) for z in half}
     assert len(set(half)) == len(half) == len(oracle) // 2
     assert not set(half) & negated
@@ -382,8 +379,7 @@ def test_non_paired_lattice_keeps_half_walk():
     lat = lattice_from_json(doc)
     assert lat.orbit_size == 2
     rows = _orbit_rows(lat, 2.5)
-    half = [tuple(int(v) for v in p.coeffs)
-            for p in enumerate_points(lat, 2.5, dedup_signs=True)]
+    half = coeff_tuples(ball_points(lat, 2.5, dedup_signs=True)[0])
     assert rows == half
     full = set(box_scan_coeffs(lat, 2.5))
     assert 2 * len(rows) == len(full)
@@ -451,23 +447,6 @@ def test_json_rejects_bad_entry_count():
     doc = {"n": 2, "T": 2, "basis": [[[1.0, 0.0]]]}
     with pytest.raises(DimensionMismatch):
         lattice_from_json(doc)
-
-
-def test_size_reduction_preserves_lattice():
-    # a deliberately skewed basis of the Gaussian integers
-    skewed = build_lattice([np.array([[1.0 + 0j]]),
-                            np.array([[7.0 + 1j]])])
-    reduced = size_reduce(skewed)
-    assert np.max(np.abs(reduced.basis)) < np.max(np.abs(skewed.basis))
-    assert reduced.covolume == pytest.approx(skewed.covolume, rel=1e-9)
-
-    def realized_set(lat, M):
-        out = set()
-        for p in enumerate_points(lat, M):
-            out.add(tuple(np.round(p.matrix.reshape(-1).view(float), 9)))
-        return out
-
-    assert realized_set(reduced, 2.5) == realized_set(skewed, 2.5)
 
 
 def test_golden_shell_growth(golden_lattice):

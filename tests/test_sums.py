@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,17 +8,15 @@ from hypothesis import strategies as st
 
 from detsums.codes import gaussian_diagonal, golden_code
 from detsums.errors import BudgetExceeded, HypothesisViolated, SingularPoint
-from detsums.lattice import (build_lattice, enumerate_points, rescale_lattice,
-                             shell_counts)
-from detsums.linalg import shifted_det
-from detsums.sums import (SumCurve, SumSpec, convergence_probe, dyadic_bound,
+from detsums.lattice import build_lattice, rescale_lattice, shell_counts
+from detsums.sums import (SumSpec, convergence_probe, dyadic_bound,
                           evaluate_sum, inverse_det_sum, norm_det_sum,
                           shifted_det_sum, shifted_vs_mixed_bound, sum_curve,
                           sum_curves)
 
 from conftest import (ZI_INVERSE_FOURTH, box_scan_coeffs, box_scan_sum,
-                      golden_shaped_lattices, random_paired_lattice,
-                      random_small_lattice)
+                      golden_shaped_lattices, lu_shifted_det,
+                      random_paired_lattice, random_small_lattice)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -169,11 +168,11 @@ def test_scale_covariance(seed, paired, a, reach, c, m):
 
 
 def test_dedup_signs_matches_default(golden_lattice):
-    # Sums run on the sign-deduplicated half walk; the full per-point stream
-    # must give the same total.
+    # Sums run on one point of each orbit; LU determinants over the
+    # box-scanned whole ball must give the same total.
     half = shifted_det_sum(golden_lattice, 4, 1.0, 2.0)
-    full = math.fsum(shifted_det(p.matrix, 1.0) ** -4.0
-                     for p in enumerate_points(golden_lattice, 2.0))
+    full = box_scan_sum(golden_lattice, 2.0,
+                        lambda X, _: lu_shifted_det(X, 1.0) ** -4.0)
     assert half == pytest.approx(full, rel=1e-12)
 
 
@@ -505,21 +504,23 @@ def test_dyadic_hypothesis_violation():
 
 def test_dyadic_bound_on_lattice_shells(zi_lattice):
     # Reduction to lattices: apply the dyadic machinery to the shell counts
-    # f(x) = #{X : ||X||_F = x}.  Counts obey |L(M)| <= 8 M^2, so the
-    # norm-weighted sum over the lattice is bounded by the proof constant.
-    from collections import defaultdict
-    from detsums.lattice import enumerate_points
+    # f(x) = #{X : ||X||_F = x} of the box-scanned ball.  Counts obey
+    # |L(M)| <= 8 M^2, so the norm-weighted sum over the lattice is bounded by
+    # the proof constant; it is the sum of |z|^-4 over the Gaussian integers
+    # in the disc, the limit less a tail of about pi / M^2.
+    from collections import Counter
     M = 16.0
-    shells = defaultdict(int)
-    for p in enumerate_points(zi_lattice, M):
-        shells[round(p.norm_f, 12)] += 1
+    norms = [float(np.sum(np.abs(zi_lattice.realize(z)) ** 2))
+             for z in box_scan_coeffs(zi_lattice, M)]
+    shells = Counter(round(math.sqrt(v), 12) for v in norms)
     xs = np.array(sorted(shells))
     fs = np.array([float(shells[x]) for x in xs])
     res = dyadic_bound(xs, fs, K=8.0, s=2.0, t=4.0)
-    direct = math.fsum(1.0 / p.norm_f ** 4 for p in enumerate_points(zi_lattice, M))
     assert res.regime == "convergent"
-    assert res.weighted_sum == pytest.approx(direct, rel=1e-9)
+    assert res.weighted_sum == pytest.approx(math.fsum(v ** -2 for v in norms), rel=1e-9)
     assert res.weighted_sum <= res.proof_bound
+    deficit = ZI_INVERSE_FOURTH - res.weighted_sum
+    assert M * M * deficit / math.pi == pytest.approx(1.0, abs=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -586,24 +587,19 @@ def test_sum_curve_matches_pointwise(zi_lattice):
         assert count == npts
 
 
-def test_sum_curve_csv_and_json_round_trip(zi_lattice, tmp_path):
+def test_sum_curve_csv_and_json_round_trip(zi_lattice):
     spec = SumSpec(family="shifted", m=2, c=1.0)
     curve = sum_curve(zi_lattice, spec, [1.0, 2.0])
     text = curve.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "M,value,pointCount"
     assert len(lines) == 3
-    again = SumCurve.from_json_dict(curve.to_json_dict())
-    assert again.values == curve.values
-    assert again.point_counts == curve.point_counts
-    # Files written before the half walk carry two more keys; they still load.
-    old = curve.to_json_dict()
-    old["spec"]["dedupSigns"] = False
-    old["compensation"] = 0.0
-    assert SumCurve.from_json_dict(old) == curve
-    path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    assert path.read_text().startswith("M,value")
+    doc = json.loads(json.dumps(curve.to_json_dict()))
+    assert doc["spec"] == {"family": "shifted", "m": 2, "c": 1.0, "i": None}
+    assert [p["M"] for p in doc["points"]] == curve.radii
+    assert [p["value"] for p in doc["points"]] == curve.values
+    assert [p["pointCount"] for p in doc["points"]] == curve.point_counts
+    assert [p["singularCount"] for p in doc["points"]] == curve.singular_counts == [0, 0]
 
 
 def test_sum_spec_validation():
@@ -759,18 +755,5 @@ def test_singular_counts_complete_the_ball(spec):
         assert curve.singular_counts[0] > 0
         assert [p + s for p, s in zip(curve.point_counts, curve.singular_counts)] \
             == shell_counts(lat, radii)
-        again = SumCurve.from_json_dict(curve.to_json_dict())
-        assert again.singular_counts == curve.singular_counts
-
-
-def test_curve_files_without_singular_counts_still_load(zi_lattice):
-    curve = sum_curve(zi_lattice, SumSpec(family="shifted", m=2, c=1.0), [1.0, 2.0])
-    assert curve.singular_counts == [0, 0]
-    old = curve.to_json_dict()
-    for p in old["points"]:
-        del p["singularCount"]
-    again = SumCurve.from_json_dict(old)
-    assert again.singular_counts is None
-    assert again.values == curve.values and again.point_counts == curve.point_counts
-    assert again.to_json_dict() == old
-    assert curve.to_csv().split("\n")[0] == "M,value,pointCount"
+        assert [p["singularCount"] for p in curve.to_json_dict()["points"]] \
+            == curve.singular_counts
