@@ -507,13 +507,23 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
                          orbit=orbit)
 
 
-def realize_block(lat: MatrixLattice, coeffs: np.ndarray) -> np.ndarray:
+def realize_block(lat: MatrixLattice, coeffs: np.ndarray, *,
+                  out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Realize a (B, k) coefficient block as a (B, n, T) matrix stack.
 
     The product runs in real arithmetic on the interleaved basis, whose rows
-    read back as complex entries.
+    read back as complex entries.  ``out`` = (copy, product) are caller-owned
+    float64 arrays of shapes (B, k) and (B, 2nT), the product C-contiguous:
+    the coefficients are copied into the first and multiplied into the
+    second, and the stack returned is a view of the product, valid until the
+    caller writes to it again.  Without ``out`` both arrays are fresh.
     """
-    flat = coeffs.astype(float) @ lat.real_basis
+    if out is None:
+        flat = coeffs.astype(float) @ lat.real_basis
+    else:
+        copy, flat = out
+        np.copyto(copy, coeffs)
+        np.matmul(copy, lat.real_basis, out=flat)
     return flat.view(np.complex128).reshape(-1, lat.n, lat.T)
 
 
@@ -546,16 +556,29 @@ def lattice_from_json(source) -> MatrixLattice:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"basis JSON must be an object, got {doc!r}")
     try:
-        n, T, entries = int(doc["n"]), int(doc["T"]), doc["basis"]
+        n, T, entries = doc["n"], doc["T"], doc["basis"]
     except KeyError as exc:
         raise ValueError(f"basis JSON lacks the key {exc}") from None
+    try:
+        n, T = int(n), int(T)
+    except (TypeError, ValueError):
+        raise ValueError(f"basis JSON fields 'n' and 'T' must be integers, "
+                         f"got {n!r} and {T!r}") from None
+    if not isinstance(entries, list):
+        raise ValueError(f"basis JSON field 'basis' must be a list, got {entries!r}")
     basis = []
-    for flat in entries:
-        if len(flat) != n * T:
+    for j, flat in enumerate(entries):
+        try:
+            vals = np.array([complex(re, im) for re, im in flat])
+        except (TypeError, ValueError):
+            raise ValueError(f"basis JSON field 'basis' entry {j} must be a list "
+                             "of [re, im] pairs") from None
+        if vals.size != n * T:
             raise DimensionMismatch(
-                f"basis entry list has {len(flat)} entries, expected {n * T}")
-        vals = np.array([complex(re, im) for re, im in flat])
+                f"basis entry list has {vals.size} entries, expected {n * T}")
         basis.append(vals.reshape(n, T))
     return build_lattice(basis)
 

@@ -139,23 +139,52 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """Read a config; a missing key or a value of the wrong JSON type is a
+        ValueError naming it."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"experiment config must be an object, got {doc!r}")
+
+        def optional(key, parse):
+            return _config_section(doc[key], key, parse) if doc.get(key) else None
+
         try:
             return cls(
                 name=doc["name"],
-                code=CodeSpec.from_dict(doc["code"]),
-                sum_jobs=tuple(SumJob.from_dict(j) for j in doc.get("sumJobs", [])),
-                envelope=EnvelopeJob.from_dict(doc["envelope"]) if doc.get("envelope") else None,
-                dmt=DmtJob.from_dict(doc["dmt"]) if doc.get("dmt") else None,
-                sim=ChannelConfig.from_dict(doc["sim"]) if doc.get("sim") else None,
-                compare_c_values=tuple(doc.get("compareCValues", [])),
+                code=_config_section(doc["code"], "code", CodeSpec.from_dict),
+                sum_jobs=tuple(_config_section(job, f"sumJobs[{j}]", SumJob.from_dict)
+                               for j, job in enumerate(_config_list(doc, "sumJobs"))),
+                envelope=optional("envelope", EnvelopeJob.from_dict),
+                dmt=optional("dmt", DmtJob.from_dict),
+                sim=optional("sim", ChannelConfig.from_dict),
+                compare_c_values=_config_list(doc, "compareCValues"),
                 compare_m=doc.get("compareM"),
-                compare_radii=tuple(doc.get("compareRadii", [])),
+                compare_radii=_config_list(doc, "compareRadii"),
                 det_scan_radius=doc.get("detScanRadius"),
                 seed=doc.get("seed", 0),
                 budget=doc.get("budget", DEFAULT_BUDGET),
             )
         except KeyError as exc:
             raise ValueError(f"experiment config lacks the key {exc}") from None
+
+
+def _config_section(value, name: str, parse):
+    """``parse(value)`` for the config field ``name``, which must be a JSON
+    object; a value of the wrong type inside it names the field too."""
+    if not isinstance(value, dict):
+        raise ValueError(f"experiment config field {name!r} must be an object, "
+                         f"got {value!r}")
+    try:
+        return parse(value)
+    except TypeError as exc:
+        raise ValueError(f"experiment config field {name!r} is malformed: {exc}") from None
+
+
+def _config_list(doc: dict, key: str) -> tuple:
+    """An optional config field that must be a JSON list (empty if absent)."""
+    value = doc.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"experiment config field {key!r} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def _canonical_json(doc: dict) -> str:

@@ -28,6 +28,14 @@ residue of the top coefficient, see ``lattice.coefficient_blocks``) or a
 different walk radius moves the block boundaries, so either can change their
 last bits.  ``sum_curve``, ``evaluate_sum`` and the named sums are its
 one-spec cases.
+
+The parts of a split walk run on one module-level thread pool, kept from call
+to call (and replaced when a call asks for another ``n_jobs``), so its
+threads outlive a call.  Each thread realizes blocks of up to a product-walk
+block's rows into two buffers of its own, made once and reused by every
+later block on that thread (see ``_realize``): fresh arrays per block cost a
+page fault per page, since the allocator hands the freed heap back to the
+kernel between blocks.
 """
 
 from __future__ import annotations
@@ -35,15 +43,17 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import HypothesisViolated, ProofBoundExceeded, SingularPoint
-from .lattice import (DEFAULT_BUDGET, MatrixLattice, PointBudget, _bound_sq,
-                      coefficient_blocks, realize_block)
+from .lattice import (DEFAULT_BUDGET, MatrixLattice, PointBudget, _MAX_CHILDREN,
+                      _bound_sq, coefficient_blocks, realize_block)
 from .linalg import _esp_batch, _shifted_from_esp, det_batch, det_gram_batch
 
 __all__ = [
@@ -67,6 +77,14 @@ FAMILIES = ("shifted", "approximate", "mixed")
 # A point counts as singular when det(X X*) is at round-off scale relative to
 # its own trace: det <= 1e-12 * (||X||^2 / n)^n.
 _SINGULAR_REL = 1e-12
+
+# This thread's realization buffers (see ``_realize``).
+_buffers = threading.local()
+
+# The worker pool of ``sum_curves`` as ((pool class, n_jobs, pid), executor),
+# or None before the first split walk; see ``_submit_parts``.
+_pool = None
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -166,6 +184,30 @@ def _inside(rows, bound):
     return ns[keep], values[keep]
 
 
+def _realize(lat, coeffs):
+    """``realize_block`` into this thread's two buffers, for a block of at most
+    a product-walk block's rows (``_MAX_CHILDREN // 4``).
+
+    The buffers are made on a thread's first such block, for that many rows
+    of the widest lattice it has realized (2nT columns, and k <= 2nT), and
+    reused by every later block on the thread, across calls.  A larger block,
+    as ``_walk`` yields up to ``_MAX_CHILDREN`` rows, gets fresh arrays.
+    """
+    rows, k = coeffs.shape
+    cap = _MAX_CHILDREN // 4
+    if rows > cap:
+        return realize_block(lat, coeffs)
+    width = lat.real_basis.shape[1]
+    held = getattr(_buffers, "held", None)
+    if held is None or held[0].size < cap * width:
+        held = _buffers.held = (np.empty(cap * width), np.empty(cap * width))
+    copy, flat = held
+    # The walks yield the transpose of a (k, B) array; a copy laid out alike
+    # is multiplied as coeffs.astype(float) would be.
+    return realize_block(lat, coeffs, out=(copy[:rows * k].reshape(k, rows).T,
+                                           flat[:rows * width].reshape(rows, width)))
+
+
 def _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc):
     """Add one walk block to the shell partials of every spec.
 
@@ -174,15 +216,18 @@ def _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc):
     ``_esp_batch``, |det X|, det(X X*)) is computed once, on the rows inside
     ``reach[name]``, the largest last radius of the specs that use it.  Each
     shifted c's det(I + c X X*) is one Horner pass on e, shared by every m.
-    A spec takes the rows inside its own last radius.  The arrays live only
-    for this call, so one block's are alive at a time; nothing may hold them
-    in a reference cycle (a self-calling closure over ``memo`` did, and kept
-    every block alive until the cyclic collector ran: three times the peak
-    memory on the golden preset).
+    A spec takes the rows inside its own last radius.  X is usually a view
+    of this thread's realization buffers, which the next block on the thread
+    overwrites, so nothing may keep it or a view of it past this call; every
+    quantity computed from it is a fresh array.  Those live only for this
+    call, so one block's are alive at a time, and nothing may hold them in a
+    reference cycle (a self-calling closure over ``memo`` did, and kept every
+    block alive until the cyclic collector ran: three times the peak memory
+    on the golden preset).
     """
     memo = {"norm": (walk_bound, norm_sq, norm_sq)}
     if reach:
-        X = realize_block(lat, coeffs)
+        X = _realize(lat, coeffs)
         for name, top in reach.items():
             ns, Xs = _inside((walk_bound, norm_sq, X), top)
             if ns.size:
@@ -229,9 +274,10 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     ball are neither counted nor raised on.  Terms are binned by the shell
     their norm falls into, and each value is the exactly rounded sum of the
     per-block bins up to its radius, weighed by ``orbit_size``.  With
-    ``n_jobs > 1`` a thread pool walks the parts (j, n_jobs) of the ball, the
-    top coefficients congruent to j mod n_jobs; the parts share one point
-    budget, and values match the sequential run.
+    ``n_jobs > 1`` the module's worker pool walks the parts (j, n_jobs) of the
+    ball, the top coefficients congruent to j mod n_jobs; the parts share one
+    point budget, the call returns (or raises) once every part has ended, and
+    values match the sequential run up to the last bits.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
@@ -263,8 +309,9 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     if n_jobs == 1:
         parts = [run(None)]
     else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(run, [(j, n_jobs) for j in range(n_jobs)]))
+        futures = _submit_parts(run, n_jobs)
+        wait(futures)
+        parts = [f.result() for f in futures]
     orbit = lat.orbit_size
     curves = []
     for j, (spec, radii) in enumerate(jobs):
@@ -277,6 +324,28 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
                                point_counts=[orbit * int(c) for c in counts],
                                singular_counts=[orbit * int(c) for c in singular]))
     return curves
+
+
+def _submit_parts(run, n_jobs):
+    """Submit ``run`` on the parts (j, n_jobs) of a walk to the shared pool.
+
+    The pool has ``n_jobs`` workers; a call with another ``n_jobs`` shuts the
+    old pool down (waiting for its work) and starts a new one, so at most one
+    is alive.  So does a change of the ``ThreadPoolExecutor`` name bound here,
+    which a tracer may rebind, and a fork, whose child has none of the
+    parent's threads.  Submitting under the lock keeps a pool from being shut
+    down between another caller's lookup and its submits.
+    """
+    global _pool
+    key = (ThreadPoolExecutor, n_jobs, os.getpid())
+    with _pool_lock:
+        if _pool is not None and _pool[0] != key:
+            if _pool[0][2] == key[2]:
+                _pool[1].shutdown()
+            _pool = None
+        if _pool is None:
+            _pool = (key, ThreadPoolExecutor(max_workers=n_jobs))
+        return [_pool[1].submit(run, (j, n_jobs)) for j in range(n_jobs)]
 
 
 def sum_curve(lat: MatrixLattice, spec: SumSpec, radii: Sequence[float], *,

@@ -182,6 +182,28 @@ def test_config_without_code_is_a_computation_error(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_basis_json_entry_of_bare_numbers_is_a_computation_error(capsys, tmp_path):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"n": 1, "T": 1, "basis": [[1.0]]}))
+    code, out, err = run_cli(capsys, "construct", "--basis-json", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == ("error[construct]: basis JSON field 'basis' entry 0 must be a "
+                   "list of [re, im] pairs\n")
+
+
+def test_config_with_a_string_code_is_a_computation_error(capsys, tmp_path):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({"name": "x", "code": "golden"}))
+    code, out, err = run_cli(capsys, "run", "--config", str(path),
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert err == ("error[run]: experiment config field 'code' must be an object, "
+                   "got 'golden'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_from_csv(capsys, tmp_path):
     path = tmp_path / "curve.csv"
     rows = ["M,value,pointCount"]

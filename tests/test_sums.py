@@ -1,5 +1,10 @@
 import json
 import math
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +13,8 @@ from hypothesis import strategies as st
 
 from detsums.codes import gaussian_diagonal, golden_code
 from detsums.errors import BudgetExceeded, HypothesisViolated, SingularPoint
-from detsums.lattice import build_lattice, rescale_lattice, shell_counts
+from detsums.lattice import (_MAX_CHILDREN, build_lattice, coefficient_blocks,
+                             rescale_lattice, shell_counts)
 from detsums.sums import (SumSpec, convergence_probe, dyadic_bound,
                           evaluate_sum, inverse_det_sum, norm_det_sum,
                           shifted_det_sum, shifted_vs_mixed_bound, sum_curve,
@@ -198,6 +204,144 @@ def test_partitioned_curve_matches_sequential(golden_lattice):
     assert split.point_counts == base.point_counts
     for a, b in zip(split.values, base.values):
         assert a == pytest.approx(b, rel=1e-9)
+
+
+def _in_a_new_thread(fn):
+    """fn() on a thread of its own, which starts without realization buffers;
+    its exception, if any, is raised here."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
+
+
+def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice,
+                                                      zi_lattice, monkeypatch):
+    # One thread's blocks share its realization buffers.  The three lattices
+    # differ in k (8, 4, 2) and 2nT (8, 8, 2); the diagonal-nf-2 walk to
+    # R = 16 yields a block larger than the buffers hold, and the call on
+    # gaussian_diagonal(2) raises SingularPoint on a realized block.  Values
+    # match fresh arrays for every block bit for bit.
+    from detsums import sums
+    shifted = SumSpec(family="shifted", m=4, c=1.0)
+    approximate = SumSpec(family="approximate", m=2)
+    mixed = SumSpec(family="mixed", m=4, i=2)
+    calls = {
+        "golden": lambda: sum_curves(golden_lattice, [(shifted, [1.0, 2.0, 4.0]),
+                                                      (approximate, [2.0, 3.0]),
+                                                      (mixed, [1.5, 4.0])]),
+        "nf": lambda: sum_curves(nf_lattice, [(shifted, [4.0, 8.0, 16.0]),
+                                              (approximate, [2.0, 8.0])]),
+        "nf8": lambda: sum_curves(nf_lattice, [(mixed, [4.0, 8.0])]),
+        "zi": lambda: sum_curves(zi_lattice, [(shifted, [4.0, 16.0, 64.0]),
+                                              (mixed, [8.0, 32.0])]),
+    }
+    assert max(len(c) for c, _ in coefficient_blocks(nf_lattice, 16.0)) > _MAX_CHILDREN // 4
+    singular = gaussian_diagonal(2)
+
+    def interleave():
+        first = {name: calls[name]() for name in ("zi", "nf", "nf8", "golden")}
+        for name in ("golden", "zi", "nf", "nf8", "golden", "nf", "zi", "nf8"):
+            with pytest.raises(SingularPoint):
+                sum_curves(singular, [(shifted, [8.0]), (approximate, [4.0, 8.0])])
+            assert calls[name]() == first[name]
+        return first
+
+    first = _in_a_new_thread(interleave)
+    for name, call in calls.items():
+        assert call() == first[name]        # on this thread's own buffers
+    monkeypatch.setattr(sums, "_realize", sums.realize_block)
+    assert {name: call() for name, call in calls.items()} == first
+
+
+def test_pool_across_calls_keeps_values_and_threads(golden_lattice, monkeypatch):
+    from detsums import sums
+    spec = SumSpec(family="shifted", m=4, c=1.0)
+    radii = [2.0, 4.0]
+    base = sum_curve(golden_lattice, spec, radii)
+    seen = {}
+    for call in range(20):
+        jobs = (2, 3, 2, 1)[call % 4]
+        split = sum_curve(golden_lattice, spec, radii, n_jobs=jobs)
+        if call == 0:
+            threads = threading.active_count()
+        assert split.point_counts == base.point_counts
+        for a, b in zip(split.values, base.values):
+            assert a == pytest.approx(b, rel=1e-9)
+        assert seen.setdefault(jobs, split) == split      # parts are fixed by n_jobs
+    assert threading.active_count() <= threads
+    # Calls with the same n_jobs walk their parts on the same workers.
+    workers = set()
+    real_blocks = sums.coefficient_blocks
+
+    def recording(lat, radius, **kw):
+        workers.add(threading.current_thread())
+        return real_blocks(lat, radius, **kw)
+    monkeypatch.setattr(sums, "coefficient_blocks", recording)
+    for _ in range(3):
+        assert sum_curve(golden_lattice, spec, radii, n_jobs=2) == seen[2]
+    assert len(workers) <= 2
+
+
+def test_split_call_ends_after_every_part(golden_lattice, monkeypatch):
+    from detsums import sums
+    ended = []
+    real_blocks = sums.coefficient_blocks
+
+    def blocks(lat, radius, *, budget, part):
+        if part[0] == 0:
+            raise BudgetExceeded("part 0 fails at once")
+        time.sleep(0.05)
+        yield from real_blocks(lat, radius, budget=budget, part=part)
+        ended.append(part)
+    monkeypatch.setattr(sums, "coefficient_blocks", blocks)
+    with pytest.raises(BudgetExceeded, match="part 0"):
+        sum_curve(golden_lattice, SumSpec(family="shifted", m=4, c=1.0), [2.0], n_jobs=2)
+    assert ended == [(1, 2)]
+
+
+@pytest.mark.parametrize("jobs", [(2, 2), (2, 3, 2, 3)])
+def test_concurrent_callers_share_the_pool(golden_lattice, jobs):
+    # Callers with another n_jobs replace the pool while the others use it;
+    # more callers than cores and a short switch interval shake the timing.
+    spec = SumSpec(family="mixed", m=4, i=2)
+    radii = [2.0, 3.0, 4.0]
+    expected = {n: sum_curve(golden_lattice, spec, radii, n_jobs=n) for n in jobs}
+    start = threading.Barrier(len(jobs))
+
+    def caller(n):
+        start.wait(timeout=60)
+        return [sum_curve(golden_lattice, spec, radii, n_jobs=n) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as callers:
+            futures = [callers.submit(caller, n) for n in jobs]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for n, curves in zip(jobs, results):
+        assert all(curve == expected[n] for curve in curves)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks the test process")
+def test_forked_child_starts_its_own_pool(golden_lattice):
+    # A forked child has none of its parent's pool threads: a split call in it
+    # must start a pool of its own rather than queue parts on threads that
+    # do not exist there.
+    spec = SumSpec(family="shifted", m=4, c=1.0)
+    expected = sum_curve(golden_lattice, spec, [2.0, 4.0], n_jobs=2)
+
+    def child():
+        if sum_curve(golden_lattice, spec, [2.0, 4.0], n_jobs=2) != expected:
+            sys.exit(1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 0
 
 
 @settings(max_examples=20, deadline=None)
