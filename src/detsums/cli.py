@@ -33,7 +33,7 @@ def _geometric_grid(text: str) -> list[float]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected start:factor:count, got {text!r}") from exc
-    if start <= 0 or factor <= 1 or count < 1:
+    if not start > 0 or not factor > 1 or count < 1:
         raise argparse.ArgumentTypeError("need start > 0, factor > 1, count >= 1")
     return [start * factor ** j for j in range(count)]
 
@@ -55,8 +55,12 @@ def _linear_grid(text: str) -> list[float]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected start:stop:step, got {text!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"start, stop and step must be finite, got {text!r}")
     if step <= 0:
         raise argparse.ArgumentTypeError("step must be positive")
+    if start > stop:
+        raise argparse.ArgumentTypeError(f"start must not exceed stop, got {text!r}")
     out = []
     j = 0
     while True:

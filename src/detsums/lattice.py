@@ -490,8 +490,8 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
     ``sums.sum_curves`` splits a walk across workers.  The parts of one walk
     share one ``PointBudget`` as ``budget``.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
     if not isinstance(budget, PointBudget):
         budget = PointBudget(budget)
     if predicted_point_count(lat, radius) > budget.limit:
@@ -533,9 +533,9 @@ def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,
     radii = list(radii)
     if not radii:
         raise ValueError("radii must be nonempty")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
+    if any(not b > a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    if radii[0] <= 0:
+    if not radii[0] > 0:
         raise ValueError("radii must be positive")
     bounds = np.array([_bound_sq(r) for r in radii])
     counts = np.zeros(len(radii), dtype=np.int64)

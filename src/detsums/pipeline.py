@@ -157,11 +157,11 @@ class ExperimentConfig:
                 dmt=optional("dmt", DmtJob.from_dict),
                 sim=optional("sim", ChannelConfig.from_dict),
                 compare_c_values=_config_list(doc, "compareCValues"),
-                compare_m=doc.get("compareM"),
+                compare_m=_config_number(doc, "compareM", None),
                 compare_radii=_config_list(doc, "compareRadii"),
-                det_scan_radius=doc.get("detScanRadius"),
-                seed=doc.get("seed", 0),
-                budget=doc.get("budget", DEFAULT_BUDGET),
+                det_scan_radius=_config_number(doc, "detScanRadius", None),
+                seed=_config_number(doc, "seed", 0, integer=True),
+                budget=_config_number(doc, "budget", DEFAULT_BUDGET, integer=True),
             )
         except KeyError as exc:
             raise ValueError(f"experiment config lacks the key {exc}") from None
@@ -185,6 +185,18 @@ def _config_list(doc: dict, key: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"experiment config field {key!r} must be a list, got {value!r}")
     return tuple(value)
+
+
+def _config_number(doc: dict, key: str, default, *, integer: bool = False):
+    """An optional numeric config field (``default`` if absent); null passes
+    only where the default is None."""
+    value = doc.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"experiment config field {key!r} must be "
+                         f"{'an integer' if integer else 'a number'}, got {value!r}")
+    return value
 
 
 def _canonical_json(doc: dict) -> str:

@@ -29,13 +29,13 @@ different walk radius moves the block boundaries, so either can change their
 last bits.  ``sum_curve``, ``evaluate_sum`` and the named sums are its
 one-spec cases.
 
-The parts of a split walk run on one module-level thread pool, kept from call
-to call (and replaced when a call asks for another ``n_jobs``), so its
-threads outlive a call.  Each thread realizes blocks of up to a product-walk
-block's rows into two buffers of its own, made once and reused by every
-later block on that thread (see ``_realize``): fresh arrays per block cost a
-page fault per page, since the allocator hands the freed heap back to the
-kernel between blocks.
+A split walk opens one thread pool per call, whose threads end before the
+call returns; an unsplit walk runs on the calling thread.  Each thread
+realizes blocks of up to a product-walk block's rows into two buffers of its
+own, made once and reused by every later block on that thread (see
+``_realize``), so the calling thread's buffers persist across calls: fresh
+arrays per block cost a page fault per page, since the allocator hands the
+freed heap back to the kernel between blocks.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
+import numbers
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,10 +81,9 @@ _SINGULAR_REL = 1e-12
 # This thread's realization buffers (see ``_realize``).
 _buffers = threading.local()
 
-# The worker pool of ``sum_curves`` as ((pool class, n_jobs, pid), executor),
-# or None before the first split walk; see ``_submit_parts``.
-_pool = None
-_pool_lock = threading.Lock()
+
+def _finite_real(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,14 @@ class SumSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.m <= 0:
-            raise ValueError("exponent m must be positive")
-        if self.family == "shifted" and self.c < 0:
-            raise ValueError("shift c must be nonnegative")
+        if not _finite_real(self.m) or not self.m > 0:
+            raise ValueError(f"exponent m must be a finite positive number, got {self.m!r}")
+        if not _finite_real(self.c) or not self.c >= 0:
+            raise ValueError(f"shift c must be a finite nonnegative number, got {self.c!r}")
         if self.family == "mixed":
-            if self.i is None or not 0 <= self.i <= self.m:
-                raise ValueError("mixed family needs split index 0 <= i <= m")
+            if not isinstance(self.i, numbers.Integral) or not 0 <= self.i <= self.m:
+                raise ValueError(f"mixed family needs an integer split index 0 <= i <= m, "
+                                 f"got {self.i!r}")
 
     def label(self) -> str:
         if self.family == "shifted":
@@ -273,11 +273,12 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     the rows inside its own last radius, so its singular points outside that
     ball are neither counted nor raised on.  Terms are binned by the shell
     their norm falls into, and each value is the exactly rounded sum of the
-    per-block bins up to its radius, weighed by ``orbit_size``.  With
-    ``n_jobs > 1`` the module's worker pool walks the parts (j, n_jobs) of the
-    ball, the top coefficients congruent to j mod n_jobs; the parts share one
-    point budget, the call returns (or raises) once every part has ended, and
-    values match the sequential run up to the last bits.
+    per-block bins up to its radius, weighted by ``orbit_size``.  With
+    ``n_jobs > 1`` a pool of ``n_jobs`` threads, opened for this call, walks
+    the parts (j, n_jobs) of the ball, the top coefficients congruent to j
+    mod n_jobs; the parts share one point budget, the call returns (or
+    raises) once every part has ended, and values match the sequential run
+    up to the last bits.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
@@ -285,7 +286,7 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     if not jobs:
         return []
     for spec, radii in jobs:
-        if not radii or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        if not radii or not radii[0] > 0 or any(not b > a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be positive and strictly increasing")
         if spec.family == "approximate" and lat.n != lat.T:
             raise ValueError("approximate family requires square matrices (n == T)")
@@ -309,8 +310,8 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     if n_jobs == 1:
         parts = [run(None)]
     else:
-        futures = _submit_parts(run, n_jobs)
-        wait(futures)
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            futures = [pool.submit(run, (j, n_jobs)) for j in range(n_jobs)]
         parts = [f.result() for f in futures]
     orbit = lat.orbit_size
     curves = []
@@ -324,28 +325,6 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
                                point_counts=[orbit * int(c) for c in counts],
                                singular_counts=[orbit * int(c) for c in singular]))
     return curves
-
-
-def _submit_parts(run, n_jobs):
-    """Submit ``run`` on the parts (j, n_jobs) of a walk to the shared pool.
-
-    The pool has ``n_jobs`` workers; a call with another ``n_jobs`` shuts the
-    old pool down (waiting for its work) and starts a new one, so at most one
-    is alive.  So does a change of the ``ThreadPoolExecutor`` name bound here,
-    which a tracer may rebind, and a fork, whose child has none of the
-    parent's threads.  Submitting under the lock keeps a pool from being shut
-    down between another caller's lookup and its submits.
-    """
-    global _pool
-    key = (ThreadPoolExecutor, n_jobs, os.getpid())
-    with _pool_lock:
-        if _pool is not None and _pool[0] != key:
-            if _pool[0][2] == key[2]:
-                _pool[1].shutdown()
-            _pool = None
-        if _pool is None:
-            _pool = (key, ThreadPoolExecutor(max_workers=n_jobs))
-        return [_pool[1].submit(run, (j, n_jobs)) for j in range(n_jobs)]
 
 
 def sum_curve(lat: MatrixLattice, spec: SumSpec, radii: Sequence[float], *,

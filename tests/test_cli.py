@@ -204,6 +204,76 @@ def test_config_with_a_string_code_is_a_computation_error(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def _run_config_with(capsys, tmp_path, edit):
+    """``detsums run`` on the gaussian-diagonal-2 preset's config after
+    ``edit(doc)``."""
+    from detsums.presets import build_preset
+    doc = build_preset("gaussian-diagonal-2").to_dict()
+    edit(doc)
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    return result
+
+
+@pytest.mark.parametrize("key,value,kind", [
+    ("budget", "x", "an integer"), ("budget", 1.5, "an integer"),
+    ("budget", None, "an integer"), ("seed", "0", "an integer"),
+    ("seed", True, "an integer"), ("detScanRadius", "2", "a number"),
+    ("compareM", "4", "a number"),
+])
+def test_config_with_a_malformed_scalar_is_a_computation_error(capsys, tmp_path,
+                                                               key, value, kind):
+    code, out, err = _run_config_with(capsys, tmp_path,
+                                      lambda doc: doc.update({key: value}))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error[run]: experiment config field {key!r} must be {kind}, "
+                   f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("m", "2", "exponent m must be"), ("m", float("nan"), "exponent m must be"),
+    ("c", float("nan"), "shift c must be"), ("radii", [2.0, "nan"], "radii must be"),
+])
+def test_config_sum_job_with_a_bad_number_is_a_computation_error(capsys, tmp_path,
+                                                                 field, value, message):
+    code, out, err = _run_config_with(capsys, tmp_path,
+                                      lambda doc: doc["sumJobs"][0].update({field: value}))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error[run]: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["--m", "nan", "--c", "1", "--M", "2"],
+                                  ["--m", "2", "--c", "nan", "--M", "2"],
+                                  ["--m", "2", "--c", "1", "--M", "nan"]])
+def test_sum_with_a_nan_argument_is_a_computation_error(capsys, args):
+    code, out, err = run_cli(capsys, "sum", "--code", "gaussian-diagonal", "--n", "1",
+                             "--family", "shifted", *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[sum]: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--code", "gaussian-diagonal", "--n", "1", "--n-r", "2",
+      "--radius", "1", "--snr-db", "10:5:1"], "start must not exceed stop"),
+    (["dmt", "--a", "8", "--k", "8", "--T", "2", "--grid", "2:0:0.1"],
+     "start must not exceed stop"),
+    (["dmt", "--a", "8", "--k", "8", "--T", "2", "--grid", "0:2:nan"], "must be finite"),
+    (["dmt", "--a", "8", "--k", "8", "--T", "2", "--grid", "0:inf:0.5"], "must be finite"),
+    (["sum", "--code", "gaussian-diagonal", "--n", "1", "--family", "shifted",
+      "--m", "2", "--grid", "nan:2:3"], "need start > 0"),
+])
+def test_grid_arguments_reject_empty_and_non_finite_ranges(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: argument" in err and message in err
+
+
 def test_fit_from_csv(capsys, tmp_path):
     path = tmp_path / "curve.csv"
     rows = ["M,value,pointCount"]

@@ -252,33 +252,33 @@ def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice
     assert {name: call() for name, call in calls.items()} == first
 
 
-def test_pool_across_calls_keeps_values_and_threads(golden_lattice, monkeypatch):
-    from detsums import sums
+def test_pool_across_calls_keeps_values_and_threads(golden_lattice):
     spec = SumSpec(family="shifted", m=4, c=1.0)
     radii = [2.0, 4.0]
     base = sum_curve(golden_lattice, spec, radii)
+    threads = threading.active_count()
     seen = {}
     for call in range(20):
         jobs = (2, 3, 2, 1)[call % 4]
         split = sum_curve(golden_lattice, spec, radii, n_jobs=jobs)
-        if call == 0:
-            threads = threading.active_count()
         assert split.point_counts == base.point_counts
         for a, b in zip(split.values, base.values):
             assert a == pytest.approx(b, rel=1e-9)
         assert seen.setdefault(jobs, split) == split      # parts are fixed by n_jobs
-    assert threading.active_count() <= threads
-    # Calls with the same n_jobs walk their parts on the same workers.
-    workers = set()
-    real_blocks = sums.coefficient_blocks
+        assert threading.active_count() == threads
 
-    def recording(lat, radius, **kw):
-        workers.add(threading.current_thread())
-        return real_blocks(lat, radius, **kw)
-    monkeypatch.setattr(sums, "coefficient_blocks", recording)
-    for _ in range(3):
-        assert sum_curve(golden_lattice, spec, radii, n_jobs=2) == seen[2]
-    assert len(workers) <= 2
+
+def test_split_calls_leave_no_threads_behind(golden_lattice):
+    # The very threads alive before the calls, not only as many of them.
+    spec = SumSpec(family="mixed", m=4, i=2)
+    threads = set(threading.enumerate())
+    for jobs in (2, 3, 2):
+        sum_curve(golden_lattice, spec, [2.0, 4.0], n_jobs=jobs)
+    assert set(threading.enumerate()) == threads
+    with pytest.raises(BudgetExceeded):
+        sum_curve(golden_lattice, spec, [2.0, 4.0], budget=1000, n_jobs=2)
+    assert set(threading.enumerate()) == threads
+    assert threading.active_count() == len(threads)
 
 
 def test_split_call_ends_after_every_part(golden_lattice, monkeypatch):
@@ -299,9 +299,10 @@ def test_split_call_ends_after_every_part(golden_lattice, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [(2, 2), (2, 3, 2, 3)])
-def test_concurrent_callers_share_the_pool(golden_lattice, jobs):
-    # Callers with another n_jobs replace the pool while the others use it;
-    # more callers than cores and a short switch interval shake the timing.
+def test_concurrent_split_callers_keep_their_values(golden_lattice, jobs):
+    # Each caller's split calls open pools of their own while the others'
+    # run; more callers than cores and a short switch interval shake the
+    # timing.
     spec = SumSpec(family="mixed", m=4, i=2)
     radii = [2.0, 3.0, 4.0]
     expected = {n: sum_curve(golden_lattice, spec, radii, n_jobs=n) for n in jobs}
@@ -324,10 +325,9 @@ def test_concurrent_callers_share_the_pool(golden_lattice, jobs):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="forks the test process")
-def test_forked_child_starts_its_own_pool(golden_lattice):
-    # A forked child has none of its parent's pool threads: a split call in it
-    # must start a pool of its own rather than queue parts on threads that
-    # do not exist there.
+def test_split_call_in_forked_child(golden_lattice):
+    # A forked child has none of its parent's threads; a split call in it
+    # opens its own pool, as every split call does, and matches the parent.
     spec = SumSpec(family="shifted", m=4, c=1.0)
     expected = sum_curve(golden_lattice, spec, [2.0, 4.0], n_jobs=2)
 
@@ -755,6 +755,25 @@ def test_sum_spec_validation():
         SumSpec(family="mixed", m=2, i=3)
     with pytest.raises(ValueError):
         SumSpec(family="shifted", m=2, c=-1.0)
+    for kw in ({"m": math.nan}, {"m": math.inf}, {"m": "2"}, {"m": None},
+               {"m": 2, "c": math.nan}, {"m": 2, "c": math.inf}, {"m": 2, "c": "1"},
+               {"family": "mixed", "m": 2, "i": "1"},
+               {"family": "mixed", "m": 3, "i": 1.5}):
+        with pytest.raises(ValueError):
+            SumSpec(**{"family": "shifted", **kw})
+
+
+def test_nan_radius_is_rejected(golden_lattice):
+    spec = SumSpec(family="shifted", m=2, c=1.0)
+    for radii in ([math.nan], [2.0, math.nan], [math.nan, 2.0]):
+        with pytest.raises(ValueError, match="radii"):
+            sum_curve(golden_lattice, spec, radii)
+        with pytest.raises(ValueError, match="radii"):
+            shell_counts(golden_lattice, radii)
+    with pytest.raises(ValueError, match="radius"):
+        next(coefficient_blocks(golden_lattice, math.nan))
+    with pytest.raises(BudgetExceeded):
+        sum_curve(golden_lattice, spec, [2.0, math.inf])
 
 
 def test_approximate_requires_square():
