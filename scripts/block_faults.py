@@ -8,12 +8,14 @@ For each of the three ``sums-golden`` curves (the golden code over radii
 ``--threads``, each preset's report into its own temporary directory), the
 script makes one warm-up call and then ``--passes`` timed calls, and prints
 the minor page faults per call (``getrusage``, whole process, mean over the
-timed calls) and the fastest call's wall time.  The line ``sums-golden
-pass`` adds the three curves up: faults per pass of the three, and the sum
-of their best times.  The inputs mirror the ``sums-golden`` and ``presets``
-workloads of ``perfbench/workloads.py``, one case at a time.  BLAS and
-OpenMP threads are pinned to 1 unless the environment already sets them, as
-``perfbench/run.py`` does.
+timed calls), the fastest call's wall time, and the number of blocks the
+call's walks yield and the rows of the largest, counted on one more,
+untimed call.  The line ``sums-golden pass`` adds the three curves up:
+faults, best times and blocks summed, the largest block over the three.
+The inputs mirror the ``sums-golden`` and ``presets`` workloads of
+``perfbench/workloads.py``, one case at a time.  BLAS and OpenMP threads are
+pinned to 1 unless the environment already sets them, as ``perfbench/run.py``
+does.
 """
 
 from __future__ import annotations
@@ -51,6 +53,29 @@ def measure(call, passes: int) -> tuple[float, float]:
     return faults / passes, best
 
 
+def block_rows(call, modules) -> list[int]:
+    """Rows of each block that the walks of one ``call`` yield, counted by
+    wrapping ``coefficient_blocks`` where each of ``modules`` looks it up."""
+    rows = []
+
+    def counted(walk):
+        def blocks(*args, **kwargs):
+            for coeffs, norm_sq in walk(*args, **kwargs):
+                rows.append(len(coeffs))
+                yield coeffs, norm_sq
+        return blocks
+
+    walks = {mod: mod.coefficient_blocks for mod in modules}
+    for mod, walk in walks.items():
+        mod.coefficient_blocks = counted(walk)
+    try:
+        call()
+    finally:
+        for mod, walk in walks.items():
+            mod.coefficient_blocks = walk
+    return rows
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--passes", type=int, default=20, help="timed calls per case")
@@ -60,25 +85,38 @@ def main() -> int:
     for var in THREAD_VARS:
         os.environ.setdefault(var, "1")
 
-    from detsums import codes, pipeline, presets, sums
+    from detsums import channel, codes, pipeline, presets, sums
+    walkers = (sums, codes, channel)
 
-    print(f"{'case':<28}{'faults/call':>12}{'best ms':>10}")
+    def report(case, faults, best, rows):
+        print(f"{case:<28}{faults:>12.0f}{best * 1e3:>10.2f}{len(rows):>8}"
+              f"{max(rows, default=0):>10}")
+
+    print(f"{'case':<28}{'faults/call':>12}{'best ms':>10}{'blocks':>8}{'largest':>10}")
     lat = codes.golden_code()
     total_faults = total_best = 0.0
+    total_rows = []
     for family, spec in GOLDEN_FAMILIES.items():
         spec = sums.SumSpec(**spec)
-        faults, best = measure(
-            lambda: sums.sum_curve(lat, spec, GOLDEN_RADII, n_jobs=1), args.passes)
+
+        def call():
+            sums.sum_curve(lat, spec, GOLDEN_RADII, n_jobs=1)
+
+        faults, best = measure(call, args.passes)
+        rows = block_rows(call, walkers)
         total_faults, total_best = total_faults + faults, total_best + best
-        print(f"{'sums-golden ' + family:<28}{faults:>12.0f}{best * 1e3:>10.2f}")
-    print(f"{'sums-golden pass':<28}{total_faults:>12.0f}{total_best * 1e3:>10.2f}")
+        total_rows += rows
+        report("sums-golden " + family, faults, best, rows)
+    report("sums-golden pass", total_faults, total_best, total_rows)
     with tempfile.TemporaryDirectory(prefix="block-faults-") as tmp:
         for name in PRESETS:
             config = presets.build_preset(name, with_sim=False)
-            faults, best = measure(
-                lambda: pipeline.run(config, os.path.join(tmp, name),
-                                     n_jobs=args.threads), args.passes)
-            print(f"{'presets ' + name:<28}{faults:>12.0f}{best * 1e3:>10.2f}")
+
+            def call():
+                pipeline.run(config, os.path.join(tmp, name), n_jobs=args.threads)
+
+            faults, best = measure(call, args.passes)
+            report("presets " + name, faults, best, block_rows(call, walkers))
     return 0
 
 

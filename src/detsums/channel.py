@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -87,6 +88,16 @@ class ChannelConfig:
     def __post_init__(self):
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
+        for name in ("n_r", "trials_per_point"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        scale = self.noise_scale
+        if not isinstance(scale, numbers.Real) or not 0 <= scale < math.inf:
+            raise ValueError(f"noise_scale must be a finite number >= 0, got {scale!r}")
+        if not isinstance(self.chernoff_scaling, bool):
+            raise ValueError(f"chernoff_scaling must be a boolean, "
+                             f"got {self.chernoff_scaling!r}")
         grid = tuple(float(v) for v in self.snr_grid_db)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")

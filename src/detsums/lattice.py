@@ -95,13 +95,10 @@ _TURNS = np.array([2, 2, 3, 1, 0, 3, 1, 0, 0])
 _COS = np.array([1, 0, -1, 0])
 _SIN = np.array([0, 1, 0, -1])
 
-# Most rows one level of the walk expands at once: bounds the walk's
-# temporaries and the leaf blocks when a few rows fan out widely, as in the
-# low-rank presets at large radius.
-_MAX_CHILDREN = 1 << 15
-
-# Most rows one level of the walk passes down to the next at a time.
-_MAX_ROWS = 1 << 12
+# The one block size of both walks: the most children a level expands at
+# once (``_windows``), and so the most rows of a block.  Blocks this size keep
+# the walk's temporaries, and a block's matrices and terms, in cache.
+_MAX_CHILDREN = 1 << 13
 
 # Internal budget for the shortest-vector search at build time.
 _MIN_NORM_BUDGET = 10 ** 7
@@ -252,13 +249,21 @@ class PointBudget:
                     f"enumeration emitted more than budget={self.limit} points")
 
 
-def _ragged_expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices and within-row offsets for expanding per-row ranges."""
-    total = int(counts.sum())
-    rows = np.repeat(np.arange(counts.size), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    offsets = np.arange(total) - np.repeat(starts, counts)
-    return rows, offsets
+def _windows(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Expand rows with ``counts`` children each, ``_MAX_CHILDREN`` children
+    at a time: yields, window by window in order, the row index and the
+    within-row offset of each child; a row's children may span windows."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1])
+    for s in range(0, total, _MAX_CHILDREN):
+        e = min(s + _MAX_CHILDREN, total)
+        # The rows whose children meet [s, e), clipped to it.
+        first, last = np.searchsorted(ends, [s, e - 1], side="right")
+        sl = slice(first, last + 1)
+        clipped = np.minimum(ends[sl], e) - np.maximum(starts[sl], s)
+        yield (np.repeat(np.arange(first, last + 1), clipped),
+               np.arange(s, e) - np.repeat(starts[sl], clipped))
 
 
 def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
@@ -282,8 +287,9 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
 
     Frontiers do not carry their coefficient prefixes: each level keeps its
     values and the row of the parent they extend, and a leaf block gathers
-    its coefficients along that path.  A level passes at most ``_MAX_ROWS``
-    rows down at a time and expands about ``_MAX_CHILDREN`` at a time.
+    its coefficients along that path.  A level expands ``_MAX_CHILDREN``
+    children at a time (``_windows``) and passes all it keeps of them down at
+    once, so a leaf block holds at most ``_MAX_CHILDREN`` rows.
     """
     k = U.shape[0]
 
@@ -299,57 +305,35 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
         if top_zero is not None:
             low = np.where(top_zero & ~zero, np.maximum(low, 1.0), low)
         counts = np.maximum(high - low + 1.0, 0.0).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return
-        cuts = []
-        if total > _MAX_CHILDREN:
-            # Expand about _MAX_CHILDREN rows at a time: split this level's
-            # rows where their children's offsets cross a multiple of it.
-            # The offsets of one piece fall in one such interval, so a piece
-            # is not split again.
-            piece = (np.cumsum(counts) - counts) // _MAX_CHILDREN
-            cuts = (np.flatnonzero(np.diff(piece)) + 1).tolist()
-        if cuts:
-            cuts = [0, *cuts, counts.size]
-            zs, parents = path[-1]
-            for a, b in zip(cuts, cuts[1:]):
-                yield from expand(level, path[:-1] + [(zs[a:b], parents[a:b])],
-                                  y[a:b], used[a:b],
-                                  None if top_zero is None else top_zero[a:b])
-            return
-        rows, offs = _ragged_expand(counts)
-        zvals = low[rows] + offs
-        seg = d * zvals + y[rows, level]
-        new_used = used[rows] + seg * seg
-        keep = new_used <= rad_sq
-        if level == k - 1 and part is not None:
-            keep &= zvals % part[1] == part[0]
-        rows = rows[keep]
-        zvals = zvals[keep].astype(np.int64)
-        new_used = new_used[keep]
-        if rows.size == 0:
-            return
-        if level == 0:
-            coeffs = np.empty((k, rows.size), dtype=np.int64)
-            coeffs[0] = zvals
-            idx = rows
-            for j, (z, parent) in enumerate(reversed(path), start=1):
-                coeffs[j] = z[idx]
-                idx = parent[idx]
-            if budget is not None:
-                budget.charge(orbit * rows.size)
-            yield coeffs.T, new_used
-            return
-        # An odd level tells the even level below it, the other half of its
-        # pair, whether every higher pair is zero.
-        child_top = zero[rows] if orbit == 4 and level % 2 == 1 else None
-        new_y = y[rows, :level] + U[:level, level][None, :] * zvals[:, None]
-        for s in range(0, rows.size, _MAX_ROWS):
-            e = s + _MAX_ROWS
-            yield from expand(level - 1, path + [(zvals[s:e], rows[s:e])],
-                              new_y[s:e], new_used[s:e],
-                              None if child_top is None else child_top[s:e])
+        for rows, offs in _windows(counts):
+            zvals = low[rows] + offs
+            seg = d * zvals + y[rows, level]
+            new_used = used[rows] + seg * seg
+            keep = new_used <= rad_sq
+            if level == k - 1 and part is not None:
+                keep &= zvals % part[1] == part[0]
+            rows = rows[keep]
+            zvals = zvals[keep].astype(np.int64)
+            new_used = new_used[keep]
+            if rows.size == 0:
+                continue
+            if level == 0:
+                coeffs = np.empty((k, rows.size), dtype=np.int64)
+                coeffs[0] = zvals
+                idx = rows
+                for j, (z, parent) in enumerate(reversed(path), start=1):
+                    coeffs[j] = z[idx]
+                    idx = parent[idx]
+                if budget is not None:
+                    budget.charge(orbit * rows.size)
+                yield coeffs.T, new_used
+                continue
+            # An odd level tells the even level below it, the other half of
+            # its pair, whether every higher pair is zero.
+            child_top = zero[rows] if orbit == 4 and level % 2 == 1 else None
+            new_y = y[rows, :level] + U[:level, level][None, :] * zvals[:, None]
+            yield from expand(level - 1, path + [(zvals, rows)], new_y, new_used,
+                              child_top)
 
     yield from expand(k - 1, [], np.zeros((1, k)), np.zeros(1), None)
 
@@ -366,17 +350,15 @@ def _product_walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
     cap = 2 / (1 - _TIE_TOL) lets ||A||^2 reach ||B||^2 up to the tie band.
     The A-half ball (zero and every +/-A) is walked once, the quarter B-half
     ball once (B holds the top coefficient, so ``part`` splits that walk), and
-    each B takes its prefix through one ``searchsorted``.  Rows go out in
-    blocks of a quarter of ``_MAX_CHILDREN``.  A row whose ||A||^2 lies
-    within the band of ||B||^2 is kept only if it is lexicographically below
-    the quarter point of its E-image (``_below_e_image``), so exactly one of
-    the two ties is.  Charges ``budget`` 8 points per row.
+    each B takes its prefix through one ``searchsorted``.  The prefixes are
+    cut into ``_windows``, one block each, less the ties dropped.  A row whose
+    ||A||^2 lies within the band of ||B||^2 is kept only if it is
+    lexicographically below the quarter point of its E-image
+    (``_below_e_image``), so exactly one of the two ties is.  Charges
+    ``budget`` 8 points per row.
     """
     h = U.shape[0] // 2
     cap = 2.0 / (1.0 - _TIE_TOL)
-    # Product rows are cheap to make and costly to consume: blocks this size
-    # keep a block's matrices and terms in cache downstream.
-    block = _MAX_CHILDREN // 4
     # Every A kept has ||A||^2 <= (1 - 1/cap) rad_sq; walk a hair past it.
     signed = list(_walk(U[:h, :h], (1.0 - 1.0 / cap) * rad_sq * (1.0 + _RADIUS_TOL)))
     a = np.concatenate([np.zeros((1, h), dtype=np.int64)]
@@ -386,22 +368,13 @@ def _product_walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
     a_cols, a_norm = np.ascontiguousarray(a[order].T), a_norm[order]
     for b, b_norm in _walk(U[h:, h:], rad_sq, part=part, orbit=4):
         b_cols = b.T
-        ends = np.cumsum(np.searchsorted(
-            a_norm, np.minimum(rad_sq, cap * b_norm) - b_norm, side="right"))
-        starts = np.concatenate(([0], ends[:-1]))
+        counts = np.searchsorted(a_norm, np.minimum(rad_sq, cap * b_norm) - b_norm,
+                                 side="right")
         # A B's rows from this index of the A-half ball on are in the tie band,
         # ||A||^2 >= 2 ||B||^2 / (1 + _TIE_TOL) - ||B||^2.
         tied = np.searchsorted(a_norm, 2.0 * b_norm / (1.0 + _TIE_TOL) - b_norm)
-        total = int(ends[-1])
-        for s in range(0, total, block):
-            e = min(s + block, total)
-            # The B rows whose ranges of rows meet [s, e), clipped to it.
-            first, last = np.searchsorted(ends, [s, e - 1], side="right")
-            sl = slice(first, last + 1)
-            counts = np.minimum(ends[sl], e) - np.maximum(starts[sl], s)
-            ib = np.repeat(np.arange(first, last + 1), counts)
-            ia = np.arange(s, e) - np.repeat(starts[sl], counts)
-            tie = np.flatnonzero(ia >= np.repeat(tied[sl], counts))
+        for ib, ia in _windows(counts):
+            tie = np.flatnonzero(ia >= tied[ib])
             lose = tie[~_below_e_image(np.concatenate(
                 [np.take(a_cols, ia[tie], axis=1), np.take(b_cols, ib[tie], axis=1)]))]
             if lose.size:

@@ -61,9 +61,10 @@ class SumJob:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SumJob":
-        return cls(family=doc["family"], m=doc["m"], radii=tuple(doc["radii"]),
+        return cls(family=doc["family"], m=doc["m"],
+                   radii=_config_list(doc["radii"], "radii", numbers=True),
                    c=doc.get("c", 0.0), i=doc.get("i"),
-                   skip_singular=doc.get("skipSingular", False))
+                   skip_singular=_config_scalar(doc, "skipSingular", False, "a boolean"))
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class EnvelopeJob:
     def from_dict(cls, doc: dict) -> "EnvelopeJob":
         return cls(m=doc["m"], indices=tuple(doc["indices"]),
                    s_table={int(k): v for k, v in doc.get("sTable", {}).items()},
-                   fit_from_curves=doc.get("fitFromCurves", False))
+                   fit_from_curves=_config_scalar(doc, "fitFromCurves", False, "a boolean"))
 
 
 @dataclass(frozen=True)
@@ -148,20 +149,23 @@ class ExperimentConfig:
             return _config_section(doc[key], key, parse) if doc.get(key) else None
 
         try:
+            jobs = _config_list(doc.get("sumJobs", []), "sumJobs")
             return cls(
                 name=doc["name"],
                 code=_config_section(doc["code"], "code", CodeSpec.from_dict),
                 sum_jobs=tuple(_config_section(job, f"sumJobs[{j}]", SumJob.from_dict)
-                               for j, job in enumerate(_config_list(doc, "sumJobs"))),
+                               for j, job in enumerate(jobs)),
                 envelope=optional("envelope", EnvelopeJob.from_dict),
                 dmt=optional("dmt", DmtJob.from_dict),
                 sim=optional("sim", ChannelConfig.from_dict),
-                compare_c_values=_config_list(doc, "compareCValues"),
-                compare_m=_config_number(doc, "compareM", None),
-                compare_radii=_config_list(doc, "compareRadii"),
-                det_scan_radius=_config_number(doc, "detScanRadius", None),
-                seed=_config_number(doc, "seed", 0, integer=True),
-                budget=_config_number(doc, "budget", DEFAULT_BUDGET, integer=True),
+                compare_c_values=_config_list(doc.get("compareCValues", []),
+                                              "compareCValues", numbers=True),
+                compare_m=_config_scalar(doc, "compareM", None),
+                compare_radii=_config_list(doc.get("compareRadii", []), "compareRadii",
+                                           numbers=True),
+                det_scan_radius=_config_scalar(doc, "detScanRadius", None),
+                seed=_config_scalar(doc, "seed", 0, "an integer"),
+                budget=_config_scalar(doc, "budget", DEFAULT_BUDGET, "an integer"),
             )
         except KeyError as exc:
             raise ValueError(f"experiment config lacks the key {exc}") from None
@@ -179,23 +183,29 @@ def _config_section(value, name: str, parse):
         raise ValueError(f"experiment config field {name!r} is malformed: {exc}") from None
 
 
-def _config_list(doc: dict, key: str) -> tuple:
-    """An optional config field that must be a JSON list (empty if absent)."""
-    value = doc.get(key, [])
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"experiment config field {key!r} must be a list, got {value!r}")
+def _config_list(value, key: str, *, numbers: bool = False) -> tuple:
+    """The config field ``key``: a JSON list, of JSON numbers (no booleans)
+    with ``numbers``; the message leads with the key, as ``sum_curves``' does."""
+    if not isinstance(value, (list, tuple)) or numbers and any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+        raise ValueError(f"{key} must be a list{' of numbers' if numbers else ''} "
+                         f"in an experiment config, got {value!r}")
     return tuple(value)
 
 
-def _config_number(doc: dict, key: str, default, *, integer: bool = False):
-    """An optional numeric config field (``default`` if absent); null passes
-    only where the default is None."""
+_KINDS = {"a number": (int, float), "an integer": int, "a boolean": bool}
+
+
+def _config_scalar(doc: dict, key: str, default, kind: str = "a number"):
+    """An optional config field (``default`` if absent) of one of the JSON
+    ``_KINDS``, where a boolean is no number; null passes only where the
+    default is None."""
     value = doc.get(key, default)
     if value is None and default is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ValueError(f"experiment config field {key!r} must be "
-                         f"{'an integer' if integer else 'a number'}, got {value!r}")
+    if (not isinstance(value, _KINDS[kind])
+            or isinstance(value, bool) != (kind == "a boolean")):
+        raise ValueError(f"experiment config field {key!r} must be {kind}, got {value!r}")
     return value
 
 

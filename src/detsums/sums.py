@@ -31,8 +31,8 @@ one-spec cases.
 
 A split walk opens one thread pool per call, whose threads end before the
 call returns; an unsplit walk runs on the calling thread.  Each thread
-realizes blocks of up to a product-walk block's rows into two buffers of its
-own, made once and reused by every later block on that thread (see
+realizes every block into two buffers of its own, sized to the largest block
+it has realized and reused by every later block on that thread (see
 ``_realize``), so the calling thread's buffers persist across calls: fresh
 arrays per block cost a page fault per page, since the allocator hands the
 freed heap back to the kernel between blocks.
@@ -52,8 +52,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HypothesisViolated, ProofBoundExceeded, SingularPoint
-from .lattice import (DEFAULT_BUDGET, MatrixLattice, PointBudget, _MAX_CHILDREN,
-                      _bound_sq, coefficient_blocks, realize_block)
+from .lattice import (DEFAULT_BUDGET, MatrixLattice, PointBudget, _bound_sq,
+                      coefficient_blocks, realize_block)
 from .linalg import _esp_batch, _shifted_from_esp, det_batch, det_gram_batch
 
 __all__ = [
@@ -185,27 +185,23 @@ def _inside(rows, bound):
 
 
 def _realize(lat, coeffs):
-    """``realize_block`` into this thread's two buffers, for a block of at most
-    a product-walk block's rows (``_MAX_CHILDREN // 4``).
+    """``realize_block`` into this thread's two buffers.
 
-    The buffers are made on a thread's first such block, for that many rows
-    of the widest lattice it has realized (2nT columns, and k <= 2nT), and
-    reused by every later block on the thread, across calls.  A larger block,
-    as ``_walk`` yields up to ``_MAX_CHILDREN`` rows, gets fresh arrays.
+    The buffers hold the largest block the thread has realized (rows times
+    2nT columns, and k <= 2nT), grow when a larger one arrives, and are
+    reused by every later block on the thread, across calls.
     """
     rows, k = coeffs.shape
-    cap = _MAX_CHILDREN // 4
-    if rows > cap:
-        return realize_block(lat, coeffs)
     width = lat.real_basis.shape[1]
+    size = rows * width
     held = getattr(_buffers, "held", None)
-    if held is None or held[0].size < cap * width:
-        held = _buffers.held = (np.empty(cap * width), np.empty(cap * width))
+    if held is None or held[0].size < size:
+        held = _buffers.held = (np.empty(size), np.empty(size))
     copy, flat = held
     # The walks yield the transpose of a (k, B) array; a copy laid out alike
     # is multiplied as coeffs.astype(float) would be.
     return realize_block(lat, coeffs, out=(copy[:rows * k].reshape(k, rows).T,
-                                           flat[:rows * width].reshape(rows, width)))
+                                           flat[:size].reshape(rows, width)))
 
 
 def _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc):

@@ -253,6 +253,25 @@ def test_config_validation():
                       multiplexing_r=0.5)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("trials_per_point", 0, "trials_per_point must be an integer >= 1"),
+    ("trials_per_point", -2, "trials_per_point must be an integer >= 1"),
+    ("trials_per_point", 1.5, "trials_per_point must be an integer >= 1"),
+    ("trials_per_point", True, "trials_per_point must be an integer >= 1"),
+    ("n_r", 0, "n_r must be an integer >= 1"),
+    ("n_r", "2", "n_r must be an integer >= 1"),
+    ("noise_scale", -0.5, "noise_scale must be a finite number >= 0"),
+    ("noise_scale", math.nan, "noise_scale must be a finite number >= 0"),
+    ("noise_scale", math.inf, "noise_scale must be a finite number >= 0"),
+    ("noise_scale", "1", "noise_scale must be a finite number >= 0"),
+    ("chernoff_scaling", "false", "chernoff_scaling must be a boolean"),
+])
+def test_config_rejects_bad_trial_receiver_and_noise_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        _small_cfg(**{field: value})
+    assert _small_cfg(trials_per_point=1, n_r=1, noise_scale=0).trials_per_point == 1
+
+
 def test_scheme_mode_simulation(golden_lattice):
     # multiplexing mode rebuilds the code per SNR point: the codebook grows
     # with rho while the codewords shrink back into a fixed ball

@@ -246,6 +246,59 @@ def test_config_sum_job_with_a_bad_number_is_a_computation_error(capsys, tmp_pat
     assert err.startswith(f"error[run]: {message}") and "Traceback" not in err
 
 
+def _with_sim(doc, **fields):
+    """A preset config's ``sim`` section with ``fields`` changed."""
+    from detsums.presets import build_preset
+    doc["sim"] = dict(build_preset("gaussian-diagonal-2", with_sim=True).to_dict()["sim"],
+                      **fields)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["sumJobs"][0].update(radii="24"),
+     "radii must be a list of numbers in an experiment config, got '24'"),
+    (lambda doc: doc["sumJobs"][0].update(radii=[2.0, True]),
+     "radii must be a list of numbers in an experiment config, got [2.0, True]"),
+    (lambda doc: doc["sumJobs"][0].update(skipSingular="false"),
+     "experiment config field 'skipSingular' must be a boolean, got 'false'"),
+    (lambda doc: doc.update(envelope={"m": 2, "indices": [0, 1, 2],
+                                      "fitFromCurves": "no"}),
+     "experiment config field 'fitFromCurves' must be a boolean, got 'no'"),
+    (lambda doc: doc.update(compareRadii=["2", "4"]),
+     "compareRadii must be a list of numbers in an experiment config, got ['2', '4']"),
+    (lambda doc: doc.update(compareCValues=[True]),
+     "compareCValues must be a list of numbers in an experiment config, got [True]"),
+    (lambda doc: _with_sim(doc, chernoffScaling="false"),
+     "chernoff_scaling must be a boolean, got 'false'"),
+    (lambda doc: _with_sim(doc, trialsPerPoint=0),
+     "trials_per_point must be an integer >= 1, got 0"),
+    (lambda doc: _with_sim(doc, n_r=0), "n_r must be an integer >= 1, got 0"),
+], ids=["radii-string", "radii-bool", "skipSingular", "fitFromCurves", "compareRadii",
+        "compareCValues", "chernoffScaling", "trialsPerPoint", "n_r"])
+def test_config_field_of_the_wrong_type_is_a_computation_error(capsys, tmp_path,
+                                                               edit, message):
+    code, out, err = _run_config_with(capsys, tmp_path, edit)
+    assert code == 1
+    assert out == ""
+    assert err == f"error[run]: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--trials", "0"], "trials_per_point must be an integer >= 1, got 0"),
+    (["--trials", "-2"], "trials_per_point must be an integer >= 1, got -2"),
+    (["--n-r", "0"], "n_r must be an integer >= 1, got 0"),
+    (["--noise-scale", "nan"], "noise_scale must be a finite number >= 0, got nan"),
+])
+def test_simulate_without_trials_or_antennas_is_a_computation_error(capsys, args,
+                                                                    message):
+    # The last value of a repeated option wins.
+    code, out, err = run_cli(capsys, "simulate", "--code", "gaussian-diagonal", "--n", "1",
+                             "--snr-db", "5:5:1", "--radius", "1", "--n-r", "2",
+                             "--trials", "5", *args)
+    assert code == 1
+    assert out == ""
+    assert err == f"error[simulate]: {message}\n"
+
+
 @pytest.mark.parametrize("args", [["--m", "nan", "--c", "1", "--M", "2"],
                                   ["--m", "2", "--c", "nan", "--M", "2"],
                                   ["--m", "2", "--c", "1", "--M", "nan"]])

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from detsums.codes import gaussian_diagonal, golden_code
 from detsums.errors import BudgetExceeded, HypothesisViolated, SingularPoint
-from detsums.lattice import (_MAX_CHILDREN, build_lattice, coefficient_blocks,
-                             rescale_lattice, shell_counts)
+from detsums.lattice import (build_lattice, coefficient_blocks, rescale_lattice,
+                             shell_counts)
 from detsums.sums import (SumSpec, convergence_probe, dyadic_bound,
                           evaluate_sum, inverse_det_sum, norm_det_sum,
                           shifted_det_sum, shifted_vs_mixed_bound, sum_curve,
@@ -216,11 +216,20 @@ def _in_a_new_thread(fn):
 def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice,
                                                       zi_lattice, monkeypatch):
     # One thread's blocks share its realization buffers.  The three lattices
-    # differ in k (8, 4, 2) and 2nT (8, 8, 2); the diagonal-nf-2 walk to
-    # R = 16 yields a block larger than the buffers hold, and the call on
+    # differ in k (8, 4, 2) and 2nT (8, 8, 2), so the new thread's buffers,
+    # sized by its first block, must grow to take later ones, and the call on
     # gaussian_diagonal(2) raises SingularPoint on a realized block.  Values
     # match fresh arrays for every block bit for bit.
     from detsums import sums
+    realized = {}                       # thread -> size of each block it realized
+    realize = sums._realize
+
+    def recording(lat, coeffs):
+        realized.setdefault(threading.get_ident(), []).append(
+            coeffs.shape[0] * lat.real_basis.shape[1])
+        return realize(lat, coeffs)
+
+    monkeypatch.setattr(sums, "_realize", recording)
     shifted = SumSpec(family="shifted", m=4, c=1.0)
     approximate = SumSpec(family="approximate", m=2)
     mixed = SumSpec(family="mixed", m=4, i=2)
@@ -234,7 +243,6 @@ def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice
         "zi": lambda: sum_curves(zi_lattice, [(shifted, [4.0, 16.0, 64.0]),
                                               (mixed, [8.0, 32.0])]),
     }
-    assert max(len(c) for c, _ in coefficient_blocks(nf_lattice, 16.0)) > _MAX_CHILDREN // 4
     singular = gaussian_diagonal(2)
 
     def interleave():
@@ -243,9 +251,12 @@ def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice
             with pytest.raises(SingularPoint):
                 sum_curves(singular, [(shifted, [8.0]), (approximate, [4.0, 8.0])])
             assert calls[name]() == first[name]
-        return first
+        return first, threading.get_ident(), sums._buffers.held[0].size
 
-    first = _in_a_new_thread(interleave)
+    first, thread, held = _in_a_new_thread(interleave)
+    sizes = realized[thread]
+    assert max(sizes[1:]) > sizes[0]            # the buffers had to grow
+    assert held == max(sizes)                   # to the largest block, no more
     for name, call in calls.items():
         assert call() == first[name]        # on this thread's own buffers
     monkeypatch.setattr(sums, "_realize", sums.realize_block)
