@@ -217,11 +217,6 @@ class DmtCurve:
     label: str = ""
     provenance: dict = field(default_factory=dict, compare=False)
 
-    def evaluate_exact(self, r) -> Fraction:
-        rf = _frac(r)
-        best = max(a + b * rf for a, b in self.segments)
-        return best if best > 0 else Fraction(0)
-
     def evaluate(self, r: float) -> float:
         return max(0.0, max(float(a) + float(b) * r for a, b in self.segments))
 

@@ -46,6 +46,8 @@ from .errors import (CodeTooLarge, DimensionMismatch, InsufficientStatistics,
                      RadiusOverflow)
 from .lattice import (DEFAULT_BUDGET, MatrixLattice, coefficient_blocks,
                       orbit_images, realize_block)
+from .schema import (BOOLEAN, INTEGER, NUMBER, NUMBERS, STRING, JsonFields,
+                     json_field)
 from .sums import SumSpec, sum_curves
 
 __all__ = [
@@ -70,20 +72,22 @@ DECODERS = ("ml-exhaustive", "naive-lattice")
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
-    n_t: int
-    n_r: int
-    T: int
-    snr_grid_db: tuple
-    trials_per_point: int
-    seed: int
-    decoder: str = "ml-exhaustive"
-    multiplexing_r: float | None = None
-    fixed_radius: float | None = None
-    ml_code_cap: int = 4096
-    noise_scale: float = 1.0          # 0 gives the noiseless harness variant
-    chernoff_scaling: bool = True     # keep the 1/(4 n_t) factor in the bound shift
-    budget: int = DEFAULT_BUDGET
+class ChannelConfig(JsonFields):
+    n_t: int = json_field("n_t", INTEGER)
+    n_r: int = json_field("n_r", INTEGER)
+    T: int = json_field("T", INTEGER)
+    snr_grid_db: tuple = json_field("snrGridDb", NUMBERS)
+    trials_per_point: int = json_field("trialsPerPoint", INTEGER)
+    seed: int = json_field("seed", INTEGER)
+    decoder: str = json_field("decoder", STRING, default="ml-exhaustive")
+    multiplexing_r: float | None = json_field("multiplexingR", NUMBER, default=None)
+    fixed_radius: float | None = json_field("fixedRadius", NUMBER, default=None)
+    ml_code_cap: int = json_field("mlCodeCap", INTEGER, default=4096)
+    # 0 gives the noiseless harness variant
+    noise_scale: float = json_field("noiseScale", NUMBER, default=1.0)
+    # keep the 1/(4 n_t) factor in the bound shift
+    chernoff_scaling: bool = json_field("chernoffScaling", BOOLEAN, default=True)
+    budget: int = json_field("budget", INTEGER, default=DEFAULT_BUDGET)
 
     def __post_init__(self):
         if self.decoder not in DECODERS:
@@ -104,29 +108,6 @@ class ChannelConfig:
         object.__setattr__(self, "snr_grid_db", grid)
         if (self.multiplexing_r is None) == (self.fixed_radius is None):
             raise ValueError("set exactly one of multiplexing_r and fixed_radius")
-
-    def to_dict(self) -> dict:
-        return {"n_t": self.n_t, "n_r": self.n_r, "T": self.T,
-                "snrGridDb": list(self.snr_grid_db),
-                "trialsPerPoint": self.trials_per_point, "seed": self.seed,
-                "decoder": self.decoder, "multiplexingR": self.multiplexing_r,
-                "fixedRadius": self.fixed_radius, "mlCodeCap": self.ml_code_cap,
-                "noiseScale": self.noise_scale,
-                "chernoffScaling": self.chernoff_scaling,
-                "budget": self.budget}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ChannelConfig":
-        return cls(n_t=doc["n_t"], n_r=doc["n_r"], T=doc["T"],
-                   snr_grid_db=tuple(doc["snrGridDb"]),
-                   trials_per_point=doc["trialsPerPoint"], seed=doc["seed"],
-                   decoder=doc.get("decoder", "ml-exhaustive"),
-                   multiplexing_r=doc.get("multiplexingR"),
-                   fixed_radius=doc.get("fixedRadius"),
-                   ml_code_cap=doc.get("mlCodeCap", 4096),
-                   noise_scale=doc.get("noiseScale", 1.0),
-                   chernoff_scaling=doc.get("chernoffScaling", True),
-                   budget=doc.get("budget", DEFAULT_BUDGET))
 
 
 @dataclass(frozen=True)

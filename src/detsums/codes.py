@@ -15,7 +15,8 @@ Three families are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import UnsupportedDegree
 from .lattice import (MatrixLattice, build_lattice, coefficient_blocks,
                       lattice_from_json, realize_block, rescale_lattice)
 from .linalg import det_batch
+from .schema import OBJECT, STRING, JsonFields, json_field
 
 __all__ = [
     "CodeSpec",
@@ -144,34 +146,36 @@ def min_abs_det_ball(lat: MatrixLattice, radius: float, *, budget: int = 2 ** 26
 
 
 @dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(JsonFields):
     """Declarative description of a lattice construction."""
 
-    kind: str                       # golden | diagonal-nf | gaussian-diagonal | custom
-    params: dict = field(default_factory=dict)
-    normalization: str = "raw"
+    # golden | diagonal-nf | gaussian-diagonal | custom
+    kind: str = json_field("kind", STRING)
+    params: dict = json_field("params", OBJECT, default_factory=dict)
+    normalization: str = json_field("normalization", STRING, default="raw")
 
     def resolve(self) -> MatrixLattice:
         return resolve_code(self)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params),
-                "normalization": self.normalization}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CodeSpec":
-        return cls(kind=doc["kind"], params=dict(doc.get("params", {})),
-                   normalization=doc.get("normalization", "raw"))
 
 
 def resolve_code(spec: CodeSpec) -> MatrixLattice:
     if spec.kind == "golden":
         return golden_code(spec.normalization)
     if spec.kind == "diagonal-nf":
-        return diagonal_nf_code(int(spec.params.get("n", 2)), spec.normalization)
+        return diagonal_nf_code(_degree(spec, 2), spec.normalization)
     if spec.kind == "gaussian-diagonal":
-        return gaussian_diagonal(int(spec.params.get("n", 1)), spec.normalization)
+        return gaussian_diagonal(_degree(spec, 1), spec.normalization)
     if spec.kind == "custom":
+        if "basis" not in spec.params:
+            raise ValueError("code kind 'custom' needs params.basis")
         lat = lattice_from_json(spec.params["basis"])
         return _apply_normalization(lat, spec.normalization)
     raise ValueError(f"unknown code kind {spec.kind!r}")
+
+
+def _degree(spec: CodeSpec, default: int) -> int:
+    """``params.n`` of a diagonal construction: an integer >= 1."""
+    n = spec.params.get("n", default)
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"code params.n must be an integer >= 1, got {n!r}")
+    return int(n)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import (BoundEnvelope, DmtCurve, dmt_envelope, dmt_ml_bound,
@@ -26,6 +26,8 @@ from .bounds import (BoundEnvelope, DmtCurve, dmt_envelope, dmt_ml_bound,
 from .channel import ChannelConfig, SimResult, fixed_code, simulate, union_bounds
 from .codes import CodeSpec, min_abs_det_ball
 from .lattice import DEFAULT_BUDGET, MatrixLattice
+from .schema import (BOOLEAN, INTEGER, INTEGERS, NUMBER, NUMBER_TABLE, NUMBERS,
+                     STRING, JsonFields, json_field, section, sections)
 from .sums import SumSpec, sum_curves
 
 __all__ = [
@@ -41,34 +43,23 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SumJob:
+class SumJob(JsonFields):
     """One sum family evaluated on a radius grid."""
 
-    family: str
-    m: float
-    radii: tuple
-    c: float = 0.0
-    i: int | None = None
-    skip_singular: bool = False
+    family: str = json_field("family", STRING)
+    m: float = json_field("m", NUMBER)
+    radii: tuple = json_field("radii", NUMBERS)
+    c: float = json_field("c", NUMBER, default=0.0)
+    i: int | None = json_field("i", INTEGER, default=None)
+    skip_singular: bool = json_field("skipSingular", BOOLEAN, default=False)
 
     def spec(self) -> SumSpec:
         return SumSpec(family=self.family, m=self.m, c=self.c, i=self.i,
                        skip_singular=self.skip_singular)
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "m": self.m, "radii": list(self.radii),
-                "c": self.c, "i": self.i, "skipSingular": self.skip_singular}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SumJob":
-        return cls(family=doc["family"], m=doc["m"],
-                   radii=_config_list(doc["radii"], "radii", numbers=True),
-                   c=doc.get("c", 0.0), i=doc.get("i"),
-                   skip_singular=_config_scalar(doc, "skipSingular", False, "a boolean"))
-
 
 @dataclass(frozen=True)
-class EnvelopeJob:
+class EnvelopeJob(JsonFields):
     """Envelope request: exponent table either given or fitted from curves.
 
     ``s_table`` maps the inverse-determinant power l to its growth exponent.
@@ -76,137 +67,43 @@ class EnvelopeJob:
     curve with m = 2l (square lattices carry det(X X*) = |det X|^2).
     """
 
-    m: int
-    indices: tuple
-    s_table: dict = field(default_factory=dict)
-    fit_from_curves: bool = False
-
-    def to_dict(self) -> dict:
-        return {"m": self.m, "indices": list(self.indices),
-                "sTable": {str(k): v for k, v in sorted(self.s_table.items())},
-                "fitFromCurves": self.fit_from_curves}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EnvelopeJob":
-        return cls(m=doc["m"], indices=tuple(doc["indices"]),
-                   s_table={int(k): v for k, v in doc.get("sTable", {}).items()},
-                   fit_from_curves=_config_scalar(doc, "fitFromCurves", False, "a boolean"))
+    m: int = json_field("m", INTEGER)
+    indices: tuple = json_field("indices", INTEGERS)
+    s_table: dict = json_field("sTable", NUMBER_TABLE, default_factory=dict)
+    fit_from_curves: bool = json_field("fitFromCurves", BOOLEAN, default=False)
 
 
 @dataclass(frozen=True)
-class DmtJob:
-    T: int
-    k: int
-    naive_a: float | None = None
-
-    def to_dict(self) -> dict:
-        return {"T": self.T, "k": self.k, "naiveA": self.naive_a}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DmtJob":
-        return cls(T=doc["T"], k=doc["k"], naive_a=doc.get("naiveA"))
+class DmtJob(JsonFields):
+    T: int = json_field("T", INTEGER)
+    k: int = json_field("k", INTEGER)
+    naive_a: float | None = json_field("naiveA", NUMBER, default=None)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    name: str
-    code: CodeSpec
-    sum_jobs: tuple = ()
-    envelope: EnvelopeJob | None = None
-    dmt: DmtJob | None = None
-    sim: ChannelConfig | None = None
-    compare_c_values: tuple = ()
-    compare_m: float | None = None
-    compare_radii: tuple = ()
-    det_scan_radius: float | None = None
-    seed: int = 0
-    budget: int = DEFAULT_BUDGET
+class ExperimentConfig(JsonFields):
+    """A whole study; ``name`` names its report directory, so it must be one
+    path component."""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "code": self.code.to_dict(),
-            "sumJobs": [j.to_dict() for j in self.sum_jobs],
-            "envelope": self.envelope.to_dict() if self.envelope else None,
-            "dmt": self.dmt.to_dict() if self.dmt else None,
-            "sim": self.sim.to_dict() if self.sim else None,
-            "compareCValues": list(self.compare_c_values),
-            "compareM": self.compare_m,
-            "compareRadii": list(self.compare_radii),
-            "detScanRadius": self.det_scan_radius,
-            "seed": self.seed,
-            "budget": self.budget,
-        }
+    name: str = json_field("name", STRING)
+    code: CodeSpec = json_field("code", section(CodeSpec))
+    sum_jobs: tuple = json_field("sumJobs", sections(SumJob), default=())
+    envelope: EnvelopeJob | None = json_field("envelope", section(EnvelopeJob),
+                                              default=None)
+    dmt: DmtJob | None = json_field("dmt", section(DmtJob), default=None)
+    sim: ChannelConfig | None = json_field("sim", section(ChannelConfig), default=None)
+    compare_c_values: tuple = json_field("compareCValues", NUMBERS, default=())
+    compare_m: float | None = json_field("compareM", NUMBER, default=None)
+    compare_radii: tuple = json_field("compareRadii", NUMBERS, default=())
+    det_scan_radius: float | None = json_field("detScanRadius", NUMBER, default=None)
+    seed: int = json_field("seed", INTEGER, default=0)
+    budget: int = json_field("budget", INTEGER, default=DEFAULT_BUDGET)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Read a config; a missing key or a value of the wrong JSON type is a
-        ValueError naming it."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"experiment config must be an object, got {doc!r}")
-
-        def optional(key, parse):
-            return _config_section(doc[key], key, parse) if doc.get(key) else None
-
-        try:
-            jobs = _config_list(doc.get("sumJobs", []), "sumJobs")
-            return cls(
-                name=doc["name"],
-                code=_config_section(doc["code"], "code", CodeSpec.from_dict),
-                sum_jobs=tuple(_config_section(job, f"sumJobs[{j}]", SumJob.from_dict)
-                               for j, job in enumerate(jobs)),
-                envelope=optional("envelope", EnvelopeJob.from_dict),
-                dmt=optional("dmt", DmtJob.from_dict),
-                sim=optional("sim", ChannelConfig.from_dict),
-                compare_c_values=_config_list(doc.get("compareCValues", []),
-                                              "compareCValues", numbers=True),
-                compare_m=_config_scalar(doc, "compareM", None),
-                compare_radii=_config_list(doc.get("compareRadii", []), "compareRadii",
-                                           numbers=True),
-                det_scan_radius=_config_scalar(doc, "detScanRadius", None),
-                seed=_config_scalar(doc, "seed", 0, "an integer"),
-                budget=_config_scalar(doc, "budget", DEFAULT_BUDGET, "an integer"),
-            )
-        except KeyError as exc:
-            raise ValueError(f"experiment config lacks the key {exc}") from None
-
-
-def _config_section(value, name: str, parse):
-    """``parse(value)`` for the config field ``name``, which must be a JSON
-    object; a value of the wrong type inside it names the field too."""
-    if not isinstance(value, dict):
-        raise ValueError(f"experiment config field {name!r} must be an object, "
-                         f"got {value!r}")
-    try:
-        return parse(value)
-    except TypeError as exc:
-        raise ValueError(f"experiment config field {name!r} is malformed: {exc}") from None
-
-
-def _config_list(value, key: str, *, numbers: bool = False) -> tuple:
-    """The config field ``key``: a JSON list, of JSON numbers (no booleans)
-    with ``numbers``; the message leads with the key, as ``sum_curves``' does."""
-    if not isinstance(value, (list, tuple)) or numbers and any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
-        raise ValueError(f"{key} must be a list{' of numbers' if numbers else ''} "
-                         f"in an experiment config, got {value!r}")
-    return tuple(value)
-
-
-_KINDS = {"a number": (int, float), "an integer": int, "a boolean": bool}
-
-
-def _config_scalar(doc: dict, key: str, default, kind: str = "a number"):
-    """An optional config field (``default`` if absent) of one of the JSON
-    ``_KINDS``, where a boolean is no number; null passes only where the
-    default is None."""
-    value = doc.get(key, default)
-    if value is None and default is None:
-        return None
-    if (not isinstance(value, _KINDS[kind])
-            or isinstance(value, bool) != (kind == "a boolean")):
-        raise ValueError(f"experiment config field {key!r} must be {kind}, got {value!r}")
-    return value
+    def __post_init__(self):
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or "/" in self.name or "\\" in self.name):
+            raise ValueError(f"experiment name must be a nonempty single path "
+                             f"component, got {self.name!r}")
 
 
 def _canonical_json(doc: dict) -> str:

@@ -1,6 +1,9 @@
 import csv
+import functools
 import io
 import json
+import operator
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ import pytest
 from detsums.cli import main
 from detsums.codes import golden_code
 from detsums.lattice import shell_counts
+from detsums.pipeline import ExperimentConfig
+from detsums.schema import JsonFields
 
 from conftest import box_scan_coeffs
 
@@ -234,7 +239,8 @@ def test_config_with_a_malformed_scalar_is_a_computation_error(capsys, tmp_path,
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("m", "2", "exponent m must be"), ("m", float("nan"), "exponent m must be"),
+    ("m", "2", "experiment config field 'm' must be a number"),
+    ("m", float("nan"), "exponent m must be"),
     ("c", float("nan"), "shift c must be"), ("radii", [2.0, "nan"], "radii must be"),
 ])
 def test_config_sum_job_with_a_bad_number_is_a_computation_error(capsys, tmp_path,
@@ -268,7 +274,7 @@ def _with_sim(doc, **fields):
     (lambda doc: doc.update(compareCValues=[True]),
      "compareCValues must be a list of numbers in an experiment config, got [True]"),
     (lambda doc: _with_sim(doc, chernoffScaling="false"),
-     "chernoff_scaling must be a boolean, got 'false'"),
+     "experiment config field 'chernoffScaling' must be a boolean, got 'false'"),
     (lambda doc: _with_sim(doc, trialsPerPoint=0),
      "trials_per_point must be an integer >= 1, got 0"),
     (lambda doc: _with_sim(doc, n_r=0), "n_r must be an integer >= 1, got 0"),
@@ -280,6 +286,115 @@ def test_config_field_of_the_wrong_type_is_a_computation_error(capsys, tmp_path,
     assert code == 1
     assert out == ""
     assert err == f"error[run]: {message}\n"
+
+
+def _config_fields(doc, cls, at=()):
+    """(keys to the section, its class, field) for every field of ``cls`` and
+    of every section nested in ``doc``, the JSON form of an instance of ``cls``."""
+    config = cls.from_dict(doc)
+    for f in fields(cls):
+        yield at, cls, f
+        key, value = f.metadata["key"], getattr(config, f.name)
+        if isinstance(value, JsonFields):
+            yield from _config_fields(doc[key], type(value), at + (key,))
+        elif isinstance(value, tuple) and value and isinstance(value[0], JsonFields):
+            yield from _config_fields(doc[key][0], type(value[0]), at + (key, 0))
+
+
+def _section_path(at) -> str:
+    """The section path of config messages: ``sumJobs[0]``, ``sim``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in at).lstrip(".")
+
+
+# Values of the wrong JSON kind, for each kind a field may declare.
+_WRONG_VALUES = {
+    "a string": [2, ["a"]], "a boolean": ["true", 1], "an integer": ["2", 1.5, True],
+    "a number": ["x", True], "a list of numbers": ["02", [1.0, "2"]],
+    "a list of integers": ["02", [0, 1.5]], "an object": ["x", [1]],
+    "a list of objects": [{}, ["x"]],
+    "an object of numbers keyed by integers": [{"1": "0.0"}, [1.0]],
+}
+
+
+def _full_config():
+    """The JSON of a config that fills every section."""
+    from detsums.presets import build_preset
+    return build_preset("golden", with_sim=True).to_dict()
+
+
+def _field_cases():
+    cases = []
+    for at, _, f in _config_fields(_full_config(), ExperimentConfig):
+        key, kind = f.metadata["key"], f.metadata["kind"].name
+        name = ".".join(map(str, at + (key,)))
+        cases += [pytest.param(at, key, kind, value, id=f"{name}-{type(value).__name__}")
+                  for value in _WRONG_VALUES[kind]]
+        if f.default is f.default_factory is MISSING:
+            cases.append(pytest.param(at, key, None, None, id=f"{name}-missing"))
+    return cases
+
+
+def test_the_full_config_reaches_every_config_class():
+    reached = {cls for _, cls, _ in _config_fields(_full_config(), ExperimentConfig)}
+    assert reached == set(JsonFields.__subclasses__())
+
+
+@pytest.mark.parametrize("at,key,kind,value", _field_cases())
+def test_every_config_field_rejects_a_wrong_kind_or_absence(capsys, tmp_path, at, key,
+                                                            kind, value):
+    doc = _full_config()
+    section = functools.reduce(operator.getitem, at, doc)
+    if kind is None:
+        del section[key]
+        where = f" section {_section_path(at)!r}" if at else ""
+        message = f"experiment config{where} lacks the key {key!r}"
+    else:
+        section[key] = value
+        message = (f"{key} must be {kind} in an experiment config"
+                   if kind.startswith("a list") else
+                   f"experiment config field {key!r} must be {kind}") + f", got {value!r}"
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", "--config", str(path),
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert err == f"error[run]: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["sumJobs"][0].update(skipSingluar=True),
+     "experiment config section 'sumJobs[0]' has the unknown key 'skipSingluar'"),
+    (lambda doc: doc.update(seeds=1), "experiment config has the unknown key 'seeds'"),
+    (lambda doc: _with_sim(doc, budgt=10), "experiment config section 'sim' has the "
+     "unknown key 'budgt'"),
+    (lambda doc: doc["code"].update(normalisation="raw"),
+     "experiment config section 'code' has the unknown key 'normalisation'"),
+], ids=["sumJobs", "top", "sim", "code"])
+def test_config_with_an_unknown_key_is_a_computation_error(capsys, tmp_path, edit,
+                                                           message):
+    code, out, err = _run_config_with(capsys, tmp_path, edit)
+    assert code == 1
+    assert out == ""
+    assert err == f"error[run]: {message}\n"
+
+
+@pytest.mark.parametrize("name", [lambda tmp: str(tmp / "abs_probe"), lambda tmp: ["a"]],
+                         ids=["absolute", "list"])
+def test_config_name_must_be_one_path_component(capsys, tmp_path, monkeypatch, name):
+    # Without --out the report goes to reports/<name>.
+    from detsums.presets import build_preset
+    monkeypatch.delenv("DETSUMS_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    doc = build_preset("gaussian-diagonal-2").to_dict()
+    doc["name"] = name(tmp_path)
+    (tmp_path / "experiment.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", "--config", "experiment.json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[run]: ") and "name" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment.json"]
 
 
 @pytest.mark.parametrize("args,message", [

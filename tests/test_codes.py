@@ -127,3 +127,15 @@ def test_code_spec_golden():
 def test_code_spec_unknown_kind():
     with pytest.raises(ValueError):
         CodeSpec(kind="nope").resolve()
+
+
+@pytest.mark.parametrize("kind", ["diagonal-nf", "gaussian-diagonal"])
+@pytest.mark.parametrize("n", [2.7, [2], 0, True, "2"])
+def test_code_spec_degree_must_be_an_integer_of_at_least_one(kind, n):
+    with pytest.raises(ValueError, match=r"params\.n must be an integer >= 1"):
+        CodeSpec(kind=kind, params={"n": n}).resolve()
+
+
+def test_code_spec_custom_needs_a_basis():
+    with pytest.raises(ValueError, match=r"params\.basis"):
+        CodeSpec(kind="custom").resolve()

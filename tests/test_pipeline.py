@@ -150,3 +150,31 @@ def test_run_walks_each_ball_once(name, monkeypatch):
     assert len({key for key, _ in walks}) == 2
     assert len(report.curves) == len(cfg.sum_jobs)
     assert len(report.compare_table) == len(cfg.compare_c_values) * len(cfg.compare_radii)
+
+
+@pytest.mark.parametrize("name,with_sim,prefix", [
+    ("golden", False, "851463ffc78a2b45"), ("golden", True, "2f370e56b65be655"),
+    ("diagonal-nf-2", False, "b6f3ac31286c953a"), ("diagonal-nf-2", True, "aeb546b36dd948c7"),
+    ("gaussian-diagonal-2", False, "b5b55eb4b8a86e0b"),
+    ("gaussian-diagonal-2", True, "e835d2ad0f2ce0f6"),
+])
+def test_preset_config_hashes_and_round_trips_are_pinned(name, with_sim, prefix):
+    cfg = build_preset(name, with_sim=with_sim)
+    assert config_hash(cfg)[:16] == prefix
+    text = json.dumps(cfg.to_dict(), sort_keys=True)
+    again = ExperimentConfig.from_dict(json.loads(text))
+    assert again == cfg
+    # Key for key and type for type: an int stays an int.
+    assert json.dumps(again.to_dict(), sort_keys=True) == text
+
+
+@pytest.mark.parametrize("table", [{"01": 1.0}, {"+1": 1.0}, {" 1": 1.0}, {"x": 1.0}])
+def test_s_table_keys_must_be_integers_as_written(table):
+    with pytest.raises(ValueError, match="'sTable' must be an object of numbers"):
+        EnvelopeJob.from_dict({"m": 2, "indices": [0], "sTable": table})
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\\b", None])
+def test_experiment_name_must_be_one_path_component(name):
+    with pytest.raises(ValueError, match="name must be a nonempty single path component"):
+        ExperimentConfig(name=name, code=CodeSpec(kind="golden"))
