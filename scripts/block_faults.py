@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Minor page faults and best wall time per call of the benchmark's sum workloads.
 
-    PYTHONPATH=src python3 scripts/block_faults.py [--passes 20] [--threads 2]
+    PYTHONPATH=src python3 scripts/block_faults.py [--passes 20]
 
 For each of the three ``sums-golden`` curves (the golden code over radii
-1 .. 4, ``n_jobs=1``) and for ``pipeline.run`` on each preset (``n_jobs`` =
-``--threads``, each preset's report into its own temporary directory), the
-script makes one warm-up call and then ``--passes`` timed calls, and prints
-the minor page faults per call (``getrusage``, whole process, mean over the
-timed calls), the fastest call's wall time, and the number of blocks the
-call's walks yield and the rows of the largest, counted on one more,
-untimed call.  The line ``sums-golden pass`` adds the three curves up:
+1 .. 4) and for ``pipeline.run`` on each preset (each preset's report into
+its own temporary directory), the script makes one warm-up call and then
+``--passes`` timed calls, and prints the minor page faults per call
+(``getrusage``, whole process, mean over the timed calls), the fastest
+call's wall time, and the number of blocks the call's walks yield and the
+rows of the largest, counted on one more, untimed call.  The line ``sums-golden pass`` adds the three curves up:
 faults, best times and blocks summed, the largest block over the three.
 The inputs mirror the ``sums-golden`` and ``presets`` workloads of
 ``perfbench/workloads.py``, one case at a time.  BLAS and OpenMP threads are
@@ -79,8 +78,6 @@ def block_rows(call, modules) -> list[int]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--passes", type=int, default=20, help="timed calls per case")
-    ap.add_argument("--threads", type=int, default=2,
-                    help="n_jobs of the preset runs (the benchmark uses 2)")
     args = ap.parse_args()
     for var in THREAD_VARS:
         os.environ.setdefault(var, "1")
@@ -100,7 +97,7 @@ def main() -> int:
         spec = sums.SumSpec(**spec)
 
         def call():
-            sums.sum_curve(lat, spec, GOLDEN_RADII, n_jobs=1)
+            sums.sum_curve(lat, spec, GOLDEN_RADII)
 
         faults, best = measure(call, args.passes)
         rows = block_rows(call, walkers)
@@ -113,7 +110,7 @@ def main() -> int:
             config = presets.build_preset(name, with_sim=False)
 
             def call():
-                pipeline.run(config, os.path.join(tmp, name), n_jobs=args.threads)
+                pipeline.run(config, os.path.join(tmp, name))
 
             faults, best = measure(call, args.passes)
             report("presets " + name, faults, best, block_rows(call, walkers))

@@ -38,16 +38,6 @@ def _geometric_grid(text: str) -> list[float]:
     return [start * factor ** j for j in range(count)]
 
 
-def _thread_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 thread, got {count}")
-    return count
-
-
 def _linear_grid(text: str) -> list[float]:
     try:
         start_s, stop_s, step_s = text.split(":")
@@ -135,12 +125,10 @@ def _cmd_sum(args) -> int:
     spec = sums.SumSpec(family=args.family, m=args.m, c=args.c, i=args.i,
                         skip_singular=args.skip_singular)
     if args.grid:
-        curve = sums.sum_curve(lat, spec, args.grid, budget=args.budget,
-                               n_jobs=args.threads)
+        curve = sums.sum_curve(lat, spec, args.grid, budget=args.budget)
         _emit(curve.to_csv(), args.out)
     else:
-        value, count = sums.evaluate_sum(lat, spec, args.M, budget=args.budget,
-                                         n_jobs=args.threads)
+        value, count = sums.evaluate_sum(lat, spec, args.M, budget=args.budget)
         _emit_scalar(value if not args.with_count else
                      {"value": value, "points": count}, args)
     return 0
@@ -228,7 +216,7 @@ def _cmd_run(args) -> int:
     if out_dir is None:
         out_dir = Path.cwd() / "reports" / config.name
     out_dir = Path(out_dir)
-    report = pipeline.run(config, out_dir, n_jobs=args.threads)
+    report = pipeline.run(config, out_dir)
     print(f"run: wrote report for {config.name} under {out_dir}", file=sys.stderr)
     sys.stdout.write(json.dumps({"outDir": str(out_dir), "hash": report.hash})
                      + "\n")
@@ -283,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-singular", action="store_true")
     p.add_argument("--with-count", action="store_true")
     p.add_argument("--budget", type=int, default=lattice.DEFAULT_BUDGET)
-    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sum)
 
@@ -341,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="experiment config JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--with-sim", action="store_true")
-    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", help="report directory (default $DETSUMS_OUT)")
     p.set_defaults(func=_cmd_run)
 

@@ -40,17 +40,13 @@ sorted ball with ||A||^2 <= min(R^2 - ||B||^2, ||B||^2), found by one
 
 ``coefficient_blocks`` is the one entry point to both walks; ``orbit_images``
 expands a block's orbits again when a caller wants the whole ball, and
-``realize_block`` turns coefficient rows into matrices.  A walk splits into
-parts by the residue of its top coefficient: part (j, n) keeps the points
-whose last coefficient t has t = j (mod n), so the n parts are disjoint,
-cover the ball, and interleave its thick and thin slices.
+``realize_block`` turns coefficient rows into matrices.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -58,6 +54,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DependentBasis, DimensionMismatch
 from .linalg import as_complex_matrix
+from .schema import INTEGER
 
 __all__ = [
     "MatrixLattice",
@@ -232,21 +229,18 @@ class PointBudget:
     """Cap on the lattice points one enumeration may produce.
 
     It counts the points of the full ball, the origin included, so the walk
-    charges ``orbit_size`` points per row it emits.  The parts of one split
-    walk share one instance, so workers cannot exceed the cap together.
+    charges ``orbit_size`` points per row it emits.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 1                   # the origin
-        self._lock = threading.Lock()
 
     def charge(self, points: int) -> None:
-        with self._lock:
-            self.used += points
-            if self.used > self.limit:
-                raise BudgetExceeded(
-                    f"enumeration emitted more than budget={self.limit} points")
+        self.used += points
+        if self.used > self.limit:
+            raise BudgetExceeded(
+                f"enumeration emitted more than budget={self.limit} points")
 
 
 def _windows(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -267,7 +261,6 @@ def _windows(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
-          part: tuple[int, int] | None = None,
           orbit: int = 2) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Depth-first block enumeration of 0 < z^T G z <= rad_sq, one point per orbit.
 
@@ -281,7 +274,6 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
     even level below it a flag, "every higher pair is zero"; a flagged row
     whose b is nonzero (``used`` above 0.0) then takes a >= 1.
 
-    With ``part`` = (j, n) the top level keeps only the values t = j (mod n).
     Charges ``budget``, when given, ``orbit`` points per row.  The walk of
     orbits of eight is ``_product_walk``, which runs this one on each half.
 
@@ -310,8 +302,6 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
             seg = d * zvals + y[rows, level]
             new_used = used[rows] + seg * seg
             keep = new_used <= rad_sq
-            if level == k - 1 and part is not None:
-                keep &= zvals % part[1] == part[0]
             rows = rows[keep]
             zvals = zvals[keep].astype(np.int64)
             new_used = new_used[keep]
@@ -339,7 +329,6 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
 
 
 def _product_walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
-                  part: tuple[int, int] | None = None,
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The eighth walk of an orbit-8 basis, as in ``_walk``: one quarter point
     (A, B) of each orbit {i^j X E^l}, with ||A|| <= ||B||.
@@ -349,10 +338,9 @@ def _product_walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
     with ||A||^2 <= min(rad_sq, cap ||B||^2) - ||B||^2, where
     cap = 2 / (1 - _TIE_TOL) lets ||A||^2 reach ||B||^2 up to the tie band.
     The A-half ball (zero and every +/-A) is walked once, the quarter B-half
-    ball once (B holds the top coefficient, so ``part`` splits that walk), and
-    each B takes its prefix through one ``searchsorted``.  The prefixes are
-    cut into ``_windows``, one block each, less the ties dropped.  A row whose
-    ||A||^2 lies within the band of ||B||^2 is kept only if it is
+    ball once, and each B takes its prefix through one ``searchsorted``.  The
+    prefixes are cut into ``_windows``, one block each, less the ties dropped.
+    A row whose ||A||^2 lies within the band of ||B||^2 is kept only if it is
     lexicographically below the quarter point of its E-image
     (``_below_e_image``), so exactly one of the two ties is.  Charges
     ``budget`` 8 points per row.
@@ -366,7 +354,7 @@ def _product_walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
     a_norm = np.concatenate([np.zeros(1)] + [v for _, v in signed] * 2)
     order = np.argsort(a_norm, kind="stable")
     a_cols, a_norm = np.ascontiguousarray(a[order].T), a_norm[order]
-    for b, b_norm in _walk(U[h:, h:], rad_sq, part=part, orbit=4):
+    for b, b_norm in _walk(U[h:, h:], rad_sq, orbit=4):
         b_cols = b.T
         counts = np.searchsorted(a_norm, np.minimum(rad_sq, cap * b_norm) - b_norm,
                                  side="right")
@@ -451,17 +439,13 @@ def orbit_images(lat: MatrixLattice, coeffs: np.ndarray, *,
 
 def coefficient_blocks(lat: MatrixLattice, radius: float, *,
                        budget: int | PointBudget = DEFAULT_BUDGET,
-                       part: tuple[int, int] | None = None,
                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the (coeffs, norm_sq) blocks of the orbit walk of L(radius).
 
     Coefficient rows are in natural index order, one point of each orbit of
     ``orbit_size`` nonzero points (see ``_walk``, and ``_product_walk`` for
     orbits of eight, for which one); ``orbit_images`` expands a block to its
-    orbits.  ``part`` = (j, n) keeps the rows whose last coefficient is j mod
-    n: the n parts of a walk are disjoint and cover it, which is how
-    ``sums.sum_curves`` splits a walk across workers.  The parts of one walk
-    share one ``PointBudget`` as ``budget``.
+    orbits.  ``budget`` is a point cap or a ``PointBudget`` the walk charges.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius!r}")
@@ -473,11 +457,9 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
             f"exceeds budget {budget.limit}")
     orbit = lat.orbit_size
     if orbit == 8:
-        yield from _product_walk(lat.chol_upper, _bound_sq(radius), budget=budget,
-                                 part=part)
+        yield from _product_walk(lat.chol_upper, _bound_sq(radius), budget=budget)
     else:
-        yield from _walk(lat.chol_upper, _bound_sq(radius), budget=budget, part=part,
-                         orbit=orbit)
+        yield from _walk(lat.chol_upper, _bound_sq(radius), budget=budget, orbit=orbit)
 
 
 def realize_block(lat: MatrixLattice, coeffs: np.ndarray, *,
@@ -535,11 +517,10 @@ def lattice_from_json(source) -> MatrixLattice:
         n, T, entries = doc["n"], doc["T"], doc["basis"]
     except KeyError as exc:
         raise ValueError(f"basis JSON lacks the key {exc}") from None
-    try:
-        n, T = int(n), int(T)
-    except (TypeError, ValueError):
-        raise ValueError(f"basis JSON fields 'n' and 'T' must be integers, "
-                         f"got {n!r} and {T!r}") from None
+    for name, value in (("n", n), ("T", T)):
+        if not INTEGER.check(value) or value < 1:
+            raise ValueError(f"basis JSON field {name!r} must be an integer >= 1, "
+                             f"got {value!r}")
     if not isinstance(entries, list):
         raise ValueError(f"basis JSON field 'basis' must be a list, got {entries!r}")
     basis = []

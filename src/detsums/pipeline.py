@@ -178,7 +178,7 @@ class ExperimentReport:
 
 def compare_bound_vs_truth(lat: MatrixLattice, envelope: BoundEnvelope, m: float,
                            c_values, radii, *, budget: int = DEFAULT_BUDGET,
-                           slack: float = 1e-9, n_jobs: int = 1) -> list:
+                           slack: float = 1e-9) -> list:
     """Empirical shifted sums against the anchored envelope shape.
 
     The envelope's unknown constant is fixed at the anchor cell (largest c,
@@ -186,8 +186,7 @@ def compare_bound_vs_truth(lat: MatrixLattice, envelope: BoundEnvelope, m: float
     ``ok`` flag for ratio <= 1 + slack.  Every cell comes from one walk.
     """
     c_values, radii = list(c_values), list(radii)
-    curves = sum_curves(lat, _compare_jobs(m, c_values, radii), budget=budget,
-                        n_jobs=n_jobs)
+    curves = sum_curves(lat, _compare_jobs(m, c_values, radii), budget=budget)
     return _compare_rows(envelope, c_values, radii, curves, slack)
 
 
@@ -237,7 +236,11 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
     cells, one walk) -> growth fits -> envelope -> DMT curves -> SNR
     thresholds -> simulation -> comparison.
     ``out_dir=None`` computes everything without touching the filesystem.
+    ``n_jobs`` (at least 1) does not change the walk, which runs once on the
+    calling thread; the report is the same for every value.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     h = config_hash(config)
     lat = config.code.resolve()
     notes = []
@@ -261,7 +264,7 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
         compare_m = (config.compare_m if config.compare_m is not None
                      else float(config.envelope.m))
         jobs += _compare_jobs(compare_m, config.compare_c_values, config.compare_radii)
-    curves = sum_curves(lat, jobs, budget=config.budget, n_jobs=n_jobs)
+    curves = sum_curves(lat, jobs, budget=config.budget)
     curves, compare_curves = curves[:len(config.sum_jobs)], curves[len(config.sum_jobs):]
 
     fits = {}

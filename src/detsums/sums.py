@@ -23,19 +23,16 @@ m of the approximate family and det(X X*) every m and i of the mixed one, and
 each spec bins only the rows inside its own last radius.  Each block adds
 one partial sum per shell of a spec's grid, and a spec's partials are merged
 with ``math.fsum``.  fsum is exactly rounded, so totals do not depend on the
-order in which blocks arrive.  A split across ``n_jobs`` workers (by the
-residue of the top coefficient, see ``lattice.coefficient_blocks``) or a
-different walk radius moves the block boundaries, so either can change their
-last bits.  ``sum_curve``, ``evaluate_sum`` and the named sums are its
-one-spec cases.
+order in which blocks arrive; a different walk radius moves the block
+boundaries, so it can change their last bits.  ``sum_curve``,
+``evaluate_sum`` and the named sums are its one-spec cases.
 
-A split walk opens one thread pool per call, whose threads end before the
-call returns; an unsplit walk runs on the calling thread.  Each thread
-realizes every block into two buffers of its own, sized to the largest block
-it has realized and reused by every later block on that thread (see
-``_realize``), so the calling thread's buffers persist across calls: fresh
-arrays per block cost a page fault per page, since the allocator hands the
-freed heap back to the kernel between blocks.
+Every walk runs once, on the calling thread.  Each thread realizes every
+block into two buffers of its own, sized to the largest block it has
+realized and reused by every later block on that thread (see ``_realize``),
+so a thread's buffers persist across calls and callers on separate threads
+never share them: fresh arrays per block cost a page fault per page, since
+the allocator hands the freed heap back to the kernel between blocks.
 """
 
 from __future__ import annotations
@@ -45,15 +42,14 @@ import io
 import math
 import numbers
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import HypothesisViolated, ProofBoundExceeded, SingularPoint
-from .lattice import (DEFAULT_BUDGET, MatrixLattice, PointBudget, _bound_sq,
-                      coefficient_blocks, realize_block)
+from .lattice import (DEFAULT_BUDGET, MatrixLattice, _bound_sq, coefficient_blocks,
+                      realize_block)
 from .linalg import _esp_batch, _shifted_from_esp, det_batch, det_gram_batch
 
 __all__ = [
@@ -259,7 +255,7 @@ def _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc):
 
 
 def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]]], *,
-               budget: int = DEFAULT_BUDGET, n_jobs: int = 1) -> list[SumCurve]:
+               budget: int = DEFAULT_BUDGET) -> list[SumCurve]:
     """Evaluate several sums, each on its own increasing radius grid, from one
     orbit walk to the largest radius.
 
@@ -269,15 +265,8 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     the rows inside its own last radius, so its singular points outside that
     ball are neither counted nor raised on.  Terms are binned by the shell
     their norm falls into, and each value is the exactly rounded sum of the
-    per-block bins up to its radius, weighted by ``orbit_size``.  With
-    ``n_jobs > 1`` a pool of ``n_jobs`` threads, opened for this call, walks
-    the parts (j, n_jobs) of the ball, the top coefficients congruent to j
-    mod n_jobs; the parts share one point budget, the call returns (or
-    raises) once every part has ended, and values match the sequential run
-    up to the last bits.
+    per-block bins up to its radius, weighted by ``orbit_size``.
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     jobs = [(spec, [float(r) for r in radii]) for spec, radii in jobs]
     if not jobs:
         return []
@@ -294,69 +283,60 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
         if name != "norm":
             reach[name] = max(reach.get(name, 0.0), last)
     walk_bound = _bound_sq(top)
-    shared = PointBudget(budget)
-
-    def run(part):
-        acc = [([], np.zeros(b.size, np.int64), np.zeros(b.size, np.int64))
-               for _, b, _, _ in plan]
-        for coeffs, norm_sq in coefficient_blocks(lat, top, budget=shared, part=part):
-            _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc)
-        return acc
-
-    if n_jobs == 1:
-        parts = [run(None)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [pool.submit(run, (j, n_jobs)) for j in range(n_jobs)]
-        parts = [f.result() for f in futures]
+    acc = [([], np.zeros(b.size, np.int64), np.zeros(b.size, np.int64))
+           for _, b, _, _ in plan]
+    for coeffs, norm_sq in coefficient_blocks(lat, top, budget=budget):
+        _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc)
     orbit = lat.orbit_size
     curves = []
-    for j, (spec, radii) in enumerate(jobs):
+    for (spec, radii), (partials, counts, singular) in zip(jobs, acc):
         nb = len(radii)
-        partials = np.array([row for p in parts for row in p[j][0]]).reshape(-1, nb)
+        partials = np.array(partials).reshape(-1, nb)
         values = [orbit * math.fsum(partials[:, :s + 1].ravel()) for s in range(nb)]
-        counts = np.cumsum(sum(p[j][1] for p in parts))
-        singular = np.cumsum(sum(p[j][2] for p in parts))
         curves.append(SumCurve(spec=spec, radii=radii, values=values,
-                               point_counts=[orbit * int(c) for c in counts],
-                               singular_counts=[orbit * int(c) for c in singular]))
+                               point_counts=[orbit * int(c) for c in np.cumsum(counts)],
+                               singular_counts=[orbit * int(c) for c in np.cumsum(singular)]))
     return curves
 
 
 def sum_curve(lat: MatrixLattice, spec: SumSpec, radii: Sequence[float], *,
               budget: int = DEFAULT_BUDGET, n_jobs: int = 1) -> SumCurve:
-    """One family on an increasing radius grid: ``sum_curves`` with one job."""
-    return sum_curves(lat, [(spec, radii)], budget=budget, n_jobs=n_jobs)[0]
+    """One family on an increasing radius grid: ``sum_curves`` with one job.
+
+    ``n_jobs`` (at least 1) does not change the walk, which runs once on the
+    calling thread; the curve is the same for every value.
+    """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
+    return sum_curves(lat, [(spec, radii)], budget=budget)[0]
 
 
 def evaluate_sum(lat: MatrixLattice, spec: SumSpec, radius: float, *,
-                 budget: int = DEFAULT_BUDGET, n_jobs: int = 1) -> tuple[float, int]:
+                 budget: int = DEFAULT_BUDGET) -> tuple[float, int]:
     """Evaluate one sum over L(radius); returns (value, contributing points)."""
-    curve = sum_curve(lat, spec, [radius], budget=budget, n_jobs=n_jobs)
+    curve = sum_curve(lat, spec, [radius], budget=budget)
     return curve.values[0], curve.point_counts[0]
 
 
 def shifted_det_sum(lat: MatrixLattice, m: float, c: float, radius: float, *,
-                    budget: int = DEFAULT_BUDGET, n_jobs: int = 1) -> float:
+                    budget: int = DEFAULT_BUDGET) -> float:
     """Sum of det(I + c X X*)^(-m) over the nonzero points of L(radius)."""
     spec = SumSpec(family="shifted", m=m, c=c)
-    return evaluate_sum(lat, spec, radius, budget=budget, n_jobs=n_jobs)[0]
+    return evaluate_sum(lat, spec, radius, budget=budget)[0]
 
 
 def inverse_det_sum(lat: MatrixLattice, m: float, radius: float, *,
-                    skip_singular: bool = False, budget: int = DEFAULT_BUDGET,
-                    n_jobs: int = 1) -> float:
+                    skip_singular: bool = False, budget: int = DEFAULT_BUDGET) -> float:
     """Sum of |det X|^(-m) over L(radius); raises SingularPoint on det = 0."""
     spec = SumSpec(family="approximate", m=m, skip_singular=skip_singular)
-    return evaluate_sum(lat, spec, radius, budget=budget, n_jobs=n_jobs)[0]
+    return evaluate_sum(lat, spec, radius, budget=budget)[0]
 
 
 def norm_det_sum(lat: MatrixLattice, m: float, i: int, radius: float, *,
-                 skip_singular: bool = False, budget: int = DEFAULT_BUDGET,
-                 n_jobs: int = 1) -> float:
+                 skip_singular: bool = False, budget: int = DEFAULT_BUDGET) -> float:
     """Sum of ||X||_F^(-2i) det(X X*)^(-(m-i)) over L(radius)."""
     spec = SumSpec(family="mixed", m=m, i=i, skip_singular=skip_singular)
-    return evaluate_sum(lat, spec, radius, budget=budget, n_jobs=n_jobs)[0]
+    return evaluate_sum(lat, spec, radius, budget=budget)[0]
 
 
 @dataclass(frozen=True)

@@ -68,23 +68,6 @@ def test_sum_grid_csv(capsys):
     assert float(rows[0]["value"]) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("span", [["--M", "2"], ["--grid", "1:2:2"]])
-def test_sum_passes_threads_to_the_walk(capsys, monkeypatch, span):
-    from detsums import sums
-    seen = []
-    real = sums.sum_curves
-
-    def recording(lat, jobs, **kw):
-        seen.append(kw.get("n_jobs"))
-        return real(lat, jobs, **kw)
-    monkeypatch.setattr(sums, "sum_curves", recording)
-    code, _, _ = run_cli(capsys, "sum", "--code", "gaussian-diagonal", "--n", "1",
-                         "--family", "shifted", "--m", "2", "--c", "1",
-                         "--threads", "2", *span)
-    assert code == 0
-    assert seen == [2]
-
-
 def test_sum_needs_a_radius_or_grid(capsys):
     code, out, err = run_cli(capsys, "sum", "--code", "gaussian-diagonal", "--n", "1",
                              "--family", "shifted", "--m", "2")
@@ -100,18 +83,6 @@ def test_sum_rejects_both_radius_and_grid(capsys):
     assert code == 2
     assert out == ""
     assert "not allowed with argument" in err
-
-
-@pytest.mark.parametrize("threads", ["0", "-2"])
-@pytest.mark.parametrize("verb", [
-    ["sum", "--code", "gaussian-diagonal", "--n", "1", "--family", "shifted",
-     "--m", "2", "--M", "1"],
-    ["run", "--preset", "gaussian-diagonal-2"]])
-def test_threads_below_one_is_a_usage_error(capsys, tmp_path, verb, threads):
-    code, out, _ = run_cli(capsys, *verb, "--threads", threads, "--out", str(tmp_path / "o"))
-    assert code == 2
-    assert out == ""
-    assert not (tmp_path / "o").exists()
 
 
 def test_construct_summary(capsys):
@@ -171,6 +142,17 @@ def test_basis_json_without_n_is_a_computation_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error[construct]: basis JSON lacks the key 'n'\n"
+
+
+@pytest.mark.parametrize("n,T", [(2.7, 1), ("2", 1), (True, 4)])
+def test_basis_json_with_a_non_integer_n_is_a_computation_error(capsys, tmp_path, n, T):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"n": n, "T": T, "basis": [[[1.0, 0.0]] * 4]}))
+    code, out, err = run_cli(capsys, "construct", "--basis-json", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error[construct]: basis JSON field 'n' must be an integer >= 1, "
+                   f"got {n!r}\n")
 
 
 def test_config_without_code_is_a_computation_error(capsys, tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsums.errors import BudgetExceeded, DependentBasis, DimensionMismatch
@@ -100,26 +100,6 @@ def test_budget_charges_every_point_of_the_ball(code, radius, orbit):
     assert budget.used == shell_counts(lat, [radius])[-1] + 1
 
 
-def test_parts_of_a_golden_walk_trip_their_shared_budget(golden_lattice):
-    # An int budget this small would fail the predicted-count check before
-    # the walk starts, so the parts share a PointBudget whose count is
-    # already within 10^6 points of its limit: the ball holds 4,558,736.
-    radius = 4 * SQRT2
-    budget = PointBudget(10 ** 7)
-    assert predicted_point_count(golden_lattice, radius) < budget.limit
-    budget.used = budget.limit - 10 ** 6
-    parts = [coefficient_blocks(golden_lattice, radius, budget=budget, part=(j, 2))
-             for j in range(2)]
-    rows = [0, 0]
-    with pytest.raises(BudgetExceeded):
-        for blocks in zip(*parts):
-            for j, (coeffs, _) in enumerate(blocks):
-                rows[j] += len(coeffs)
-    assert budget.used > budget.limit
-    assert rows[0] > 0 and rows[1] > 0
-    assert 8 * sum(rows) < 10 ** 6
-
-
 def test_golden_walk_row_counts(golden_lattice):
     # |L(4)| = 306,048 and |L(4 sqrt 2)| = 4,558,736 points, one row per
     # orbit of eight.
@@ -201,41 +181,15 @@ def test_half_walk_on_non_square_lattice():
     assert full == set(box_scan_coeffs(lat, 2.5))
 
 
-def _walk_rows(lat, radius, part=None):
-    """(coeffs, norm_sq) rows of one walk, or of one part of it, sorted."""
-    blocks = list(coefficient_blocks(lat, radius, part=part))
+def _walk_rows(lat, radius):
+    """(coeffs, norm_sq) rows of one walk, sorted."""
+    blocks = list(coefficient_blocks(lat, radius))
     if not blocks:
         return np.zeros((0, lat.k), dtype=np.int64), np.zeros(0)
     coeffs = np.concatenate([c for c, _ in blocks])
     norms = np.concatenate([n for _, n in blocks])
     order = np.lexsort(coeffs.T[::-1])
     return coeffs[order], norms[order]
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), paired=st.booleans(), size=st.integers(1, 4),
-       scale=st.floats(1.0, 3.0))
-@example(seed=0, paired=False, size=1, scale=3.0)
-def test_parts_split_the_walk(seed, paired, size, scale):
-    # Unpaired ranks run from 1 (the top level is the leaf level 0) to 4.
-    rng = np.random.default_rng(seed)
-    lat = (random_paired_lattice(rng, (size + 1) // 2) if paired
-           else random_small_lattice(rng, size))
-    _check_parts(lat, scale * math.sqrt(lat.min_norm_sq))
-
-
-def _check_parts(lat, radius):
-    whole, whole_norms = _walk_rows(lat, radius)
-    for n in range(1, 5):
-        parts = [_walk_rows(lat, radius, (j, n)) for j in range(n)]
-        for j, (coeffs, _) in enumerate(parts):
-            assert np.all(coeffs[:, -1] % n == j)
-        coeffs = np.concatenate([c for c, _ in parts])
-        norms = np.concatenate([v for _, v in parts])
-        order = np.lexsort(coeffs.T[::-1])
-        # The parts are disjoint (no row twice) and their union is the walk.
-        assert np.array_equal(coeffs[order], whole)
-        assert np.array_equal(norms[order], whole_norms)
 
 
 def _times_i(z):
@@ -318,12 +272,6 @@ def test_eighth_walk_images_match_box_scan(lat, scale):
     assert not set(half) & negated
     assert set(half) | negated == oracle
     assert all(next(v for v in reversed(z) if v) > 0 for z in half)
-
-
-@settings(max_examples=15, deadline=None)
-@given(lat=golden_shaped_lattices(), scale=st.floats(1.0, 2.4))
-def test_parts_split_the_eighth_walk(lat, scale):
-    _check_parts(lat, scale * math.sqrt(lat.min_norm_sq))
 
 
 def test_golden_eighth_walk_halves_the_quarter_walk(golden_lattice):
@@ -446,6 +394,15 @@ def test_json_round_trip(nf_lattice):
 def test_json_rejects_bad_entry_count():
     doc = {"n": 2, "T": 2, "basis": [[[1.0, 0.0]]]}
     with pytest.raises(DimensionMismatch):
+        lattice_from_json(doc)
+
+
+@pytest.mark.parametrize("field,value", [("n", 2.7), ("n", "2"), ("n", True),
+                                         ("T", 0), ("T", None)])
+def test_json_requires_integer_dimensions(field, value):
+    # 2.7 would truncate to 2, "2" parse, and true with T = 4 read as n = 1.
+    doc = {"n": 1, "T": 4, "basis": [[[1.0, 0.0]] * 4], field: value}
+    with pytest.raises(ValueError, match=f"'{field}'"):
         lattice_from_json(doc)
 
 

@@ -1,9 +1,7 @@
 import json
 import math
-import multiprocessing
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,6 +13,8 @@ from detsums.codes import gaussian_diagonal, golden_code
 from detsums.errors import BudgetExceeded, HypothesisViolated, SingularPoint
 from detsums.lattice import (build_lattice, coefficient_blocks, rescale_lattice,
                              shell_counts)
+from detsums.pipeline import run
+from detsums.presets import build_preset
 from detsums.sums import (SumSpec, convergence_probe, dyadic_bound,
                           evaluate_sum, inverse_det_sum, norm_det_sum,
                           shifted_det_sum, shifted_vs_mixed_bound, sum_curve,
@@ -182,28 +182,25 @@ def test_dedup_signs_matches_default(golden_lattice):
     assert half == pytest.approx(full, rel=1e-12)
 
 
-def test_partition_invariance(golden_lattice):
-    base = shifted_det_sum(golden_lattice, 4, 1.0, 2.0)
-    for jobs in (2, 3, 5):
-        split = shifted_det_sum(golden_lattice, 4, 1.0, 2.0, n_jobs=jobs)
-        assert split == pytest.approx(base, rel=1e-9)
-
-
 def test_n_jobs_below_one_rejected(golden_lattice):
     spec = SumSpec(family="shifted", m=4, c=1.0)
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="n_jobs"):
             sum_curve(golden_lattice, spec, [1.0], n_jobs=jobs)
+    with pytest.raises(ValueError, match="n_jobs"):
+        run(build_preset("gaussian-diagonal-2"), n_jobs=0)
 
 
-def test_partitioned_curve_matches_sequential(golden_lattice):
-    spec = SumSpec(family="shifted", m=4, c=1.0)
-    radii = [1.0, 2.0, 3.0]
+def test_n_jobs_leaves_the_curve_bit_identical(golden_lattice):
+    # c07's curve: the walk runs once whatever n_jobs says, so values, point
+    # counts and singular counts all match n_jobs=1 bit for bit.
+    spec = SumSpec(family="approximate", m=4)
+    radii = [1.0, SQRT2, 2.0, 2 * SQRT2, 4.0, 4 * SQRT2, 8.0]
     base = sum_curve(golden_lattice, spec, radii)
-    split = sum_curve(golden_lattice, spec, radii, n_jobs=3)
-    assert split.point_counts == base.point_counts
-    for a, b in zip(split.values, base.values):
-        assert a == pytest.approx(b, rel=1e-9)
+    curve = sum_curve(golden_lattice, spec, radii, n_jobs=2)
+    assert curve.values == base.values
+    assert curve.point_counts == base.point_counts
+    assert curve.singular_counts == base.singular_counts
 
 
 def _in_a_new_thread(fn):
@@ -263,132 +260,47 @@ def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice
     assert {name: call() for name, call in calls.items()} == first
 
 
-def test_pool_across_calls_keeps_values_and_threads(golden_lattice):
-    spec = SumSpec(family="shifted", m=4, c=1.0)
-    radii = [2.0, 4.0]
-    base = sum_curve(golden_lattice, spec, radii)
-    threads = threading.active_count()
-    seen = {}
-    for call in range(20):
-        jobs = (2, 3, 2, 1)[call % 4]
-        split = sum_curve(golden_lattice, spec, radii, n_jobs=jobs)
-        assert split.point_counts == base.point_counts
-        for a, b in zip(split.values, base.values):
-            assert a == pytest.approx(b, rel=1e-9)
-        assert seen.setdefault(jobs, split) == split      # parts are fixed by n_jobs
-        assert threading.active_count() == threads
-
-
-def test_split_calls_leave_no_threads_behind(golden_lattice):
-    # The very threads alive before the calls, not only as many of them.
-    spec = SumSpec(family="mixed", m=4, i=2)
-    threads = set(threading.enumerate())
-    for jobs in (2, 3, 2):
-        sum_curve(golden_lattice, spec, [2.0, 4.0], n_jobs=jobs)
-    assert set(threading.enumerate()) == threads
-    with pytest.raises(BudgetExceeded):
-        sum_curve(golden_lattice, spec, [2.0, 4.0], budget=1000, n_jobs=2)
-    assert set(threading.enumerate()) == threads
-    assert threading.active_count() == len(threads)
-
-
-def test_split_call_ends_after_every_part(golden_lattice, monkeypatch):
-    from detsums import sums
-    ended = []
-    real_blocks = sums.coefficient_blocks
-
-    def blocks(lat, radius, *, budget, part):
-        if part[0] == 0:
-            raise BudgetExceeded("part 0 fails at once")
-        time.sleep(0.05)
-        yield from real_blocks(lat, radius, budget=budget, part=part)
-        ended.append(part)
-    monkeypatch.setattr(sums, "coefficient_blocks", blocks)
-    with pytest.raises(BudgetExceeded, match="part 0"):
-        sum_curve(golden_lattice, SumSpec(family="shifted", m=4, c=1.0), [2.0], n_jobs=2)
-    assert ended == [(1, 2)]
-
-
-@pytest.mark.parametrize("jobs", [(2, 2), (2, 3, 2, 3)])
-def test_concurrent_split_callers_keep_their_values(golden_lattice, jobs):
-    # Each caller's split calls open pools of their own while the others'
-    # run; more callers than cores and a short switch interval shake the
-    # timing.
+@pytest.mark.parametrize("callers", [2, 4])
+def test_concurrent_callers_keep_their_values(golden_lattice, callers):
+    # Callers on separate threads realize into buffers of their own; more
+    # callers than cores and a short switch interval shake the timing.
     spec = SumSpec(family="mixed", m=4, i=2)
     radii = [2.0, 3.0, 4.0]
-    expected = {n: sum_curve(golden_lattice, spec, radii, n_jobs=n) for n in jobs}
-    start = threading.Barrier(len(jobs))
+    jobs = [(spec, radii), (SumSpec(family="shifted", m=4, c=1.0), [1.0, 2.0])]
+    expected = sum_curve(golden_lattice, spec, radii), sum_curves(golden_lattice, jobs)
+    start = threading.Barrier(callers)
 
-    def caller(n):
+    def caller():
         start.wait(timeout=60)
-        return [sum_curve(golden_lattice, spec, radii, n_jobs=n) for _ in range(3)]
+        return [(sum_curve(golden_lattice, spec, radii), sum_curves(golden_lattice, jobs))
+                for _ in range(3)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as callers:
-            futures = [callers.submit(caller, n) for n in jobs]
+        with ThreadPoolExecutor(max_workers=callers) as pool:
+            futures = [pool.submit(caller) for _ in range(callers)]
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    for n, curves in zip(jobs, results):
-        assert all(curve == expected[n] for curve in curves)
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="forks the test process")
-def test_split_call_in_forked_child(golden_lattice):
-    # A forked child has none of its parent's threads; a split call in it
-    # opens its own pool, as every split call does, and matches the parent.
-    spec = SumSpec(family="shifted", m=4, c=1.0)
-    expected = sum_curve(golden_lattice, spec, [2.0, 4.0], n_jobs=2)
-
-    def child():
-        if sum_curve(golden_lattice, spec, [2.0, 4.0], n_jobs=2) != expected:
-            sys.exit(1)
-
-    proc = multiprocessing.get_context("fork").Process(target=child)
-    proc.start()
-    proc.join(timeout=60)
-    if proc.is_alive():
-        proc.kill()
-        proc.join()
-    assert proc.exitcode == 0
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
-       radius=st.floats(0.6, 4.0))
-def test_partition_invariance_property(seed, k, radius):
-    lat = random_small_lattice(np.random.default_rng(seed), k)
-    spec = SumSpec(family="shifted", m=2, c=0.5)
-    radii = [radius / 2.0, radius]
-    base = sum_curve(lat, spec, radii)
-    for jobs in (1, 2, 3, 4):
-        split = sum_curve(lat, spec, radii, n_jobs=jobs)
-        assert split.point_counts == base.point_counts
-        for a, b in zip(split.values, base.values):
-            assert a == pytest.approx(b, rel=1e-9)
-        value, count = evaluate_sum(lat, spec, radius, n_jobs=jobs)
-        assert count == base.point_counts[-1]
-        assert value == pytest.approx(base.values[-1], rel=1e-9)
+    assert all(result == expected for calls in results for result in calls)
 
 
 def test_budget_shared_across_partitions():
     # A thin ball: the long first basis vector never fits, so L(2000) is the
     # 4000 nonzero multiples of the second one, plus the origin.  The volume
     # heuristic predicts about 1,212, so only the walk can enforce a budget
-    # between the two, and its partitions must count against one budget.
+    # between the two.
     lat = build_lattice([np.array([[1e5 + 0j]]), np.array([[1j]])])
     spec = SumSpec(family="shifted", m=2, c=1.0)
-    for jobs in (1, 2):
-        for budget in (1500, 2500, 4000):
-            with pytest.raises(BudgetExceeded):
-                evaluate_sum(lat, spec, 2000.0, budget=budget, n_jobs=jobs)
-            with pytest.raises(BudgetExceeded):
-                sum_curve(lat, spec, [1000.0, 2000.0], budget=budget, n_jobs=jobs)
-        assert evaluate_sum(lat, spec, 2000.0, budget=4001, n_jobs=jobs)[1] == 4000
-        curve = sum_curve(lat, spec, [1000.0, 2000.0], budget=4001, n_jobs=jobs)
-        assert curve.point_counts == [2000, 4000]
+    for budget in (1500, 2500, 4000):
+        with pytest.raises(BudgetExceeded):
+            evaluate_sum(lat, spec, 2000.0, budget=budget)
+        with pytest.raises(BudgetExceeded):
+            sum_curve(lat, spec, [1000.0, 2000.0], budget=budget)
+    assert evaluate_sum(lat, spec, 2000.0, budget=4001)[1] == 4000
+    curve = sum_curve(lat, spec, [1000.0, 2000.0], budget=4001)
+    assert curve.point_counts == [2000, 4000]
 
 
 def test_budget_exact_on_paired_lattice():
@@ -402,15 +314,14 @@ def test_budget_exact_on_paired_lattice():
     size = shell_counts(lat, [30.0])[0]
     assert size == len(box_scan_coeffs(lat, 30.0)) == 2820
     spec = SumSpec(family="shifted", m=2, c=1.0)
-    for jobs in (1, 2):
-        for budget in (1500, size - 3, size):
-            with pytest.raises(BudgetExceeded):
-                evaluate_sum(lat, spec, 30.0, budget=budget, n_jobs=jobs)
-            with pytest.raises(BudgetExceeded):
-                sum_curve(lat, spec, [15.0, 30.0], budget=budget, n_jobs=jobs)
-        assert evaluate_sum(lat, spec, 30.0, budget=size + 1, n_jobs=jobs)[1] == size
-        curve = sum_curve(lat, spec, [15.0, 30.0], budget=size + 1, n_jobs=jobs)
-        assert curve.point_counts == [shell_counts(lat, [15.0])[0], size]
+    for budget in (1500, size - 3, size):
+        with pytest.raises(BudgetExceeded):
+            evaluate_sum(lat, spec, 30.0, budget=budget)
+        with pytest.raises(BudgetExceeded):
+            sum_curve(lat, spec, [15.0, 30.0], budget=budget)
+    assert evaluate_sum(lat, spec, 30.0, budget=size + 1)[1] == size
+    curve = sum_curve(lat, spec, [15.0, 30.0], budget=size + 1)
+    assert curve.point_counts == [shell_counts(lat, [15.0])[0], size]
 
 
 _FAMILY_SPECS = [SumSpec(family="shifted", m=2, c=0.7),
@@ -470,12 +381,10 @@ def test_budget_exact_on_golden(golden_lattice, monkeypatch):
     assert golden_lattice.orbit_size == 8
     size = 1712
     spec = SumSpec(family="shifted", m=4, c=1.0)
-    for jobs in (1, 2):
-        for budget in (size - 7, size):
-            with pytest.raises(BudgetExceeded):
-                evaluate_sum(golden_lattice, spec, 2.0, budget=budget, n_jobs=jobs)
-        assert evaluate_sum(golden_lattice, spec, 2.0, budget=size + 1,
-                            n_jobs=jobs)[1] == size
+    for budget in (size - 7, size):
+        with pytest.raises(BudgetExceeded):
+            evaluate_sum(golden_lattice, spec, 2.0, budget=budget)
+    assert evaluate_sum(golden_lattice, spec, 2.0, budget=size + 1)[1] == size
 
 
 @settings(max_examples=20, deadline=None)
@@ -488,11 +397,6 @@ def test_partition_invariance_on_paired_lattices(seed, pairs, scale):
     radii = [radius / 2.0, radius]
     base = sum_curve(lat, spec, radii)
     assert base.point_counts == shell_counts(lat, radii)
-    for jobs in (1, 2, 3, 4):
-        split = sum_curve(lat, spec, radii, n_jobs=jobs)
-        assert split.point_counts == base.point_counts
-        for a, b in zip(split.values, base.values):
-            assert a == pytest.approx(b, rel=1e-9)
 
 
 @pytest.mark.parametrize("radius,tol", [(16.0, 0.02), (64.0, 3e-3), (256.0, 5e-4)])
@@ -815,8 +719,8 @@ def _spec_strategy(square):
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), paired=st.booleans(),
-       shape=st.sampled_from([(2, 2), (2, 3)]), n_jobs=st.integers(1, 3))
-def test_sum_curves_match_separate_curves(data, seed, paired, shape, n_jobs):
+       shape=st.sampled_from([(2, 2), (2, 3)]))
+def test_sum_curves_match_separate_curves(data, seed, paired, shape):
     rng = np.random.default_rng(seed)
     if paired:
         lat = random_paired_lattice(rng, int(rng.integers(1, 3)), *shape)
@@ -830,15 +734,15 @@ def test_sum_curves_match_separate_curves(data, seed, paired, shape, n_jobs):
         scales = data.draw(st.lists(st.sampled_from([0.5, 0.9, 1.0, 1.4, 2.0, 2.5]),
                                     min_size=1, max_size=3, unique=True))
         jobs.append((spec, [unit * s for s in sorted(scales)]))
-    together = sum_curves(lat, jobs, n_jobs=n_jobs)
+    together = sum_curves(lat, jobs)
     for (spec, radii), curve in zip(jobs, together):
-        alone = sum_curve(lat, spec, radii, n_jobs=n_jobs)
+        alone = sum_curve(lat, spec, radii)
         assert curve.spec == spec and curve.radii == alone.radii
         assert curve.point_counts == alone.point_counts
         assert curve.singular_counts == alone.singular_counts
         for a, b in zip(curve.values, alone.values):
             assert a == pytest.approx(b, rel=1e-12)
-        one = sum_curves(lat, [(spec, radii)], n_jobs=n_jobs)[0]
+        one = sum_curves(lat, [(spec, radii)])[0]
         assert one == alone                 # the one-spec call is bit-identical
 
 
@@ -849,12 +753,11 @@ def test_sum_curves_share_blocks_on_golden(golden_lattice):
             (SumSpec(family="approximate", m=8), [2.0, 2 * SQRT2]),
             (SumSpec(family="mixed", m=4, i=2), [SQRT2, 2.0])]
     jobs += [(SumSpec(family="shifted", m=4, c=c), [1.0, 2.0]) for c in (1.0, 10.0, 100.0)]
-    for n_jobs in (1, 2):
-        for (spec, radii), curve in zip(jobs, sum_curves(golden_lattice, jobs, n_jobs=n_jobs)):
-            alone = sum_curve(golden_lattice, spec, radii)
-            assert curve.point_counts == alone.point_counts
-            for a, b in zip(curve.values, alone.values):
-                assert a == pytest.approx(b, rel=1e-12)
+    for (spec, radii), curve in zip(jobs, sum_curves(golden_lattice, jobs)):
+        alone = sum_curve(golden_lattice, spec, radii)
+        assert curve.point_counts == alone.point_counts
+        for a, b in zip(curve.values, alone.values):
+            assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_sum_curves_validate_every_job(golden_lattice):
@@ -877,13 +780,12 @@ def test_sum_curves_budget_follows_the_largest_ball():
     size = shell_counts(lat, [30.0])[0]
     jobs = [(SumSpec(family="shifted", m=2, c=1.0), [15.0]),
             (SumSpec(family="mixed", m=2, i=2), [10.0, 30.0])]
-    for n_jobs in (1, 2):
-        for budget in (1500, size - 3, size):
-            with pytest.raises(BudgetExceeded):
-                sum_curves(lat, jobs, budget=budget, n_jobs=n_jobs)
-        inner, outer = sum_curves(lat, jobs, budget=size + 1, n_jobs=n_jobs)
-        assert inner.point_counts == shell_counts(lat, [15.0])
-        assert outer.point_counts == shell_counts(lat, [10.0, 30.0])
+    for budget in (1500, size - 3, size):
+        with pytest.raises(BudgetExceeded):
+            sum_curves(lat, jobs, budget=budget)
+    inner, outer = sum_curves(lat, jobs, budget=size + 1)
+    assert inner.point_counts == shell_counts(lat, [15.0])
+    assert outer.point_counts == shell_counts(lat, [10.0, 30.0])
 
 
 def test_singular_check_is_scoped_to_each_ball():
@@ -901,21 +803,20 @@ def test_singular_check_is_scoped_to_each_ball():
     skipping = [(SumSpec(family="approximate", m=3, skip_singular=True), [2.5]),
                 (SumSpec(family="mixed", m=3, i=1, skip_singular=True), [2.5])]
     jobs = [approx, mixed, shifted] + skipping
-    for n_jobs in (1, 2):
-        curves = sum_curves(lat, jobs, n_jobs=n_jobs)
-        for (spec, radii), curve in zip(jobs, curves):
-            alone = sum_curve(lat, spec, radii)
-            assert curve.point_counts == alone.point_counts
-            assert curve.singular_counts == alone.singular_counts
-            for a, b in zip(curve.values, alone.values):
-                assert a == pytest.approx(b, rel=1e-12)
-        assert [c.singular_counts for c in curves[:3]] == [[0, 0], [0], [0, 0]]
-        assert all(c.singular_counts[0] > 0 for c in curves[3:])
-        for spec, _ in (approx, mixed):
-            with pytest.raises(SingularPoint):
-                sum_curve(lat, spec, [2.5], n_jobs=n_jobs)
-            with pytest.raises(SingularPoint):
-                sum_curves(lat, [(spec, [1.5, 2.5]), shifted], n_jobs=n_jobs)
+    curves = sum_curves(lat, jobs)
+    for (spec, radii), curve in zip(jobs, curves):
+        alone = sum_curve(lat, spec, radii)
+        assert curve.point_counts == alone.point_counts
+        assert curve.singular_counts == alone.singular_counts
+        for a, b in zip(curve.values, alone.values):
+            assert a == pytest.approx(b, rel=1e-12)
+    assert [c.singular_counts for c in curves[:3]] == [[0, 0], [0], [0, 0]]
+    assert all(c.singular_counts[0] > 0 for c in curves[3:])
+    for spec, _ in (approx, mixed):
+        with pytest.raises(SingularPoint):
+            sum_curve(lat, spec, [2.5])
+        with pytest.raises(SingularPoint):
+            sum_curves(lat, [(spec, [1.5, 2.5]), shifted])
 
 
 @pytest.mark.parametrize("spec", [SumSpec(family="approximate", m=2, skip_singular=True),
@@ -924,10 +825,9 @@ def test_singular_check_is_scoped_to_each_ball():
 def test_singular_counts_complete_the_ball(spec):
     lat = gaussian_diagonal(2)
     radii = [1.0, SQRT2, 2.0, 3.0]
-    for n_jobs in (1, 2):
-        curve = sum_curve(lat, spec, radii, n_jobs=n_jobs)
-        assert curve.singular_counts[0] > 0
-        assert [p + s for p, s in zip(curve.point_counts, curve.singular_counts)] \
-            == shell_counts(lat, radii)
-        assert [p["singularCount"] for p in curve.to_json_dict()["points"]] \
-            == curve.singular_counts
+    curve = sum_curve(lat, spec, radii)
+    assert curve.singular_counts[0] > 0
+    assert [p + s for p, s in zip(curve.point_counts, curve.singular_counts)] \
+        == shell_counts(lat, radii)
+    assert [p["singularCount"] for p in curve.to_json_dict()["points"]] \
+        == curve.singular_counts
