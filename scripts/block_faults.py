@@ -54,24 +54,26 @@ def measure(call, passes: int) -> tuple[float, float]:
 
 def block_rows(call, modules) -> list[int]:
     """Rows of each block that the walks of one ``call`` yield, counted by
-    wrapping ``coefficient_blocks`` where each of ``modules`` looks it up."""
+    wrapping ``esp_blocks`` or ``coefficient_blocks`` where each of
+    ``modules`` looks it up."""
     rows = []
 
     def counted(walk):
         def blocks(*args, **kwargs):
-            for coeffs, norm_sq in walk(*args, **kwargs):
-                rows.append(len(coeffs))
-                yield coeffs, norm_sq
+            for block in walk(*args, **kwargs):
+                rows.append(len(block[0]))
+                yield block
         return blocks
 
-    walks = {mod: mod.coefficient_blocks for mod in modules}
-    for mod, walk in walks.items():
-        mod.coefficient_blocks = counted(walk)
+    walks = {(mod, name): getattr(mod, name) for mod in modules
+             for name in ("esp_blocks", "coefficient_blocks") if hasattr(mod, name)}
+    for (mod, name), walk in walks.items():
+        setattr(mod, name, counted(walk))
     try:
         call()
     finally:
-        for mod, walk in walks.items():
-            mod.coefficient_blocks = walk
+        for (mod, name), walk in walks.items():
+            setattr(mod, name, walk)
     return rows
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedDegree
-from .lattice import (MatrixLattice, build_lattice, coefficient_blocks,
-                      lattice_from_json, realize_block, rescale_lattice)
-from .linalg import det_batch
+from .lattice import (MatrixLattice, build_lattice, esp_blocks, lattice_from_json,
+                      rescale_lattice)
 from .schema import OBJECT, STRING, JsonFields, json_field
 
 __all__ = [
@@ -128,21 +127,21 @@ def diagonal_nf_norm(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
 
 
 def min_abs_det_ball(lat: MatrixLattice, radius: float, *, budget: int = 2 ** 26) -> float:
-    """Minimum of |det(X)| over L(radius); |det(uX)| = |det X| for every unit
-    u of modulus one, and |det(XE)| = |det X| on the golden code, so the
-    orbit walk sees every value.  Raises ValueError
-    when the ball holds no nonzero point."""
+    """Minimum of |det(X)| over L(radius), the square root of the least e_n =
+    |det X|^2 of ``esp_blocks``; |det(uX)| = |det X| for every unit u of
+    modulus one, and |det(XE)| = |det X| on the golden code, so the orbit
+    walk sees every value.  Raises ValueError when the ball holds no nonzero
+    point."""
     if lat.n != lat.T:
         raise ValueError("determinant scan needs square matrices")
     best = math.inf
-    for coeffs, _ in coefficient_blocks(lat, radius, budget=budget):
-        dets = np.abs(det_batch(realize_block(lat, coeffs)))
-        best = min(best, float(dets.min()))
+    for _, e in esp_blocks(lat, radius, budget=budget):
+        best = min(best, float(e[:, -1].min()))
     if best == math.inf:
         raise ValueError(
             f"determinant scan radius {radius!r} is below the minimum norm "
             f"{math.sqrt(lat.min_norm_sq)!r}: the ball holds no nonzero point")
-    return best
+    return math.sqrt(best)
 
 
 @dataclass(frozen=True)

@@ -36,24 +36,33 @@ norms tie it keeps the lexicographically smaller.  It is a product, not a
 walk of all k levels: the A-half ball is walked once and sorted by norm, the
 quarter B-half ball once, and the A that go with a B are the prefix of the
 sorted ball with ||A||^2 <= min(R^2 - ||B||^2, ||B||^2), found by one
-``searchsorted``.
+``searchsorted``.  The product walk yields windows of index pairs (ia, ib)
+into the two half balls (``_product_windows``).
 
-``coefficient_blocks`` is the one entry point to both walks; ``orbit_images``
-expands a block's orbits again when a caller wants the whole ball, and
-``realize_block`` turns coefficient rows into matrices.
+Both walks have two views.  ``coefficient_blocks`` yields each row's
+coefficients and norm; ``orbit_images`` expands a block's orbits again when a
+caller wants the whole ball, and ``realize_block`` turns coefficient rows
+into matrices.  ``esp_blocks`` yields each row's norm and e, the elementary
+symmetric polynomials of the eigenvalues of X X*, which is all that every
+sum term needs.  The golden code's A-half basis matrices are diagonal and
+its B-half ones anti-diagonal, so det X = det X_A + det X_B with no cross
+term, and e = (||A||^2 + ||B||^2, |det X_A + det X_B|^2) comes from one
+determinant per point of each half ball, with no block realized.  Every
+other lattice realizes its blocks, into buffers each thread keeps.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, DependentBasis, DimensionMismatch
-from .linalg import as_complex_matrix
+from .linalg import _esp_batch, as_complex_matrix, det_batch
 from .schema import INTEGER
 
 __all__ = [
@@ -63,6 +72,7 @@ __all__ = [
     "lattice_from_json",
     "lattice_to_json",
     "coefficient_blocks",
+    "esp_blocks",
     "realize_block",
     "orbit_images",
     "shell_counts",
@@ -83,6 +93,10 @@ _RADIUS_TOL = 1e-9
 # of 8 must agree on whether they tie.
 _TIE_TOL = 1e-9
 
+# The product walk pairs a B with the A of ||A||^2 <= _CAP ||B||^2 - ||B||^2,
+# which lets ||A||^2 reach ||B||^2 up to the tie band.
+_CAP = 2.0 / (1.0 - _TIE_TOL)
+
 # X -> X @ _E maps the golden code to itself (see ``MatrixLattice.orbit_size``).
 _E = np.array([[0.0, 1.0], [1j, 0.0]])
 
@@ -99,6 +113,9 @@ _MAX_CHILDREN = 1 << 13
 
 # Internal budget for the shortest-vector search at build time.
 _MIN_NORM_BUDGET = 10 ** 7
+
+# This thread's realization buffers (see ``_realize``).
+_buffers = threading.local()
 
 
 @dataclass(frozen=True)
@@ -249,7 +266,7 @@ def _windows(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     within-row offset of each child; a row's children may span windows."""
     ends = np.cumsum(counts)
     starts = ends - counts
-    total = int(ends[-1])
+    total = int(ends[-1]) if ends.size else 0
     for s in range(0, total, _MAX_CHILDREN):
         e = min(s + _MAX_CHILDREN, total)
         # The rows whose children meet [s, e), clipped to it.
@@ -328,51 +345,99 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
     yield from expand(k - 1, [], np.zeros((1, k)), np.zeros(1), None)
 
 
-def _product_walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The eighth walk of an orbit-8 basis, as in ``_walk``: one quarter point
-    (A, B) of each orbit {i^j X E^l}, with ||A|| <= ||B||.
+def _half_balls(U: np.ndarray, rad_sq: float) -> tuple[np.ndarray, ...]:
+    """The two half balls of the eighth walk of an orbit-8 basis, as
+    (a_cols, a_norm, b_cols, b_norm), coefficients one point per column.
 
-    U is block diagonal, so ||X||^2 = ||A||^2 + ||B||^2, and the A that go
-    with one B are a prefix of the signed A-half ball sorted by norm: those
-    with ||A||^2 <= min(rad_sq, cap ||B||^2) - ||B||^2, where
-    cap = 2 / (1 - _TIE_TOL) lets ||A||^2 reach ||B||^2 up to the tie band.
-    The A-half ball (zero and every +/-A) is walked once, the quarter B-half
-    ball once, and each B takes its prefix through one ``searchsorted``.  The
-    prefixes are cut into ``_windows``, one block each, less the ties dropped.
-    A row whose ||A||^2 lies within the band of ||B||^2 is kept only if it is
-    lexicographically below the quarter point of its E-image
-    (``_below_e_image``), so exactly one of the two ties is.  Charges
-    ``budget`` 8 points per row.
+    The A half holds zero and every +/-A with ||A||^2 up to (1 - 1/_CAP)
+    rad_sq, the largest any B admits (walked a hair past it), sorted by norm;
+    the B half is the quarter ball (``_walk`` with ``orbit`` 4) in walk order.
     """
     h = U.shape[0] // 2
-    cap = 2.0 / (1.0 - _TIE_TOL)
-    # Every A kept has ||A||^2 <= (1 - 1/cap) rad_sq; walk a hair past it.
-    signed = list(_walk(U[:h, :h], (1.0 - 1.0 / cap) * rad_sq * (1.0 + _RADIUS_TOL)))
+    signed = list(_walk(U[:h, :h], (1.0 - 1.0 / _CAP) * rad_sq * (1.0 + _RADIUS_TOL)))
     a = np.concatenate([np.zeros((1, h), dtype=np.int64)]
                        + [c for c, _ in signed] + [-c for c, _ in signed])
     a_norm = np.concatenate([np.zeros(1)] + [v for _, v in signed] * 2)
     order = np.argsort(a_norm, kind="stable")
-    a_cols, a_norm = np.ascontiguousarray(a[order].T), a_norm[order]
-    for b, b_norm in _walk(U[h:, h:], rad_sq, orbit=4):
-        b_cols = b.T
-        counts = np.searchsorted(a_norm, np.minimum(rad_sq, cap * b_norm) - b_norm,
-                                 side="right")
-        # A B's rows from this index of the A-half ball on are in the tie band,
-        # ||A||^2 >= 2 ||B||^2 / (1 + _TIE_TOL) - ||B||^2.
-        tied = np.searchsorted(a_norm, 2.0 * b_norm / (1.0 + _TIE_TOL) - b_norm)
-        for ib, ia in _windows(counts):
-            tie = np.flatnonzero(ia >= tied[ib])
-            lose = tie[~_below_e_image(np.concatenate(
-                [np.take(a_cols, ia[tie], axis=1), np.take(b_cols, ib[tie], axis=1)]))]
-            if lose.size:
-                ia, ib = np.delete(ia, lose), np.delete(ib, lose)
-            # The indices are in range; mode="wrap" spares take a buffered copy.
-            coeffs = np.empty((2 * h, ia.size), dtype=np.int64)
-            np.take(a_cols, ia, axis=1, out=coeffs[:h], mode="wrap")
-            np.take(b_cols, ib, axis=1, out=coeffs[h:], mode="wrap")
+    quarter = list(_walk(U[h:, h:], rad_sq, orbit=4))
+    b = np.concatenate([np.zeros((0, h), dtype=np.int64)] + [c for c, _ in quarter])
+    b_norm = np.concatenate([np.zeros(0)] + [v for _, v in quarter])
+    return (np.ascontiguousarray(a[order].T), a_norm[order],
+            np.ascontiguousarray(b.T), b_norm)
+
+
+def _product_windows(halves: tuple[np.ndarray, ...], rad_sq: float, *,
+                     budget: PointBudget) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The eighth walk of an orbit-8 basis as windows of index pairs (ia, ib)
+    into the ``_half_balls``: one quarter point (A, B) of each orbit
+    {i^j X E^l}, with ||A|| <= ||B||.
+
+    U is block diagonal, so ||X||^2 = ||A||^2 + ||B||^2, and the A that go
+    with one B are a prefix of the sorted A-half ball: those with
+    ||A||^2 <= min(rad_sq, _CAP ||B||^2) - ||B||^2, where _CAP lets ||A||^2
+    reach ||B||^2 up to the tie band.  Each B takes its prefix through one
+    ``searchsorted``, and the prefixes are cut into ``_windows``, less the
+    ties dropped.  A row whose ||A||^2 lies within the band of ||B||^2 is
+    kept only if it is lexicographically below the quarter point of its
+    E-image (``_below_e_image``), so exactly one of the two ties is.
+    Charges ``budget`` 8 points per row.
+    """
+    a_cols, a_norm, b_cols, b_norm = halves
+    counts = np.searchsorted(a_norm, np.minimum(rad_sq, _CAP * b_norm) - b_norm,
+                             side="right")
+    # A B's rows from this index of the A-half ball on are in the tie band,
+    # ||A||^2 >= 2 ||B||^2 / (1 + _TIE_TOL) - ||B||^2.
+    tied = np.searchsorted(a_norm, 2.0 * b_norm / (1.0 + _TIE_TOL) - b_norm)
+    for ib, ia in _windows(counts):
+        tie = np.flatnonzero(ia >= tied[ib])
+        lose = tie[~_below_e_image(np.concatenate(
+            [np.take(a_cols, ia[tie], axis=1), np.take(b_cols, ib[tie], axis=1)]))]
+        if lose.size:
+            ia, ib = np.delete(ia, lose), np.delete(ib, lose)
+        if ia.size:
             budget.charge(8 * ia.size)
-            yield coeffs.T, np.take(a_norm, ia) + np.take(b_norm, ib)
+            yield ia, ib
+
+
+def _product_walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The coefficient view of ``_product_windows``: (coeffs, norm_sq)
+    blocks, as ``_walk`` yields them."""
+    halves = _half_balls(U, rad_sq)
+    a_cols, a_norm, b_cols, b_norm = halves
+    h = a_cols.shape[0]
+    for ia, ib in _product_windows(halves, rad_sq, budget=budget):
+        # The indices are in range; mode="wrap" spares take a buffered copy.
+        coeffs = np.empty((2 * h, ia.size), dtype=np.int64)
+        np.take(a_cols, ia, axis=1, out=coeffs[:h], mode="wrap")
+        np.take(b_cols, ib, axis=1, out=coeffs[h:], mode="wrap")
+        yield coeffs.T, np.take(a_norm, ia) + np.take(b_norm, ib)
+
+
+def _product_esp(lat: MatrixLattice, rad_sq: float, *, budget: PointBudget,
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The e view of ``_product_windows`` on a lattice whose determinant
+    splits (``_det_splits``): (norm_sq, e) blocks with no block realized.
+
+    det X = det X_A + det X_B, so det is taken once per point of each half
+    ball, realized with the other half's coefficients zero, and a row's e is
+    (||A||^2 + ||B||^2, |dA[ia] + dB[ib]|^2).
+    """
+    halves = _half_balls(lat.chol_upper, rad_sq)
+    a_cols, a_norm, b_cols, b_norm = halves
+    zero_a, zero_b = np.zeros_like(a_cols), np.zeros_like(b_cols)
+    d_a = det_batch(realize_block(lat, np.concatenate([a_cols, zero_a]).T))
+    d_b = det_batch(realize_block(lat, np.concatenate([zero_b, b_cols]).T))
+    for ia, ib in _product_windows(halves, rad_sq, budget=budget):
+        # Laid out by column, so e[:, 0] and e[:, 1] are contiguous.
+        e = np.empty((2, ia.size))
+        np.add(np.take(a_norm, ia), np.take(b_norm, ib), out=e[0])
+        d = np.take(d_a, ia)
+        d += np.take(d_b, ib)
+        parts = d.view(np.float64)
+        parts *= parts
+        np.add(parts[0::2], parts[1::2], out=e[1])
+        yield e[0], e.T
 
 
 def _times_i(coeffs: np.ndarray) -> np.ndarray:
@@ -437,16 +502,10 @@ def orbit_images(lat: MatrixLattice, coeffs: np.ndarray, *,
     return coeffs
 
 
-def coefficient_blocks(lat: MatrixLattice, radius: float, *,
-                       budget: int | PointBudget = DEFAULT_BUDGET,
-                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the (coeffs, norm_sq) blocks of the orbit walk of L(radius).
-
-    Coefficient rows are in natural index order, one point of each orbit of
-    ``orbit_size`` nonzero points (see ``_walk``, and ``_product_walk`` for
-    orbits of eight, for which one); ``orbit_images`` expands a block to its
-    orbits.  ``budget`` is a point cap or a ``PointBudget`` the walk charges.
-    """
+def _checked_budget(lat: MatrixLattice, radius: float,
+                    budget: int | PointBudget) -> PointBudget:
+    """The ``PointBudget`` a walk of L(radius) charges, once the radius is
+    checked and the predicted point count is within it."""
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius!r}")
     if not isinstance(budget, PointBudget):
@@ -455,11 +514,40 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
         raise BudgetExceeded(
             f"predicted point count {predicted_point_count(lat, radius):.3e} "
             f"exceeds budget {budget.limit}")
-    orbit = lat.orbit_size
-    if orbit == 8:
-        yield from _product_walk(lat.chol_upper, _bound_sq(radius), budget=budget)
-    else:
-        yield from _walk(lat.chol_upper, _bound_sq(radius), budget=budget, orbit=orbit)
+    return budget
+
+
+def _blocks(lat: MatrixLattice, rad_sq: float, budget: PointBudget,
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (coeffs, norm_sq) blocks of the lattice's orbit walk."""
+    if lat.orbit_size == 8:
+        return _product_walk(lat.chol_upper, rad_sq, budget=budget)
+    return _walk(lat.chol_upper, rad_sq, budget=budget, orbit=lat.orbit_size)
+
+
+def coefficient_blocks(lat: MatrixLattice, radius: float, *,
+                       budget: int | PointBudget = DEFAULT_BUDGET,
+                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the (coeffs, norm_sq) blocks of the orbit walk of L(radius).
+
+    Coefficient rows are in natural index order, one point of each orbit of
+    ``orbit_size`` nonzero points (see ``_walk``, and ``_product_windows`` for
+    orbits of eight, for which one); ``orbit_images`` expands a block to its
+    orbits.  ``budget`` is a point cap or a ``PointBudget`` the walk charges.
+    """
+    budget = _checked_budget(lat, radius, budget)
+    yield from _blocks(lat, _bound_sq(radius), budget)
+
+
+def _det_splits(lat: MatrixLattice) -> bool:
+    """Whether ``esp_blocks`` may take det X = det X_A + det X_B: on an
+    orbit-8 lattice whose A-half basis matrices are diagonal, bit for bit,
+    the B half, A E, is anti-diagonal, det has no cross term, and the sum of
+    the two half determinants is the determinant of the realized row to the
+    last bit."""
+    h = lat.k // 2
+    return (lat.orbit_size == 8 and not lat.basis[:h, 0, 1].any()
+            and not lat.basis[:h, 1, 0].any())
 
 
 def realize_block(lat: MatrixLattice, coeffs: np.ndarray, *,
@@ -480,6 +568,51 @@ def realize_block(lat: MatrixLattice, coeffs: np.ndarray, *,
         np.copyto(copy, coeffs)
         np.matmul(copy, lat.real_basis, out=flat)
     return flat.view(np.complex128).reshape(-1, lat.n, lat.T)
+
+
+def _realize(lat: MatrixLattice, coeffs: np.ndarray) -> np.ndarray:
+    """``realize_block`` into this thread's two buffers.
+
+    The buffers hold the largest block the thread has realized (rows times
+    2nT columns, and k <= 2nT), grow when a larger one arrives, and are
+    reused by every later block on the thread, across calls: fresh arrays per
+    block cost a page fault per page, since the allocator hands the freed
+    heap back to the kernel between blocks.  Callers on separate threads
+    never share them.
+    """
+    rows, k = coeffs.shape
+    width = lat.real_basis.shape[1]
+    size = rows * width
+    held = getattr(_buffers, "held", None)
+    if held is None or held[0].size < size:
+        held = _buffers.held = (np.empty(size), np.empty(size))
+    copy, flat = held
+    # The walks yield the transpose of a (k, B) array; a copy laid out alike
+    # is multiplied as coeffs.astype(float) would be.
+    return realize_block(lat, coeffs, out=(copy[:rows * k].reshape(k, rows).T,
+                                           flat[:size].reshape(rows, width)))
+
+
+def esp_blocks(lat: MatrixLattice, radius: float, *,
+               budget: int | PointBudget = DEFAULT_BUDGET,
+               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the (norm_sq, e) blocks of the orbit walk of L(radius): the rows
+    of ``coefficient_blocks``, in its order and with its norms and checks,
+    each given by e, shape (B, n), the elementary symmetric polynomials
+    e_1 .. e_n of the eigenvalues of X X* (e_1 = ||X||^2; for square X,
+    e_n = |det X|^2).
+
+    On a lattice whose determinant splits over its halves (the golden code)
+    no block is realized (``_product_esp``).  Every other block is realized
+    into this thread's buffers (``_realize``) and given to ``_esp_batch``; e
+    is a fresh array, and nothing keeps the realized block.
+    """
+    budget = _checked_budget(lat, radius, budget)
+    if _det_splits(lat):
+        yield from _product_esp(lat, _bound_sq(radius), budget=budget)
+        return
+    for coeffs, norm_sq in _blocks(lat, _bound_sq(radius), budget):
+        yield norm_sq, _esp_batch(_realize(lat, coeffs))
 
 
 def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,

@@ -6,33 +6,29 @@ Three families are supported, all over the nonzero points of L(M):
 * ``approximate``  sum of |det(X)|^(-m)        (square lattices)
 * ``mixed``        sum of ||X||_F^(-2i) * det(X X*)^(-(m-i))
 
+Every term is a function of e = (e_1, ..., e_n), the elementary symmetric
+polynomials of the eigenvalues of X X* (e_1 = ||X||_F^2, e_n = det(X X*),
+which is |det X|^2 for square X): det(I + c X X*) = 1 + c e_1 + ... + c^n e_n
+by Horner's rule, |det X|^(-m) = e_n^(-m/2), and the mixed term is
+e_1^(-i) e_n^(-(m-i)).
+
 Every term is unchanged when X is multiplied by a unit scalar or on the right
-by a unitary matrix U: ||XU||_F = ||X||_F, |det XU| = |det X| and
-(XU)(XU)* = XX*.  So each sum is one pass over the orbit walk of
-``lattice.coefficient_blocks``, whose every row stands for the
+by a unitary matrix U, since (XU)(XU)* = XX*.  So each sum is one pass over
+the orbit walk of ``lattice.esp_blocks``, whose every row stands for the
 ``orbit_size`` points of its orbit, and ``orbit_size`` times its total: 2
 for the orbit {X, -X}; 4 for {X, iX, -X, -iX} on a Z[i]-paired lattice; and
 8 on the golden code, which is closed under X -> XE as well
 (E = [[0, 1], [i, 0]], E^2 = iI), for the orbit {i^j X E^l}.
 
 ``sum_curves`` is the one reduction: it evaluates every (spec, radius grid)
-pair of a run in a single walk to the largest radius.  Each block is realized
-once, and e (``_esp_batch``), |det X| and det(X X*) are computed at most once
-on it: each shifted c is one Horner pass on the shared e, |det X| serves every
-m of the approximate family and det(X X*) every m and i of the mixed one, and
-each spec bins only the rows inside its own last radius.  Each block adds
-one partial sum per shell of a spec's grid, and a spec's partials are merged
-with ``math.fsum``.  fsum is exactly rounded, so totals do not depend on the
-order in which blocks arrive; a different walk radius moves the block
-boundaries, so it can change their last bits.  ``sum_curve``,
-``evaluate_sum`` and the named sums are its one-spec cases.
-
-Every walk runs once, on the calling thread.  Each thread realizes every
-block into two buffers of its own, sized to the largest block it has
-realized and reused by every later block on that thread (see ``_realize``),
-so a thread's buffers persist across calls and callers on separate threads
-never share them: fresh arrays per block cost a page fault per page, since
-the allocator hands the freed heap back to the kernel between blocks.
+pair of a run in a single walk to the largest radius, on the calling thread.
+e is the one per-row quantity, computed once per row by the walk, and every
+spec reads its terms from it, on the rows inside its own last radius.  Each
+block adds one partial sum per shell of a spec's grid, and a spec's
+partials are merged with ``math.fsum``.  fsum is exactly rounded, so totals
+do not depend on the order in which blocks arrive; a different walk radius
+moves the block boundaries, so it can change their last bits.
+``sum_curve``, ``evaluate_sum`` and the named sums are its one-spec cases.
 """
 
 from __future__ import annotations
@@ -41,16 +37,14 @@ import csv
 import io
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import HypothesisViolated, ProofBoundExceeded, SingularPoint
-from .lattice import (DEFAULT_BUDGET, MatrixLattice, _bound_sq, coefficient_blocks,
-                      realize_block)
-from .linalg import _esp_batch, _shifted_from_esp, det_batch, det_gram_batch
+from .lattice import DEFAULT_BUDGET, MatrixLattice, _bound_sq, esp_blocks
+from .linalg import _shifted_from_esp
 
 __all__ = [
     "SumSpec",
@@ -73,9 +67,6 @@ FAMILIES = ("shifted", "approximate", "mixed")
 # A point counts as singular when det(X X*) is at round-off scale relative to
 # its own trace: det <= 1e-12 * (||X||^2 / n)^n.
 _SINGULAR_REL = 1e-12
-
-# This thread's realization buffers (see ``_realize``).
-_buffers = threading.local()
 
 
 def _finite_real(x) -> bool:
@@ -153,102 +144,44 @@ def _singular_mask(det_g: np.ndarray, norm_sq: np.ndarray, n: int) -> np.ndarray
     return det_g <= _SINGULAR_REL * (norm_sq / n) ** n
 
 
-def _source(spec: SumSpec) -> str:
-    """The per-row quantity a spec's terms are computed from."""
-    if spec.family == "shifted":
-        return "esp"
-    if spec.family == "approximate":
-        return "det"
-    return "det_gram" if spec.i < spec.m else "norm"
+def _block_partials(lat, plan, walk_bound, norm_sq, e, acc):
+    """Add one walk block, given by its norms and e, to the shell partials of
+    every spec.
 
-
-def _quantity(name: str, X: np.ndarray) -> np.ndarray:
-    """A per-row quantity of a realized block (its kernel is looked up at call
-    time, so a tracer that rebinds the ``linalg`` names sees the call)."""
-    if name == "esp":
-        return _esp_batch(X)
-    return np.abs(det_batch(X)) if name == "det" else det_gram_batch(X)
-
-
-def _inside(rows, bound):
-    """Norms and values of the rows within ``bound`` of a (bound, norms,
-    values) triple whose rows all lie within its own bound."""
-    top, ns, values = rows
-    if bound >= top:
-        return ns, values
-    keep = ns <= bound
-    return ns[keep], values[keep]
-
-
-def _realize(lat, coeffs):
-    """``realize_block`` into this thread's two buffers.
-
-    The buffers hold the largest block the thread has realized (rows times
-    2nT columns, and k <= 2nT), grow when a larger one arrives, and are
-    reused by every later block on the thread, across calls.
+    ``plan`` holds (spec, shell bounds, last bound) per spec, and each spec
+    takes the rows inside its own last radius.  A shifted spec's det(I + c X X*)
+    is one Horner pass on e.  An approximate or mixed spec (i < m) drops or
+    raises on the singular rows, those whose e_n is at round-off scale.
     """
-    rows, k = coeffs.shape
-    width = lat.real_basis.shape[1]
-    size = rows * width
-    held = getattr(_buffers, "held", None)
-    if held is None or held[0].size < size:
-        held = _buffers.held = (np.empty(size), np.empty(size))
-    copy, flat = held
-    # The walks yield the transpose of a (k, B) array; a copy laid out alike
-    # is multiplied as coeffs.astype(float) would be.
-    return realize_block(lat, coeffs, out=(copy[:rows * k].reshape(k, rows).T,
-                                           flat[:size].reshape(rows, width)))
-
-
-def _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc):
-    """Add one walk block to the shell partials of every spec.
-
-    ``plan`` holds (spec, shell bounds, source quantity, last bound) per spec.
-    The block is realized once, and each quantity derived from it (the e of
-    ``_esp_batch``, |det X|, det(X X*)) is computed once, on the rows inside
-    ``reach[name]``, the largest last radius of the specs that use it.  Each
-    shifted c's det(I + c X X*) is one Horner pass on e, shared by every m.
-    A spec takes the rows inside its own last radius.  X is usually a view
-    of this thread's realization buffers, which the next block on the thread
-    overwrites, so nothing may keep it or a view of it past this call; every
-    quantity computed from it is a fresh array.  Those live only for this
-    call, so one block's are alive at a time, and nothing may hold them in a
-    reference cycle (a self-calling closure over ``memo`` did, and kept every
-    block alive until the cyclic collector ran: three times the peak memory
-    on the golden preset).
-    """
-    memo = {"norm": (walk_bound, norm_sq, norm_sq)}
-    if reach:
-        X = _realize(lat, coeffs)
-        for name, top in reach.items():
-            ns, Xs = _inside((walk_bound, norm_sq, X), top)
-            if ns.size:
-                memo[name] = (top, ns, _quantity(name, Xs))
-    for (spec, b, name, last), (partials, counts, singular) in zip(plan, acc):
-        ns, q = _inside(memo[name], last) if name in memo else (norm_sq[:0], None)
+    for (spec, b, last), (partials, counts, singular) in zip(plan, acc):
+        if last >= walk_bound:
+            ns, es = norm_sq, e
+        else:
+            keep = norm_sq <= last
+            ns, es = norm_sq[keep], e[keep]
         if not ns.size:
             continue                    # no row of this block is in its ball
-        if name == "esp":
-            key = (spec.c, last)
-            if key not in memo:
-                memo[key] = _shifted_from_esp(q, spec.c)
-            t = memo[key] ** (-spec.m)
-        elif name == "norm":
-            t = ns ** (-float(spec.i))
+        if spec.family == "shifted":
+            t = _shifted_from_esp(es, spec.c) ** (-spec.m)
         else:
-            bad = _singular_mask(q * q if name == "det" else q, ns, lat.n)
-            if np.any(bad):
-                if not spec.skip_singular:
-                    raise SingularPoint(
-                        f"enumerated a point with det(X X*) = 0 ({spec.family} "
-                        "family); enable skip_singular to drop it")
-                singular += np.bincount(np.searchsorted(b, ns[bad]), minlength=b.size)
-                ns, q = ns[~bad], q[~bad]
-            if name == "det":
-                t = q ** (-spec.m)
-            else:
-                i = int(spec.i)
-                t = (ns ** (-float(i)) if i > 0 else 1.0) * q ** (-(spec.m - i))
+            # |det X|^-m = e_n^(-m/2); the mixed term is e_1^-i e_n^-(m-i),
+            # with e_1 = ||X||^2 the walk's norm.
+            i = int(spec.i) if spec.family == "mixed" else 0
+            power = spec.m - i if spec.family == "mixed" else spec.m / 2
+            t = 1.0
+            if power:
+                en = es[:, -1]
+                bad = _singular_mask(en, ns, lat.n)
+                if np.any(bad):
+                    if not spec.skip_singular:
+                        raise SingularPoint(
+                            f"enumerated a point with det(X X*) = 0 ({spec.family} "
+                            "family); enable skip_singular to drop it")
+                    singular += np.bincount(np.searchsorted(b, ns[bad]), minlength=b.size)
+                    ns, en = ns[~bad], en[~bad]
+                t = en ** (-power)
+            if i:
+                t = ns ** (-float(i)) * t
         bins = np.searchsorted(b, ns)
         partials.append(np.bincount(bins, weights=t, minlength=b.size))
         counts += np.bincount(bins, minlength=b.size)
@@ -260,10 +193,10 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     orbit walk to the largest radius.
 
     ``jobs`` is a list of ``(spec, radii)`` pairs; one curve comes back per
-    pair, in order.  Each block of the walk is realized once and its shared
-    quantities serve every spec (see ``_block_partials``); each spec bins only
-    the rows inside its own last radius, so its singular points outside that
-    ball are neither counted nor raised on.  Terms are binned by the shell
+    pair, in order.  Each row's e, computed once by ``esp_blocks``, serves
+    every spec (see ``_block_partials``); each spec bins only the rows inside
+    its own last radius, so its singular points outside that ball are
+    neither counted nor raised on.  Terms are binned by the shell
     their norm falls into, and each value is the exactly rounded sum of the
     per-block bins up to its radius, weighted by ``orbit_size``.
     """
@@ -276,17 +209,13 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
         if spec.family == "approximate" and lat.n != lat.T:
             raise ValueError("approximate family requires square matrices (n == T)")
     top = max(radii[-1] for _, radii in jobs)
-    plan = [(spec, np.array([_bound_sq(r) for r in radii]), _source(spec),
-             _bound_sq(radii[-1])) for spec, radii in jobs]
-    reach = {}                          # X-derived quantity -> rows it is needed on
-    for _, _, name, last in plan:
-        if name != "norm":
-            reach[name] = max(reach.get(name, 0.0), last)
+    plan = [(spec, np.array([_bound_sq(r) for r in radii]), _bound_sq(radii[-1]))
+            for spec, radii in jobs]
     walk_bound = _bound_sq(top)
     acc = [([], np.zeros(b.size, np.int64), np.zeros(b.size, np.int64))
-           for _, b, _, _ in plan]
-    for coeffs, norm_sq in coefficient_blocks(lat, top, budget=budget):
-        _block_partials(lat, plan, reach, walk_bound, coeffs, norm_sq, acc)
+           for _, b, _ in plan]
+    for norm_sq, e in esp_blocks(lat, top, budget=budget):
+        _block_partials(lat, plan, walk_bound, norm_sq, e, acc)
     orbit = lat.orbit_size
     curves = []
     for (spec, radii), (partials, counts, singular) in zip(jobs, acc):

@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsums.errors import BudgetExceeded, DependentBasis, DimensionMismatch
-from detsums.lattice import (DEFAULT_BUDGET, PointBudget, build_lattice,
-                             coefficient_blocks, lattice_from_json,
-                             lattice_to_json, orbit_images,
+from detsums.lattice import (DEFAULT_BUDGET, PointBudget, _bound_sq,
+                             _det_splits, _half_balls, _product_windows,
+                             build_lattice, coefficient_blocks, esp_blocks,
+                             lattice_from_json, lattice_to_json, orbit_images,
                              predicted_point_count, realize_block,
                              shell_counts)
+from detsums.linalg import _esp_batch, det_batch
 
 from conftest import (GOLDEN_E, _r8, ball_points, box_scan_coeffs,
-                      golden_shaped_lattices, random_paired_lattice,
-                      random_small_lattice)
+                      golden_shaped_lattices, random_golden_shaped_lattice,
+                      random_paired_lattice, random_small_lattice)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -415,3 +417,65 @@ def test_golden_shell_growth(golden_lattice):
     assert 50 < ratio_21 < 512
     assert 100 < ratio_42 < 512
     assert abs(ratio_42 - 256) < abs(ratio_21 - 256)
+
+
+def _json_lattice(seed, k, n, T):
+    lat = random_small_lattice(np.random.default_rng(seed), k, n, T)
+    return lattice_from_json(json.loads(json.dumps(lattice_to_json(lat))))
+
+
+def _unsplit_orbit8_lattice():
+    # A golden-shaped basis times M = [[1, 1], [1, -1]] on the left, in exact
+    # Gaussian-integer arithmetic: still closed under X -> iX and X -> XE with
+    # orthogonal halves (M* M = 2I), but its A half is not diagonal, so
+    # esp_blocks realizes its rows.
+    lat = random_golden_shaped_lattice(np.random.default_rng(3), 2)
+    return build_lattice(list(np.array([[1.0, 1.0], [1.0, -1.0]]) @ lat.basis))
+
+
+@pytest.mark.parametrize("case", ["golden", "diagonal-nf-2", "gaussian-diagonal-2",
+                                  "json-3x3", "json-2x3", "orbit8-unsplit"])
+def test_esp_blocks_match_the_realized_kernels(case, golden_lattice, nf_lattice):
+    # The e of every row equals _esp_batch of the same row realized from
+    # coefficient_blocks, in the same order and with the same norms, whether
+    # the walk realizes the row (every lattice but the golden code) or not.
+    from detsums.codes import gaussian_diagonal
+    lat, radius = {
+        "golden": lambda: (golden_lattice, 4.0),
+        "diagonal-nf-2": lambda: (nf_lattice, 8.0),
+        "gaussian-diagonal-2": lambda: (gaussian_diagonal(2), 6.0),
+        "json-3x3": lambda: (_json_lattice(5, 4, 3, 3), 20.0),
+        "json-2x3": lambda: (_json_lattice(6, 4, 2, 3), 14.0),
+        "orbit8-unsplit": lambda: (_unsplit_orbit8_lattice(), 8.0),
+    }[case]()
+    assert _det_splits(lat) == (case == "golden")
+    if case == "orbit8-unsplit":
+        assert lat.orbit_size == 8
+    got = list(esp_blocks(lat, radius))
+    want = [(norm_sq, _esp_batch(realize_block(lat, coeffs)))
+            for coeffs, norm_sq in coefficient_blocks(lat, radius)]
+    norms = np.concatenate([n for n, _ in got])
+    e = np.concatenate([v for _, v in got])
+    ref = np.concatenate([v for _, v in want])
+    assert norms.size > 100
+    assert np.array_equal(norms, np.concatenate([n for n, _ in want]))
+    assert e.shape == ref.shape == (norms.size, lat.n)
+    assert np.all(np.abs(e - ref) <= 1e-12 * ref)
+
+
+def test_golden_half_determinants_add_bit_for_bit(golden_lattice):
+    # The A half of the golden code is diagonal and the B half anti-diagonal,
+    # so det X = det X_A + det X_B, and the sum of the two half determinants
+    # is the determinant of the realized row to the last bit.
+    lat = golden_lattice
+    rad_sq = _bound_sq(4.0)
+    halves = _half_balls(lat.chol_upper, rad_sq)
+    a_cols, _, b_cols, _ = halves
+    d_a = det_batch(realize_block(lat, np.concatenate([a_cols, 0 * a_cols]).T))
+    d_b = det_batch(realize_block(lat, np.concatenate([0 * b_cols, b_cols]).T))
+    rows = 0
+    for ia, ib in _product_windows(halves, rad_sq, budget=PointBudget(DEFAULT_BUDGET)):
+        coeffs = np.concatenate([a_cols[:, ia], b_cols[:, ib]]).T
+        assert np.array_equal(d_a[ia] + d_b[ib], det_batch(realize_block(lat, coeffs)))
+        rows += ia.size
+    assert 8 * rows == shell_counts(lat, [4.0])[0]

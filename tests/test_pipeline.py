@@ -141,7 +141,7 @@ def test_run_walks_each_ball_once(name, monkeypatch):
         return wrapped
 
     for module in (codes, sums):
-        monkeypatch.setattr(module, "coefficient_blocks", counting(module.coefficient_blocks))
+        monkeypatch.setattr(module, "esp_blocks", counting(module.esp_blocks))
     cfg = build_preset(name)
     report = run(cfg, n_jobs=2)
     assert len(walks) == 2

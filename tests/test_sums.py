@@ -212,21 +212,22 @@ def _in_a_new_thread(fn):
 
 def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice,
                                                       zi_lattice, monkeypatch):
-    # One thread's blocks share its realization buffers.  The three lattices
-    # differ in k (8, 4, 2) and 2nT (8, 8, 2), so the new thread's buffers,
-    # sized by its first block, must grow to take later ones, and the call on
-    # gaussian_diagonal(2) raises SingularPoint on a realized block.  Values
-    # match fresh arrays for every block bit for bit.
-    from detsums import sums
+    # One thread's blocks share its realization buffers.  The lattices that
+    # realize their blocks differ in k (4, 2) and 2nT (8, 2), so the new
+    # thread's buffers, sized by its first block, must grow to take later
+    # ones, and the call on gaussian_diagonal(2) raises SingularPoint on a
+    # realized block; the golden calls, which realize no block, run in
+    # between.  Values match fresh arrays for every block bit for bit.
+    from detsums import lattice
     realized = {}                       # thread -> size of each block it realized
-    realize = sums._realize
+    realize = lattice._realize
 
     def recording(lat, coeffs):
         realized.setdefault(threading.get_ident(), []).append(
             coeffs.shape[0] * lat.real_basis.shape[1])
         return realize(lat, coeffs)
 
-    monkeypatch.setattr(sums, "_realize", recording)
+    monkeypatch.setattr(lattice, "_realize", recording)
     shifted = SumSpec(family="shifted", m=4, c=1.0)
     approximate = SumSpec(family="approximate", m=2)
     mixed = SumSpec(family="mixed", m=4, i=2)
@@ -248,7 +249,7 @@ def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice
             with pytest.raises(SingularPoint):
                 sum_curves(singular, [(shifted, [8.0]), (approximate, [4.0, 8.0])])
             assert calls[name]() == first[name]
-        return first, threading.get_ident(), sums._buffers.held[0].size
+        return first, threading.get_ident(), lattice._buffers.held[0].size
 
     first, thread, held = _in_a_new_thread(interleave)
     sizes = realized[thread]
@@ -256,7 +257,7 @@ def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice
     assert held == max(sizes)                   # to the largest block, no more
     for name, call in calls.items():
         assert call() == first[name]        # on this thread's own buffers
-    monkeypatch.setattr(sums, "_realize", sums.realize_block)
+    monkeypatch.setattr(lattice, "_realize", lattice.realize_block)
     assert {name: call() for name, call in calls.items()} == first
 
 
@@ -488,12 +489,12 @@ def test_mixed_bound_walks_its_ball_once(golden_lattice, monkeypatch):
     lhs = shifted_det_sum(golden_lattice, 4, 100.0, 2.0)
     mixed = norm_det_sum(golden_lattice, 4, 1, 2.0)
     walks = []
-    real_blocks = sums.coefficient_blocks
+    real_blocks = sums.esp_blocks
 
     def counting(lat, radius, **kw):
         walks.append(radius)
         return real_blocks(lat, radius, **kw)
-    monkeypatch.setattr(sums, "coefficient_blocks", counting)
+    monkeypatch.setattr(sums, "esp_blocks", counting)
     check = shifted_vs_mixed_bound(golden_lattice, 4, 100.0, 2.0, 1)
     assert walks == [2.0]
     assert check.c_exponent == 1 + 2 * 3
@@ -831,3 +832,66 @@ def test_singular_counts_complete_the_ball(spec):
         == shell_counts(lat, radii)
     assert [p["singularCount"] for p in curve.to_json_dict()["points"]] \
         == curve.singular_counts
+
+
+def _realized_ball(lat, radius):
+    """(walk norm^2, X) of every nonzero point of L(radius): the orbit walk,
+    each block expanded by ``orbit_images`` and realized."""
+    from detsums.lattice import orbit_images, realize_block
+    norms, mats = [], []
+    for coeffs, norm_sq in coefficient_blocks(lat, radius):
+        norms.append(np.tile(norm_sq, lat.orbit_size))
+        mats.append(realize_block(lat, orbit_images(lat, coeffs)))
+    return np.concatenate(norms), np.concatenate(mats)
+
+
+def _kernel_terms(spec, X):
+    """The terms of ``spec`` at a stack X, from the realized-matrix kernels;
+    singular rows (det X exactly 0) read inf."""
+    from detsums.linalg import det_batch, shifted_det_batch
+    if spec.family == "shifted":
+        return shifted_det_batch(X, spec.c) ** -spec.m
+    with np.errstate(divide="ignore"):
+        det = np.abs(det_batch(X))
+        if spec.family == "approximate":
+            return det ** -spec.m
+        norm_sq = np.sum(np.abs(X) ** 2, axis=(1, 2))
+        return norm_sq ** -spec.i * det ** (-2 * (spec.m - spec.i))
+
+
+@pytest.mark.parametrize("spec", [SumSpec(family="shifted", m=4, c=1.0),
+                                  SumSpec(family="approximate", m=4),
+                                  SumSpec(family="mixed", m=4, i=2)],
+                         ids=lambda s: s.family)
+def test_golden_families_match_the_realized_ball(golden_lattice, spec):
+    # The golden sums, whose terms come from e without realizing a block,
+    # equal the sums over the whole ball of terms from the realized matrices.
+    radii = [1.0, SQRT2, 2.0, 2 * SQRT2, 4.0]
+    norms, X = _realized_ball(golden_lattice, radii[-1])
+    terms = _kernel_terms(spec, X)
+    curve = sum_curve(golden_lattice, spec, radii)
+    for M, value, count in zip(radii, curve.values, curve.point_counts):
+        inside = norms <= M * M * (1 + 1e-9)
+        assert count == np.count_nonzero(inside)
+        assert value == pytest.approx(math.fsum(terms[inside]), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [SumSpec(family="approximate", m=3, skip_singular=True),
+                                  SumSpec(family="mixed", m=3, i=1, skip_singular=True)],
+                         ids=lambda s: s.family)
+def test_singular_counts_match_the_realized_ball(spec):
+    # diag(z_1, z_2) is singular exactly when z_1 or z_2 is 0, so det X is 0
+    # to the last bit there and the counts are exact.
+    lat = gaussian_diagonal(2)
+    radii = [1.0, 2.0, 4.0, 6.0]
+    norms, X = _realized_ball(lat, radii[-1])
+    terms = _kernel_terms(spec, X)
+    singular = np.isinf(terms)
+    curve = sum_curve(lat, spec, radii)
+    for j, M in enumerate(radii):
+        inside = norms <= M * M * (1 + 1e-9)
+        assert curve.singular_counts[j] == np.count_nonzero(inside & singular)
+        assert curve.point_counts[j] == np.count_nonzero(inside & ~singular)
+        assert curve.values[j] == pytest.approx(
+            math.fsum(terms[inside & ~singular]), rel=1e-12)
+    assert curve.singular_counts[0] > 0
