@@ -103,6 +103,8 @@ class ChannelConfig(JsonFields):
             raise ValueError(f"chernoff_scaling must be a boolean, "
                              f"got {self.chernoff_scaling!r}")
         grid = tuple(float(v) for v in self.snr_grid_db)
+        if not all(map(math.isfinite, grid)):
+            raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db!r}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)

@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("run", help="run an experiment preset or config file")
     p.add_argument("--preset", choices=presets.preset_names())
     p.add_argument("--config", help="experiment config JSON file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of a preset's simulation (with --with-sim)")
     p.add_argument("--with-sim", action="store_true")
     p.add_argument("--out", help="report directory (default $DETSUMS_OUT)")
     p.set_defaults(func=_cmd_run)

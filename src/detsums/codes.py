@@ -23,6 +23,7 @@ import numpy as np
 from .errors import UnsupportedDegree
 from .lattice import (MatrixLattice, build_lattice, esp_blocks, lattice_from_json,
                       rescale_lattice)
+from .linalg import _singular_mask
 from .schema import OBJECT, STRING, JsonFields, json_field
 
 __all__ = [
@@ -126,22 +127,26 @@ def diagonal_nf_norm(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     return (uu[0] + uv[0] - vv[0], uu[1] + uv[1] - vv[1])
 
 
-def min_abs_det_ball(lat: MatrixLattice, radius: float, *, budget: int = 2 ** 26) -> float:
+def min_abs_det_ball(lat: MatrixLattice, radius: float, *,
+                     budget: int = 2 ** 26) -> tuple[float, bool]:
     """Minimum of |det(X)| over L(radius), the square root of the least e_n =
-    |det X|^2 of ``esp_blocks``; |det(uX)| = |det X| for every unit u of
-    modulus one, and |det(XE)| = |det X| on the golden code, so the orbit
-    walk sees every value.  Raises ValueError when the ball holds no nonzero
-    point."""
+    |det X|^2 of ``esp_blocks``, and whether some point of the ball is
+    singular by the sums' rule (``linalg._singular_mask``), which is relative
+    to the point's own norm and so does not depend on the lattice's scale.
+    |det(uX)| = |det X| for every unit u of modulus one, and |det(XE)| =
+    |det X| on the golden code, so the orbit walk sees every value.  Raises
+    ValueError when the ball holds no nonzero point."""
     if lat.n != lat.T:
         raise ValueError("determinant scan needs square matrices")
-    best = math.inf
-    for _, e in esp_blocks(lat, radius, budget=budget):
+    best, singular = math.inf, False
+    for norm_sq, e in esp_blocks(lat, radius, budget=budget):
         best = min(best, float(e[:, -1].min()))
+        singular = singular or bool(_singular_mask(e[:, -1], norm_sq, lat.n).any())
     if best == math.inf:
         raise ValueError(
             f"determinant scan radius {radius!r} is below the minimum norm "
             f"{math.sqrt(lat.min_norm_sq)!r}: the ball holds no nonzero point")
-    return math.sqrt(best)
+    return math.sqrt(best), singular
 
 
 @dataclass(frozen=True)

@@ -143,3 +143,13 @@ def _shifted_from_esp(e: np.ndarray, c: float) -> np.ndarray:
         value += e[:, i]
         value *= c
     return value + 1.0
+
+
+# A point counts as singular when det(X X*) is at round-off scale relative to
+# its own trace: det <= 1e-12 * (||X||^2 / n)^n.  The sums and the
+# determinant scan both decide singularity with this one rule.
+_SINGULAR_REL = 1e-12
+
+
+def _singular_mask(det_g: np.ndarray, norm_sq: np.ndarray, n: int) -> np.ndarray:
+    return det_g <= _SINGULAR_REL * (norm_sq / n) ** n

@@ -75,8 +75,10 @@ class EnvelopeJob(JsonFields):
 
 @dataclass(frozen=True)
 class DmtJob(JsonFields):
-    T: int = json_field("T", INTEGER)
-    k: int = json_field("k", INTEGER)
+    """DMT request: the ML lines of the envelope's entries, plus the naive
+    line of diversity ``naive_a`` when given.  Every line uses the code's
+    rank k and block length T."""
+
     naive_a: float | None = json_field("naiveA", NUMBER, default=None)
 
 
@@ -93,10 +95,8 @@ class ExperimentConfig(JsonFields):
     dmt: DmtJob | None = json_field("dmt", section(DmtJob), default=None)
     sim: ChannelConfig | None = json_field("sim", section(ChannelConfig), default=None)
     compare_c_values: tuple = json_field("compareCValues", NUMBERS, default=())
-    compare_m: float | None = json_field("compareM", NUMBER, default=None)
     compare_radii: tuple = json_field("compareRadii", NUMBERS, default=())
     det_scan_radius: float | None = json_field("detScanRadius", NUMBER, default=None)
-    seed: int = json_field("seed", INTEGER, default=0)
     budget: int = json_field("budget", INTEGER, default=DEFAULT_BUDGET)
 
     def __post_init__(self):
@@ -176,26 +176,28 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_bound_vs_truth(lat: MatrixLattice, envelope: BoundEnvelope, m: float,
-                           c_values, radii, *, budget: int = DEFAULT_BUDGET,
+def compare_bound_vs_truth(lat: MatrixLattice, envelope: BoundEnvelope, c_values,
+                           radii, *, budget: int = DEFAULT_BUDGET,
                            slack: float = 1e-9) -> list:
-    """Empirical shifted sums against the anchored envelope shape.
+    """Empirical shifted sums, at the envelope's exponent m, against the
+    anchored envelope shape.
 
     The envelope's unknown constant is fixed at the anchor cell (largest c,
     largest M); every other cell reports empirical / scaled-envelope with an
     ``ok`` flag for ratio <= 1 + slack.  Every cell comes from one walk.
     """
     c_values, radii = list(c_values), list(radii)
-    curves = sum_curves(lat, _compare_jobs(m, c_values, radii), budget=budget)
+    curves = sum_curves(lat, _compare_jobs(envelope.m, c_values, radii), budget=budget)
     return _compare_rows(envelope, c_values, radii, curves, slack)
 
 
-def _compare_jobs(m: float, c_values, radii) -> list:
-    """One shifted spec per c on the compare radii, as ``sum_curves`` jobs."""
+def _compare_jobs(m: int, c_values, radii) -> list:
+    """One shifted spec of exponent ``m`` per c on the compare radii, as
+    ``sum_curves`` jobs."""
     if not c_values or not radii:
         raise ValueError("need at least one c and one radius")
     grid = sorted({float(M) for M in radii})
-    return [(SumSpec(family="shifted", m=m, c=float(c)), grid) for c in c_values]
+    return [(SumSpec(family="shifted", m=float(m), c=float(c)), grid) for c in c_values]
 
 
 def _compare_rows(envelope: BoundEnvelope, c_values, radii, curves,
@@ -247,8 +249,9 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
 
     min_abs_det = None
     if config.det_scan_radius is not None and lat.n == lat.T:
-        min_abs_det = min_abs_det_ball(lat, config.det_scan_radius, budget=config.budget)
-        if min_abs_det <= 1e-9:
+        min_abs_det, singular = min_abs_det_ball(lat, config.det_scan_radius,
+                                                 budget=config.budget)
+        if singular:
             notes.append("determinant scan found a singular nonzero point; "
                          "the lattice has no determinant gap")
     lattice_summary = {
@@ -259,11 +262,9 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
     }
 
     jobs = [(job.spec(), job.radii) for job in config.sum_jobs]
-    compare_m = None
     if config.envelope is not None and config.compare_c_values and config.compare_radii:
-        compare_m = (config.compare_m if config.compare_m is not None
-                     else float(config.envelope.m))
-        jobs += _compare_jobs(compare_m, config.compare_c_values, config.compare_radii)
+        jobs += _compare_jobs(config.envelope.m, config.compare_c_values,
+                              config.compare_radii)
     curves = sum_curves(lat, jobs, budget=config.budget)
     curves, compare_curves = curves[:len(config.sum_jobs)], curves[len(config.sum_jobs):]
 
@@ -294,7 +295,7 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
     if config.dmt is not None and envelope is not None:
         lines = []
         for e in envelope.entries:
-            line = dmt_ml_bound(e.shift_exp, e.radius_exp, config.dmt.k, config.dmt.T)
+            line = dmt_ml_bound(e.shift_exp, e.radius_exp, lat.k, lat.T)
             lines.append(DmtCurve(segments=line.segments,
                                   label=f"ml-entry-i{e.split_index}",
                                   provenance=dict(line.provenance,
@@ -307,8 +308,7 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
         dmt_curves.extend(lines)
         dmt_curves.append(dmt_envelope(lines))
         if config.dmt.naive_a is not None:
-            dmt_curves.append(dmt_naive_bound(config.dmt.naive_a, config.dmt.k,
-                                              config.dmt.T))
+            dmt_curves.append(dmt_naive_bound(config.dmt.naive_a, lat.k, lat.T))
 
     sim_result = None
     sim_bound = []
@@ -321,7 +321,7 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
                 chernoff_scaling=config.sim.chernoff_scaling, budget=config.budget)
 
     compare_table = []
-    if compare_m is not None:
+    if compare_curves:
         compare_table = _compare_rows(envelope, config.compare_c_values,
                                       config.compare_radii, compare_curves)
 

@@ -45,13 +45,11 @@ def _golden(seed: int, with_sim: bool) -> ExperimentConfig:
             SumJob(family="shifted", m=4, c=1.0, radii=radii),
         ),
         envelope=EnvelopeJob(m=4, indices=(0, 2, 4), s_table={2: 4.0, 4: 4.0}),
-        dmt=DmtJob(T=2, k=8, naive_a=4.0),
+        dmt=DmtJob(naive_a=4.0),
         sim=sim,
         compare_c_values=(1.0, 10.0, 100.0),
-        compare_m=4.0,
         compare_radii=(2.0, 4.0),
         det_scan_radius=2.0,
-        seed=seed,
     )
 
 
@@ -71,12 +69,10 @@ def _diagonal_nf(seed: int, with_sim: bool) -> ExperimentConfig:
             SumJob(family="shifted", m=2, c=1.0, radii=radii),
         ),
         envelope=EnvelopeJob(m=2, indices=(0, 1, 2), s_table={1: 0.0, 2: 0.0}),
-        dmt=DmtJob(T=2, k=4, naive_a=3.0),
+        dmt=DmtJob(naive_a=3.0),
         compare_c_values=(1.0, 10.0, 100.0),
-        compare_m=2.0,
         compare_radii=(4.0, 16.0),
         det_scan_radius=3.0,
-        seed=seed,
         sim=sim,
     )
 
@@ -96,7 +92,6 @@ def _gaussian_diagonal(seed: int, with_sim: bool) -> ExperimentConfig:
             SumJob(family="shifted", m=3, c=1.0, radii=radii),
         ),
         det_scan_radius=2.0,
-        seed=seed,
         sim=sim,
     )
 
@@ -113,6 +108,8 @@ def preset_names() -> list[str]:
 
 
 def build_preset(name: str, *, seed: int = 0, with_sim: bool = False) -> ExperimentConfig:
+    """The preset ``name``; ``seed`` is the simulation's seed, so it matters
+    only ``with_sim``."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {preset_names()}")
     return PRESETS[name](seed, with_sim)

@@ -5,14 +5,15 @@ attribute, its JSON key, its JSON kind and its default.  ``JsonFields`` reads
 those declarations both ways.  ``to_dict`` writes every field under its key.
 ``from_dict`` rejects a key the section does not declare, requires every
 field without a default, and checks the kind of every value: a boolean is no
-number, and null passes only where the default is None.  No value is
-coerced, so ``to_dict`` gives back, key for key and type for type, the JSON
-that ``from_dict`` read.  Range checks stay in each ``__post_init__``.
+number, a number is finite, and null passes only where the default is None.
+No value is coerced, so ``to_dict`` gives back, key for key and type for
+type, the JSON that ``from_dict`` read.  Range checks stay in each ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, NamedTuple
 
 
@@ -32,7 +33,14 @@ def _is_integer(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number: Python's ``json`` reads ``NaN`` and ``Infinity``, and
+    ``math.isfinite`` overflows on an integer beyond the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _list_of(test):

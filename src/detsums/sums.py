@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, ProofBoundExceeded, SingularPoint
 from .lattice import DEFAULT_BUDGET, MatrixLattice, _bound_sq, esp_blocks
-from .linalg import _shifted_from_esp
+from .linalg import _shifted_from_esp, _singular_mask
 
 __all__ = [
     "SumSpec",
@@ -63,10 +63,6 @@ __all__ = [
 ]
 
 FAMILIES = ("shifted", "approximate", "mixed")
-
-# A point counts as singular when det(X X*) is at round-off scale relative to
-# its own trace: det <= 1e-12 * (||X||^2 / n)^n.
-_SINGULAR_REL = 1e-12
 
 
 def _finite_real(x) -> bool:
@@ -138,10 +134,6 @@ class SumCurve:
                        for M, v, cnt, sing in zip(self.radii, self.values,
                                                   self.point_counts, self.singular_counts)],
         }
-
-
-def _singular_mask(det_g: np.ndarray, norm_sq: np.ndarray, n: int) -> np.ndarray:
-    return det_g <= _SINGULAR_REL * (norm_sq / n) ** n
 
 
 def _block_partials(lat, plan, walk_bound, norm_sq, e, acc):

@@ -265,6 +265,8 @@ def test_config_validation():
     ("noise_scale", math.inf, "noise_scale must be a finite number >= 0"),
     ("noise_scale", "1", "noise_scale must be a finite number >= 0"),
     ("chernoff_scaling", "false", "chernoff_scaling must be a boolean"),
+    ("snr_grid_db", (math.nan,), "snr_grid_db must be finite"),
+    ("snr_grid_db", (5.0, math.inf), "snr_grid_db must be finite"),
 ])
 def test_config_rejects_bad_trial_receiver_and_noise_values(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -206,9 +206,7 @@ def _run_config_with(capsys, tmp_path, edit):
 
 @pytest.mark.parametrize("key,value,kind", [
     ("budget", "x", "an integer"), ("budget", 1.5, "an integer"),
-    ("budget", None, "an integer"), ("seed", "0", "an integer"),
-    ("seed", True, "an integer"), ("detScanRadius", "2", "a number"),
-    ("compareM", "4", "a number"),
+    ("budget", None, "an integer"), ("detScanRadius", "2", "a number"),
 ])
 def test_config_with_a_malformed_scalar_is_a_computation_error(capsys, tmp_path,
                                                                key, value, kind):
@@ -222,8 +220,9 @@ def test_config_with_a_malformed_scalar_is_a_computation_error(capsys, tmp_path,
 
 @pytest.mark.parametrize("field,value,message", [
     ("m", "2", "experiment config field 'm' must be a number"),
-    ("m", float("nan"), "exponent m must be"),
-    ("c", float("nan"), "shift c must be"), ("radii", [2.0, "nan"], "radii must be"),
+    ("m", float("nan"), "experiment config field 'm' must be a number, got nan"),
+    ("c", float("nan"), "experiment config field 'c' must be a number, got nan"),
+    ("radii", [2.0, "nan"], "radii must be"),
 ])
 def test_config_sum_job_with_a_bad_number_is_a_computation_error(capsys, tmp_path,
                                                                  field, value, message):
@@ -260,8 +259,21 @@ def _with_sim(doc, **fields):
     (lambda doc: _with_sim(doc, trialsPerPoint=0),
      "trials_per_point must be an integer >= 1, got 0"),
     (lambda doc: _with_sim(doc, n_r=0), "n_r must be an integer >= 1, got 0"),
+    (lambda doc: _with_sim(doc, snrGridDb=[5.0, float("nan")]),
+     "snrGridDb must be a list of numbers in an experiment config, got [5.0, nan]"),
+    (lambda doc: doc.update(envelope={"m": 2, "indices": [0, 1, 2],
+                                      "sTable": {"1": float("nan")}}),
+     "experiment config field 'sTable' must be an object of numbers keyed by "
+     "integers, got {'1': nan}"),
+    (lambda doc: doc.update(detScanRadius=float("inf")),
+     "experiment config field 'detScanRadius' must be a number, got inf"),
+    (lambda doc: doc.update(compareRadii=[2.0, -float("inf")]),
+     "compareRadii must be a list of numbers in an experiment config, got [2.0, -inf]"),
+    (lambda doc: doc.update(detScanRadius=10 ** 400),
+     f"experiment config field 'detScanRadius' must be a number, got {10 ** 400!r}"),
 ], ids=["radii-string", "radii-bool", "skipSingular", "fitFromCurves", "compareRadii",
-        "compareCValues", "chernoffScaling", "trialsPerPoint", "n_r"])
+        "compareCValues", "chernoffScaling", "trialsPerPoint", "n_r", "snrGridDb-nan",
+        "sTable-nan", "detScanRadius-inf", "compareRadii-inf", "detScanRadius-huge"])
 def test_config_field_of_the_wrong_type_is_a_computation_error(capsys, tmp_path,
                                                                edit, message):
     code, out, err = _run_config_with(capsys, tmp_path, edit)
@@ -353,7 +365,16 @@ def test_every_config_field_rejects_a_wrong_kind_or_absence(capsys, tmp_path, at
      "unknown key 'budgt'"),
     (lambda doc: doc["code"].update(normalisation="raw"),
      "experiment config section 'code' has the unknown key 'normalisation'"),
-], ids=["sumJobs", "top", "sim", "code"])
+    # Keys of older configs: the run works out T, k and compareM from the
+    # code and the envelope, and nothing read the top-level seed.
+    (lambda doc: doc.update(seed=0), "experiment config has the unknown key 'seed'"),
+    (lambda doc: doc.update(compareM=2.0),
+     "experiment config has the unknown key 'compareM'"),
+    (lambda doc: doc.update(dmt={"T": 2, "k": 4, "naiveA": 3.0}),
+     "experiment config section 'dmt' has the unknown key 'T'"),
+    (lambda doc: doc.update(dmt={"naiveA": 3.0, "k": 4}),
+     "experiment config section 'dmt' has the unknown key 'k'"),
+], ids=["sumJobs", "top", "sim", "code", "seed", "compareM", "dmt.T", "dmt.k"])
 def test_config_with_an_unknown_key_is_a_computation_error(capsys, tmp_path, edit,
                                                            message):
     code, out, err = _run_config_with(capsys, tmp_path, edit)

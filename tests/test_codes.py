@@ -33,8 +33,9 @@ def test_golden_min_det_over_coefficient_box(golden_lattice):
 
 
 def test_golden_min_det_stable_across_balls(golden_lattice):
-    d2 = min_abs_det_ball(golden_lattice, 2.0)
-    d4 = min_abs_det_ball(golden_lattice, 4.0)
+    d2, singular2 = min_abs_det_ball(golden_lattice, 2.0)
+    d4, singular4 = min_abs_det_ball(golden_lattice, 4.0)
+    assert not singular2 and not singular4
     assert d2 == pytest.approx(1.0 / SQRT5, rel=1e-9)
     assert d4 == pytest.approx(d2, rel=1e-9)
 

@@ -1,14 +1,17 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from detsums.bounds import shift_bound_envelope
 from detsums.codes import CodeSpec, gaussian_diagonal
+from detsums.lattice import lattice_to_json
 from detsums.pipeline import (DmtJob, EnvelopeJob, ExperimentConfig, SumJob,
                               compare_bound_vs_truth, config_hash, run)
 from detsums.presets import build_preset, preset_names
+from detsums.schema import JsonFields
 
 
 def _dir_bytes(root: Path) -> dict:
@@ -34,6 +37,27 @@ def test_gaussian_preset_report(tmp_path):
     # negative control: determinant scan finds the missing gap
     assert report.lattice_summary["minAbsDet"] == pytest.approx(0.0, abs=1e-12)
     assert any("no determinant gap" in n for n in report.notes)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+@pytest.mark.parametrize("name,singular", [("golden", False),
+                                           ("gaussian-diagonal-2", True)])
+def test_det_scan_verdict_does_not_depend_on_the_scale(name, singular, scale):
+    # Each scanned point is judged singular relative to its own norm, as the
+    # sums judge it; the scale moves minAbsDet but not the verdict.
+    cfg = build_preset(name)
+    doc = lattice_to_json(cfg.code.resolve())
+    doc["basis"] = [[[scale * re, scale * im] for re, im in B] for B in doc["basis"]]
+    scaled = ExperimentConfig(name=name, code=CodeSpec(kind="custom", params={"basis": doc}),
+                              det_scan_radius=scale * cfg.det_scan_radius)
+    report = run(scaled)
+    base = run(replace(cfg, sum_jobs=(), envelope=None, dmt=None))
+    # |det X| of a 2 x 2 code scales as the square of the basis.
+    assert report.lattice_summary["minAbsDet"] == pytest.approx(
+        scale ** 2 * base.lattice_summary["minAbsDet"], rel=1e-9)
+    gap = [n for n in report.notes if "no determinant gap" in n]
+    assert bool(gap) == singular
+    assert base.notes == report.notes
 
 
 def test_det_scan_below_the_minimum_norm_rejected(tmp_path):
@@ -95,7 +119,7 @@ def test_rerun_same_dir_is_allowed(tmp_path):
 
 def test_mismatched_hash_refuses_overwrite(tmp_path):
     run(build_preset("gaussian-diagonal-2"), tmp_path / "out")
-    other = build_preset("gaussian-diagonal-2", seed=99)
+    other = replace(build_preset("gaussian-diagonal-2"), budget=10 ** 9)
     with pytest.raises(RuntimeError):
         run(other, tmp_path / "out")
 
@@ -113,7 +137,7 @@ def test_simulation_stage_is_deterministic(tmp_path):
 def test_compare_single_cell_anchors_exactly():
     lat = gaussian_diagonal(1)
     env = shift_bound_envelope(n=1, k=2, m=2, s_table={1: 0.0, 2: 0.0})
-    rows = compare_bound_vs_truth(lat, env, 2.0, [10.0], [2.0])
+    rows = compare_bound_vs_truth(lat, env, [10.0], [2.0])
     assert len(rows) == 1
     assert rows[0]["ratio"] == pytest.approx(1.0, rel=1e-12)
     assert rows[0]["ok"]
@@ -150,10 +174,10 @@ def test_run_walks_each_ball_once(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name,with_sim,prefix", [
-    ("golden", False, "851463ffc78a2b45"), ("golden", True, "2f370e56b65be655"),
-    ("diagonal-nf-2", False, "b6f3ac31286c953a"), ("diagonal-nf-2", True, "aeb546b36dd948c7"),
-    ("gaussian-diagonal-2", False, "b5b55eb4b8a86e0b"),
-    ("gaussian-diagonal-2", True, "e835d2ad0f2ce0f6"),
+    ("golden", False, "faec1d61a354d45d"), ("golden", True, "c99b5564c0497b51"),
+    ("diagonal-nf-2", False, "3ca4aa9f65bda4b6"), ("diagonal-nf-2", True, "98b58c4fa7584726"),
+    ("gaussian-diagonal-2", False, "f85e3be3fcc5d9ea"),
+    ("gaussian-diagonal-2", True, "3c4230752d208263"),
 ])
 def test_preset_config_hashes_and_round_trips_are_pinned(name, with_sim, prefix):
     cfg = build_preset(name, with_sim=with_sim)
@@ -175,3 +199,37 @@ def test_s_table_keys_must_be_integers_as_written(table):
 def test_experiment_name_must_be_one_path_component(name):
     with pytest.raises(ValueError, match="name must be a nonempty single path component"):
         ExperimentConfig(name=name, code=CodeSpec(kind="golden"))
+
+
+def _readme_config_keys() -> dict:
+    """The keys each section lists in README's "Experiment config" tables,
+    under its JSON key ("" for the top level)."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    body = text.split("\n## Experiment config\n", 1)[1].split("\n## ", 1)[0]
+    listed, section = {}, None
+    for line in body.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("| ") or cells[0] in ("key", "section", "---"):
+            continue
+        if len(cells) == 4:             # section | key | kind | default
+            section = cells[0].strip("`").removesuffix("[j]") or section
+            cell = cells[1]
+        else:                           # key | kind | default, the top level
+            section, cell = "", cells[0]
+        listed.setdefault(section, []).extend(re.findall(r"`([^`]+)`", cell))
+    return listed
+
+
+def test_readme_lists_exactly_the_declared_config_keys():
+    cfg = build_preset("golden", with_sim=True)
+    declared = {"": [f.metadata["key"] for f in fields(ExperimentConfig)]}
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, tuple) and value:
+            value = value[0]
+        if isinstance(value, JsonFields):
+            declared[f.metadata["key"]] = [g.metadata["key"] for g in fields(value)]
+    assert set(declared) == {"", "code", "sumJobs", "envelope", "dmt", "sim"}
+    listed = _readme_config_keys()
+    assert {k: sorted(v) for k, v in listed.items()} == \
+        {k: sorted(v) for k, v in declared.items()}
