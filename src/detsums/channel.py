@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (CodeTooLarge, DimensionMismatch, InsufficientStatistics,
                      RadiusOverflow)
-from .lattice import (DEFAULT_BUDGET, MatrixLattice, coefficient_blocks,
+from .lattice import (DEFAULT_BUDGET, MatrixLattice, _vectorize_real, coefficient_blocks,
                       orbit_images, realize_block)
 from .schema import (BOOLEAN, INTEGER, NUMBER, NUMBERS, STRING, JsonFields,
                      json_field)
@@ -388,7 +388,7 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig) -> SimResult:
             else:
                 gens = _real_generators(
                     H, (amp * code.scale)[:, None, None, None] * lat.basis)
-                targets = _vec_real(y)
+                targets = _vectorize_real(y)
                 want = code.coeffs[j].tolist()
                 wrong = np.zeros(len(rows), dtype=bool)
                 for row, front in enumerate(_front_ends(gens, targets)):
@@ -409,15 +409,6 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig) -> SimResult:
                      code_size=code.size if code is not None else 0,
                      theta=theta, decoder=cfg.decoder, seed=cfg.seed,
                      overflow_count=tuple(overflows))
-
-
-def _vec_real(Y: np.ndarray) -> np.ndarray:
-    """Rows are the interleaved real vectorizations of the matrices Y[b]."""
-    flat = Y.reshape(Y.shape[0], -1)
-    out = np.empty((flat.shape[0], 2 * flat.shape[1]))
-    out[:, 0::2] = flat.real
-    out[:, 1::2] = flat.imag
-    return out
 
 
 def _real_generators(H: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -545,7 +536,7 @@ def naive_lattice_decode(lat: MatrixLattice, H: np.ndarray, y: np.ndarray,
     """Coefficients of the infinite-lattice point closest to y under the
     channel map X -> amp * H * X."""
     A = _real_generators(H[None], amp * lat.basis)[0]
-    return sphere_cvp(A, _vec_real(y[None])[0], node_budget=node_budget)
+    return sphere_cvp(A, _vectorize_real(y[None])[0], node_budget=node_budget)
 
 
 def diversity_slope(result: SimResult, window: int = 3,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedDegree
-from .lattice import (MatrixLattice, build_lattice, esp_blocks, lattice_from_json,
-                      rescale_lattice)
+from .lattice import (DEFAULT_BUDGET, MatrixLattice, build_lattice, esp_blocks,
+                      lattice_from_json, rescale_lattice)
 from .linalg import _singular_mask
 from .schema import OBJECT, STRING, JsonFields, json_field
 
@@ -128,7 +128,7 @@ def diagonal_nf_norm(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
 
 
 def min_abs_det_ball(lat: MatrixLattice, radius: float, *,
-                     budget: int = 2 ** 26) -> tuple[float, bool]:
+                     budget: int = DEFAULT_BUDGET) -> tuple[float, bool]:
     """Minimum of |det(X)| over L(radius), the square root of the least e_n =
     |det X|^2 of ``esp_blocks``, and whether some point of the ball is
     singular by the sums' rule (``linalg._singular_mask``), which is relative

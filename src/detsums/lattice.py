@@ -165,13 +165,13 @@ class MatrixLattice:
         return np.tensordot(z, self.basis, axes=(0, 0))
 
 
-def _vectorize_real(basis: np.ndarray) -> np.ndarray:
-    k = basis.shape[0]
-    flat = basis.reshape(k, -1)
-    V = np.empty((k, 2 * flat.shape[1]))
-    V[:, 0::2] = flat.real
-    V[:, 1::2] = flat.imag
-    return V
+def _vectorize_real(Y: np.ndarray) -> np.ndarray:
+    """Rows are the interleaved real vectorizations of the matrices Y[b]."""
+    flat = Y.reshape(Y.shape[0], -1)
+    out = np.empty((flat.shape[0], 2 * flat.shape[1]))
+    out[:, 0::2] = flat.real
+    out[:, 1::2] = flat.imag
+    return out
 
 
 def build_lattice(basis: Sequence[np.ndarray]) -> MatrixLattice:

@@ -1,16 +1,19 @@
 """Small dense complex matrix arithmetic.
 
 Everything here works on plain ``numpy`` arrays.  The central quantities are
-the Gram product ``X @ X*``, its normalized elementary symmetric polynomials
-(the symmetric means ``p_1 .. p_n`` of the Gram eigenvalues) and the shifted
-determinant ``det(I + c X X*)`` expanded in those means:
+the Gram product ``X @ X*``, the elementary symmetric polynomials
+e = (e_1, ..., e_n) of its eigenvalues, and the shifted determinant, a
+polynomial in c with coefficients e:
 
-    det(I + c X X*) = 1 + C(n,1) p_1 c + C(n,2) p_2 c^2 + ... + p_n c^n
+    det(I + c X X*) = 1 + e_1 c + e_2 c^2 + ... + e_n c^n
+                    = 1 + c (e_1 + c (e_2 + ... + c e_n))
 
-The expansion has only nonnegative terms for ``c >= 0``, so it is evaluated
-without cancellation.  The batched kernel reads the first and last
-coefficients straight off X: ``e_1 = ||X||_F^2`` and, for square X,
-``e_n = |det X|^2``.  For the 2 x 2 codes that is all of it,
+``_shifted_from_esp`` evaluates it by Horner's rule, the second line.  Every
+e_i is nonnegative, so for ``c >= 0`` each step adds nonnegative terms and
+nothing cancels.  The symmetric means are p_i = e_i / C(n, i).  The batched
+kernel ``_esp_batch`` reads the first and last coefficients straight off X:
+``e_1 = ||X||_F^2`` and, for square X, ``e_n = |det X|^2``.  For the 2 x 2
+codes that is all of it,
 
     det(I + c X X*) = 1 + c ||X||_F^2 + c^2 |det X|^2,
 

@@ -104,6 +104,17 @@ class ExperimentConfig(JsonFields):
                 or "/" in self.name or "\\" in self.name):
             raise ValueError(f"experiment name must be a nonempty single path "
                              f"component, got {self.name!r}")
+        # The DMT lines and the compare cells are read off the envelope.
+        given = [key for key, value in (("dmt", self.dmt is not None),
+                                        ("compareCValues", self.compare_c_values),
+                                        ("compareRadii", self.compare_radii)) if value]
+        if given and self.envelope is None:
+            raise ValueError(f"experiment config has {', '.join(map(repr, given))} "
+                             "but no 'envelope'")
+        if bool(self.compare_c_values) != bool(self.compare_radii):
+            have, lack = (("compareCValues", "compareRadii") if self.compare_c_values
+                          else ("compareRadii", "compareCValues"))
+            raise ValueError(f"experiment config has {have!r} but no {lack!r}")
 
 
 def _canonical_json(doc: dict) -> str:
@@ -262,7 +273,7 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
     }
 
     jobs = [(job.spec(), job.radii) for job in config.sum_jobs]
-    if config.envelope is not None and config.compare_c_values and config.compare_radii:
+    if config.compare_c_values:
         jobs += _compare_jobs(config.envelope.m, config.compare_c_values,
                               config.compare_radii)
     curves = sum_curves(lat, jobs, budget=config.budget)
@@ -292,7 +303,7 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
 
     dmt_curves = []
     thresholds = []
-    if config.dmt is not None and envelope is not None:
+    if config.dmt is not None:
         lines = []
         for e in envelope.entries:
             line = dmt_ml_bound(e.shift_exp, e.radius_exp, lat.k, lat.T)

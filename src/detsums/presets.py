@@ -28,14 +28,18 @@ __all__ = ["PRESETS", "build_preset", "preset_names"]
 _SQRT2 = math.sqrt(2.0)
 
 
+def _sim(seed: int, with_sim: bool, fixed_radius: float) -> ChannelConfig | None:
+    """Every preset's simulation, when asked for: 2 x 2 codewords on two
+    receive antennas, 5 to 25 dB in steps of 2.5, 2,000 trials per point."""
+    if not with_sim:
+        return None
+    return ChannelConfig(n_t=2, n_r=2, T=2, snr_grid_db=tuple(5.0 + 2.5 * j for j in range(9)),
+                         trials_per_point=2000, seed=seed, fixed_radius=fixed_radius)
+
+
 def _golden(seed: int, with_sim: bool) -> ExperimentConfig:
     radii = (1.0, _SQRT2, 2.0, 2 * _SQRT2, 4.0)
     fit_radii = (2.0, 2 * _SQRT2, 4.0, 4 * _SQRT2)
-    sim = None
-    if with_sim:
-        sim = ChannelConfig(n_t=2, n_r=2, T=2,
-                            snr_grid_db=tuple(5.0 + 2.5 * j for j in range(9)),
-                            trials_per_point=2000, seed=seed, fixed_radius=1.0)
     return ExperimentConfig(
         name="golden",
         code=CodeSpec(kind="golden"),
@@ -46,7 +50,7 @@ def _golden(seed: int, with_sim: bool) -> ExperimentConfig:
         ),
         envelope=EnvelopeJob(m=4, indices=(0, 2, 4), s_table={2: 4.0, 4: 4.0}),
         dmt=DmtJob(naive_a=4.0),
-        sim=sim,
+        sim=_sim(seed, with_sim, fixed_radius=1.0),
         compare_c_values=(1.0, 10.0, 100.0),
         compare_radii=(2.0, 4.0),
         det_scan_radius=2.0,
@@ -55,11 +59,6 @@ def _golden(seed: int, with_sim: bool) -> ExperimentConfig:
 
 def _diagonal_nf(seed: int, with_sim: bool) -> ExperimentConfig:
     radii = (2.0, 4.0, 8.0, 16.0, 32.0)
-    sim = None
-    if with_sim:
-        sim = ChannelConfig(n_t=2, n_r=2, T=2,
-                            snr_grid_db=tuple(5.0 + 2.5 * j for j in range(9)),
-                            trials_per_point=2000, seed=seed, fixed_radius=2.0)
     return ExperimentConfig(
         name="diagonal-nf-2",
         code=CodeSpec(kind="diagonal-nf", params={"n": 2}),
@@ -73,17 +72,12 @@ def _diagonal_nf(seed: int, with_sim: bool) -> ExperimentConfig:
         compare_c_values=(1.0, 10.0, 100.0),
         compare_radii=(4.0, 16.0),
         det_scan_radius=3.0,
-        sim=sim,
+        sim=_sim(seed, with_sim, fixed_radius=2.0),
     )
 
 
 def _gaussian_diagonal(seed: int, with_sim: bool) -> ExperimentConfig:
     radii = (2.0, 4.0, 8.0, 16.0)
-    sim = None
-    if with_sim:
-        sim = ChannelConfig(n_t=2, n_r=2, T=2,
-                            snr_grid_db=tuple(5.0 + 2.5 * j for j in range(9)),
-                            trials_per_point=2000, seed=seed, fixed_radius=1.0)
     return ExperimentConfig(
         name="gaussian-diagonal-2",
         code=CodeSpec(kind="gaussian-diagonal", params={"n": 2}),
@@ -92,7 +86,7 @@ def _gaussian_diagonal(seed: int, with_sim: bool) -> ExperimentConfig:
             SumJob(family="shifted", m=3, c=1.0, radii=radii),
         ),
         det_scan_radius=2.0,
-        sim=sim,
+        sim=_sim(seed, with_sim, fixed_radius=1.0),
     )
 
 

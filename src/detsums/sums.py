@@ -22,10 +22,9 @@ for the orbit {X, -X}; 4 for {X, iX, -X, -iX} on a Z[i]-paired lattice; and
 
 ``sum_curves`` is the one reduction: it evaluates every (spec, radius grid)
 pair of a run in a single walk to the largest radius, on the calling thread.
-e is the one per-row quantity, computed once per row by the walk, and every
-spec reads its terms from it, on the rows inside its own last radius.  Each
-block adds one partial sum per shell of a spec's grid, and a spec's
-partials are merged with ``math.fsum``.  fsum is exactly rounded, so totals
+e is the one per-row quantity, computed once per row by the walk; each block
+is binned once for every spec, which adds one partial sum per block and
+shell of its own grid.  ``math.fsum`` merges them exactly rounded, so totals
 do not depend on the order in which blocks arrive; a different walk radius
 moves the block boundaries, so it can change their last bits.
 ``sum_curve``, ``evaluate_sum`` and the named sums are its one-spec cases.
@@ -136,47 +135,40 @@ class SumCurve:
         }
 
 
-def _block_partials(lat, plan, walk_bound, norm_sq, e, acc):
-    """Add one walk block, given by its norms and e, to the shell partials of
-    every spec.
-
-    ``plan`` holds (spec, shell bounds, last bound) per spec, and each spec
-    takes the rows inside its own last radius.  A shifted spec's det(I + c X X*)
-    is one Horner pass on e.  An approximate or mixed spec (i < m) drops or
-    raises on the singular rows, those whose e_n is at round-off scale.
-    """
-    for (spec, b, last), (partials, counts, singular) in zip(plan, acc):
-        if last >= walk_bound:
-            ns, es = norm_sq, e
-        else:
-            keep = norm_sq <= last
-            ns, es = norm_sq[keep], e[keep]
+def _bin_block(lat, union, plan, norm_sq, e, counts, singular):
+    """Add one walk block to the union shell counts and to every spec's shell
+    partials.  The rows get one union shell, one singular verdict and one
+    gather per distinct last radius; each spec adds the terms of its ball by
+    its own shells.  As a function it frees the block's arrays before the
+    walk makes the next block, which measured faster than holding them."""
+    shell = np.searchsorted(union, norm_sq)
+    counts += np.bincount(shell, minlength=union.size)
+    judge = any(power for _, _, power, _, _, _ in plan)
+    bad = _singular_mask(e[:, -1], norm_sq, lat.n) if judge else np.zeros(shell.size, bool)
+    if bad.any():
+        singular += np.bincount(shell[bad], minlength=union.size)
+    balls = {}
+    for last in {int(end[-1]) for _, _, _, end, _, _ in plan}:
+        keep = slice(None) if last == union.size - 1 else shell <= last
+        balls[last] = (shell[keep], norm_sq[keep], e[keep], bad[keep])
+    for spec, i, power, end, to_own, partials in plan:
+        sh, ns, es, bd = balls[end[-1]]
         if not ns.size:
             continue                    # no row of this block is in its ball
-        if spec.family == "shifted":
-            t = _shifted_from_esp(es, spec.c) ** (-spec.m)
-        else:
-            # |det X|^-m = e_n^(-m/2); the mixed term is e_1^-i e_n^-(m-i),
-            # with e_1 = ||X||^2 the walk's norm.
-            i = int(spec.i) if spec.family == "mixed" else 0
-            power = spec.m - i if spec.family == "mixed" else spec.m / 2
-            t = 1.0
-            if power:
-                en = es[:, -1]
-                bad = _singular_mask(en, ns, lat.n)
-                if np.any(bad):
-                    if not spec.skip_singular:
-                        raise SingularPoint(
-                            f"enumerated a point with det(X X*) = 0 ({spec.family} "
-                            "family); enable skip_singular to drop it")
-                    singular += np.bincount(np.searchsorted(b, ns[bad]), minlength=b.size)
-                    ns, en = ns[~bad], en[~bad]
-                t = en ** (-power)
-            if i:
-                t = ns ** (-float(i)) * t
-        bins = np.searchsorted(b, ns)
-        partials.append(np.bincount(bins, weights=t, minlength=b.size))
-        counts += np.bincount(bins, minlength=b.size)
+        t = _shifted_from_esp(es, spec.c) ** (-spec.m) if spec.family == "shifted" else 1.0
+        if power:
+            en = es[:, -1]
+            if np.any(bd):
+                if not spec.skip_singular:
+                    raise SingularPoint(
+                        f"enumerated a point with det(X X*) = 0 ({spec.family} "
+                        "family); enable skip_singular to drop it")
+                sh, ns, en = sh[~bd], ns[~bd], en[~bd]
+            t = en ** (-power)
+        if i:
+            t = ns ** (-float(i)) * t
+        partials.append(np.bincount(sh if to_own is None else to_own[sh], weights=t,
+                                    minlength=end.size))
 
 
 def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]]], *,
@@ -185,12 +177,11 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     orbit walk to the largest radius.
 
     ``jobs`` is a list of ``(spec, radii)`` pairs; one curve comes back per
-    pair, in order.  Each row's e, computed once by ``esp_blocks``, serves
-    every spec (see ``_block_partials``); each spec bins only the rows inside
-    its own last radius, so its singular points outside that ball are
-    neither counted nor raised on.  Terms are binned by the shell
-    their norm falls into, and each value is the exactly rounded sum of the
-    per-block bins up to its radius, weighted by ``orbit_size``.
+    pair, in order.  Each block is binned once for every spec (``_bin_block``),
+    and each spec reads its terms from e on the rows of its own ball, so its
+    singular points outside it are neither counted nor raised on.  Each value
+    is the exactly rounded sum of the per-block shell partials up to its
+    radius, weighted by ``orbit_size``.
     """
     jobs = [(spec, [float(r) for r in radii]) for spec, radii in jobs]
     if not jobs:
@@ -200,23 +191,31 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
             raise ValueError("radii must be positive and strictly increasing")
         if spec.family == "approximate" and lat.n != lat.T:
             raise ValueError("approximate family requires square matrices (n == T)")
-    top = max(radii[-1] for _, radii in jobs)
-    plan = [(spec, np.array([_bound_sq(r) for r in radii]), _bound_sq(radii[-1]))
-            for spec, radii in jobs]
-    walk_bound = _bound_sq(top)
-    acc = [([], np.zeros(b.size, np.int64), np.zeros(b.size, np.int64))
-           for _, b, _ in plan]
-    for norm_sq, e in esp_blocks(lat, top, budget=budget):
-        _block_partials(lat, plan, walk_bound, norm_sq, e, acc)
+    bounds = [[_bound_sq(r) for r in radii] for _, radii in jobs]
+    union = np.array(sorted(set().union(*bounds)))
+    plan = []
+    for (spec, _), b in zip(jobs, bounds):
+        # A term is e_1^-i e_n^-power (times Horner on e if shifted).  Union
+        # shell u holds union[u-1] < ||X||^2 <= union[u]; the spec's bounds
+        # are union shells, and each union shell maps to the spec's own.
+        i, power = ((int(spec.i), spec.m - int(spec.i)) if spec.family == "mixed" else
+                    (0, spec.m / 2 if spec.family == "approximate" else 0))
+        to_own = None if len(b) == union.size else np.searchsorted(b, union)
+        plan.append((spec, i, power, np.searchsorted(union, b), to_own, []))
+    counts, singular = np.zeros(union.size, np.int64), np.zeros(union.size, np.int64)
+    for norm_sq, e in esp_blocks(lat, max(radii[-1] for _, radii in jobs), budget=budget):
+        _bin_block(lat, union, plan, norm_sq, e, counts, singular)
     orbit = lat.orbit_size
+    counts, singular = np.cumsum(counts), np.cumsum(singular)
     curves = []
-    for (spec, radii), (partials, counts, singular) in zip(jobs, acc):
-        nb = len(radii)
-        partials = np.array(partials).reshape(-1, nb)
-        values = [orbit * math.fsum(partials[:, :s + 1].ravel()) for s in range(nb)]
+    for (spec, radii), (_, _, power, end, _, partials) in zip(jobs, plan):
+        partials = np.array(partials).reshape(-1, end.size)
+        values = [orbit * math.fsum(partials[:, :s + 1].ravel()) for s in range(end.size)]
+        # A spec that divides by e_n drops (or raises on) the singular rows.
+        dropped = singular[end] if power else np.zeros(end.size, np.int64)
         curves.append(SumCurve(spec=spec, radii=radii, values=values,
-                               point_counts=[orbit * int(c) for c in np.cumsum(counts)],
-                               singular_counts=[orbit * int(c) for c in np.cumsum(singular)]))
+                               point_counts=[orbit * int(c) for c in counts[end] - dropped],
+                               singular_counts=[orbit * int(c) for c in dropped]))
     return curves
 
 

@@ -271,9 +271,19 @@ def _with_sim(doc, **fields):
      "compareRadii must be a list of numbers in an experiment config, got [2.0, -inf]"),
     (lambda doc: doc.update(detScanRadius=10 ** 400),
      f"experiment config field 'detScanRadius' must be a number, got {10 ** 400!r}"),
+    (lambda doc: doc.update(dmt={"naiveA": 3.0}),
+     "experiment config has 'dmt' but no 'envelope'"),
+    (lambda doc: doc.update(compareCValues=[1.0], compareRadii=[4.0]),
+     "experiment config has 'compareCValues', 'compareRadii' but no 'envelope'"),
+    (lambda doc: doc.update(envelope={"m": 2, "indices": [0]}, compareCValues=[1.0]),
+     "experiment config has 'compareCValues' but no 'compareRadii'"),
+    (lambda doc: doc.update(envelope={"m": 2, "indices": [0]}, compareRadii=[4.0]),
+     "experiment config has 'compareRadii' but no 'compareCValues'"),
 ], ids=["radii-string", "radii-bool", "skipSingular", "fitFromCurves", "compareRadii",
         "compareCValues", "chernoffScaling", "trialsPerPoint", "n_r", "snrGridDb-nan",
-        "sTable-nan", "detScanRadius-inf", "compareRadii-inf", "detScanRadius-huge"])
+        "sTable-nan", "detScanRadius-inf", "compareRadii-inf", "detScanRadius-huge",
+        "dmt-without-envelope", "compare-without-envelope", "compareCValues-alone",
+        "compareRadii-alone"])
 def test_config_field_of_the_wrong_type_is_a_computation_error(capsys, tmp_path,
                                                                edit, message):
     code, out, err = _run_config_with(capsys, tmp_path, edit)

@@ -51,7 +51,8 @@ def test_det_scan_verdict_does_not_depend_on_the_scale(name, singular, scale):
     scaled = ExperimentConfig(name=name, code=CodeSpec(kind="custom", params={"basis": doc}),
                               det_scan_radius=scale * cfg.det_scan_radius)
     report = run(scaled)
-    base = run(replace(cfg, sum_jobs=(), envelope=None, dmt=None))
+    base = run(replace(cfg, sum_jobs=(), envelope=None, dmt=None, compare_c_values=(),
+                       compare_radii=()))
     # |det X| of a 2 x 2 code scales as the square of the basis.
     assert report.lattice_summary["minAbsDet"] == pytest.approx(
         scale ** 2 * base.lattice_summary["minAbsDet"], rel=1e-9)
