@@ -419,11 +419,8 @@ def _real_generators(H: np.ndarray, basis: np.ndarray) -> np.ndarray:
     # for one channel, so entries round the same for any batch; einsum sums
     # the products in another way and differs in the last bits.
     imgs = H[:, None] @ basis                     # (B, k, n_r, T) complex
-    imgs = imgs.reshape(imgs.shape[0], imgs.shape[1], -1)
-    A = np.empty((imgs.shape[0], 2 * imgs.shape[2], imgs.shape[1]))
-    A[:, 0::2, :] = imgs.real.transpose(0, 2, 1)
-    A[:, 1::2, :] = imgs.imag.transpose(0, 2, 1)
-    return A
+    rows = _vectorize_real(imgs.reshape(-1, *imgs.shape[2:]))
+    return np.ascontiguousarray(rows.reshape(*imgs.shape[:2], -1).transpose(0, 2, 1))
 
 
 def _front_ends(A: np.ndarray, y: np.ndarray) -> list[tuple]:

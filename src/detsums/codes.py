@@ -133,13 +133,16 @@ def min_abs_det_ball(lat: MatrixLattice, radius: float, *,
     |det X|^2 of ``esp_blocks``, and whether some point of the ball is
     singular by the sums' rule (``linalg._singular_mask``), which is relative
     to the point's own norm and so does not depend on the lattice's scale.
-    |det(uX)| = |det X| for every unit u of modulus one, and |det(XE)| =
-    |det X| on the golden code, so the orbit walk sees every value.  Raises
+    Every row has a positive weight, and the points it stands for share its
+    e: the orbit of a walk row (|det(uX)| = |det X| for every unit u of
+    modulus one, and |det(XE)| = |det X| on an orbit-8 lattice), or the
+    points of a cell of the golden code's table.  So the minimum over the
+    rows is the minimum over the ball, whatever the weights.  Raises
     ValueError when the ball holds no nonzero point."""
     if lat.n != lat.T:
         raise ValueError("determinant scan needs square matrices")
     best, singular = math.inf, False
-    for norm_sq, e in esp_blocks(lat, radius, budget=budget):
+    for norm_sq, e, _ in esp_blocks(lat, radius, budget=budget):
         best = min(best, float(e[:, -1].min()))
         singular = singular or bool(_singular_mask(e[:, -1], norm_sq, lat.n).any())
     if best == math.inf:

@@ -42,13 +42,22 @@ into the two half balls (``_product_windows``).
 Both walks have two views.  ``coefficient_blocks`` yields each row's
 coefficients and norm; ``orbit_images`` expands a block's orbits again when a
 caller wants the whole ball, and ``realize_block`` turns coefficient rows
-into matrices.  ``esp_blocks`` yields each row's norm and e, the elementary
-symmetric polynomials of the eigenvalues of X X*, which is all that every
-sum term needs.  The golden code's A-half basis matrices are diagonal and
-its B-half ones anti-diagonal, so det X = det X_A + det X_B with no cross
-term, and e = (||A||^2 + ||B||^2, |det X_A + det X_B|^2) comes from one
-determinant per point of each half ball, with no block realized.  Every
-other lattice realizes its blocks, into buffers each thread keeps.
+into matrices.  ``esp_blocks`` yields each row's norm, its e, the
+elementary symmetric polynomials of the eigenvalues of X X*, which is all
+that every sum term needs, and its weight, the points the row stands for:
+``orbit_size`` on a walk, whose blocks it realizes into buffers each thread
+keeps.
+
+On the golden code e is exact up to fixed scales, and no walk of the whole
+ball is needed.  The real Gram matrix is the identity, so ||X||^2 = N_A + N_B
+with integer half norms; the A-half basis matrices are diagonal and the
+B-half ones anti-diagonal, so det X = det X_A + det X_B; and (2 - i) det X_A
+is a Gaussian integer g_A (likewise for B).  The ball's multiset of
+(||X||^2, 5 |det X|^2) = (N_A + N_B, |g_A + g_B|^2) is then a convolution of
+two small histograms, one per full half ball, keyed by (N, g)
+(``_half_histograms``).  ``esp_blocks`` yields its cells, each once and
+weighted by the points it holds (``_cell_table``), on every lattice that
+passes the same checks; any other takes the walk.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, DependentBasis, DimensionMismatch
-from .linalg import _esp_batch, as_complex_matrix, det_batch
+from .linalg import _esp_batch, _singular_mask, as_complex_matrix, det_batch
 from .schema import INTEGER
 
 __all__ = [
@@ -96,6 +105,16 @@ _TIE_TOL = 1e-9
 # The product walk pairs a B with the A of ||A||^2 <= _CAP ||B||^2 - ||B||^2,
 # which lets ||A||^2 reach ||B||^2 up to the tie band.
 _CAP = 2.0 / (1.0 - _TIE_TOL)
+
+# Tolerance of the cell table's checks (``_half_histograms``): the relative
+# error of an integral real Gram matrix and of a zero mixed determinant term,
+# and the distance of each scaled half determinant from a Gaussian integer.
+_CELL_TOL = 1e-9
+
+# The most cells of a dense (N, |g|^2) table (``_cell_table``), 32 MB: a
+# lattice whose integral norms reach further, say the golden code scaled by
+# 1e5, takes the walk.
+_MAX_CELLS = 1 << 22
 
 # X -> X @ _E maps the golden code to itself (see ``MatrixLattice.orbit_size``).
 _E = np.array([[0.0, 1.0], [1j, 0.0]])
@@ -246,7 +265,8 @@ class PointBudget:
     """Cap on the lattice points one enumeration may produce.
 
     It counts the points of the full ball, the origin included, so the walk
-    charges ``orbit_size`` points per row it emits.
+    charges ``orbit_size`` points per row it emits, and the cell table the
+    points of each window of key pairs.
     """
 
     def __init__(self, limit: int):
@@ -414,30 +434,119 @@ def _product_walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
         yield coeffs.T, np.take(a_norm, ia) + np.take(b_norm, ib)
 
 
-def _product_esp(lat: MatrixLattice, rad_sq: float, *, budget: PointBudget,
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The e view of ``_product_windows`` on a lattice whose determinant
-    splits (``_det_splits``): (norm_sq, e) blocks with no block realized.
+def _half_histograms(lat: MatrixLattice, rad_sq: float) -> tuple | None:
+    """The two full half balls of a 2 x 2 lattice as histograms of exact
+    keys, or None unless the cell table (``_cell_table``) holds on this ball.
 
-    det X = det X_A + det X_B, so det is taken once per point of each half
-    ball, realized with the other half's coefficients zero, and a row's e is
-    (||A||^2 + ||B||^2, |dA[ia] + dB[ib]|^2).
+    It holds when
+    - the real Gram matrix is integral with orthogonal halves, so ||X||^2 =
+      N_A + N_B with integers N;
+    - det X = det X_A + det X_B: the mixed term of det between the basis
+      matrices of the two halves is zero;
+    - w det is a Gaussian integer g, up to ``_CELL_TOL``, at every point of
+      both half balls, with w = 1 / d_0 for d_0 the least nonsingular half
+      determinant (``_singular_mask``), taken at the shortest point that has
+      it.  On the golden code d_0 is a unit times (2 + i) / 5, so |g|^2 =
+      5 |det X|^2;
+    - the dense table has at most ``_MAX_CELLS`` cells.
+
+    Each half ball is walked once (one of each +/-A, whose det is the same),
+    its keys (N, Re g, Im g) counted by ``np.unique``, twice over, and the
+    origin's key added once.  Returns ((norm, re, im, count) of the A half,
+    the same of the B half, |d_0|^2), each half sorted by N.
     """
-    halves = _half_balls(lat.chol_upper, rad_sq)
-    a_cols, a_norm, b_cols, b_norm = halves
-    zero_a, zero_b = np.zeros_like(a_cols), np.zeros_like(b_cols)
-    d_a = det_batch(realize_block(lat, np.concatenate([a_cols, zero_a]).T))
-    d_b = det_batch(realize_block(lat, np.concatenate([zero_b, b_cols]).T))
-    for ia, ib in _product_windows(halves, rad_sq, budget=budget):
-        # Laid out by column, so e[:, 0] and e[:, 1] are contiguous.
-        e = np.empty((2, ia.size))
-        np.add(np.take(a_norm, ia), np.take(b_norm, ib), out=e[0])
-        d = np.take(d_a, ia)
-        d += np.take(d_b, ib)
-        parts = d.view(np.float64)
-        parts *= parts
-        np.add(parts[0::2], parts[1::2], out=e[1])
-        yield e[0], e.T
+    if not (lat.n == lat.T == 2 and lat.k % 2 == 0):
+        return None
+    h = lat.k // 2
+    G = lat.gram_real
+    whole = np.rint(G)
+    if np.abs(G - whole).max() > _CELL_TOL * np.abs(G).max() or whole[:h, h:].any():
+        return None
+    P, Q = lat.basis[:h, None], lat.basis[None, h:]
+    mixed = (P[..., 0, 0] * Q[..., 1, 1] + P[..., 1, 1] * Q[..., 0, 0]
+             - P[..., 0, 1] * Q[..., 1, 0] - P[..., 1, 0] * Q[..., 0, 1])
+    sizes = np.sqrt(np.diag(G))
+    if np.any(np.abs(mixed) > _CELL_TOL * np.outer(sizes[:h], sizes[h:])):
+        return None
+    halves = []
+    for part in (slice(0, h), slice(h, lat.k)):
+        walked = list(_walk(np.linalg.cholesky(whole[part, part]).T, rad_sq))
+        coeffs = np.concatenate([np.zeros((0, h), dtype=np.int64)] + [c for c, _ in walked])
+        norm = np.rint(np.concatenate([np.zeros(0)] + [v for _, v in walked]))
+        flat = coeffs.astype(float) @ lat.real_basis[part]
+        halves.append((norm, det_batch(flat.view(np.complex128).reshape(-1, 2, 2))))
+    norm = np.concatenate([v for v, _ in halves])
+    det = np.concatenate([d for _, d in halves])
+    det_sq = det.real * det.real + det.imag * det.imag
+    regular = np.flatnonzero(~_singular_mask(det_sq, norm, 2))
+    if not regular.size:
+        return None
+    # Of the least determinants, the one of the shortest point: a long point
+    # may reach it through cancellation, which costs it digits.
+    least = regular[det_sq[regular] <= det_sq[regular].min() * (1.0 + _CELL_TOL)]
+    d_0 = det[least[np.argmin(norm[least])]]
+    top = int(rad_sq)
+    if (top + 1) * (top * top / (4.0 * abs(d_0) ** 2) + 2.0) > _MAX_CELLS:
+        return None
+    g = det / d_0
+    parts = np.rint(g.view(np.float64))
+    if np.abs(g.view(np.float64) - parts).max() > _CELL_TOL:
+        return None
+    # Pack (N, Re g, Im g) into one int64, N the most significant.  |det X|
+    # <= ||X||^2 / 2 (AM-GM on the two eigenvalues of X X*), so |g| <=
+    # N / (2 |d_0|) and each part of g lies in [-span, span).
+    span = int(rad_sq / (2.0 * abs(d_0))) + 2
+    keys = ((norm.astype(np.int64) * (2 * span) + parts[0::2].astype(np.int64) + span)
+            * (2 * span) + parts[1::2].astype(np.int64) + span)
+    origin = span * (2 * span) + span
+    out = []
+    for held in np.split(keys, [halves[0][0].size]):
+        found, count = np.unique(np.append(held, origin), return_counts=True)
+        count = 2 * count
+        count[0] -= 1                   # the origin, the least key, once
+        n_key, re_im = np.divmod(found, 4 * span * span)
+        re, im = np.divmod(re_im, 2 * span)
+        out.append((n_key, re - span, im - span, count))
+    return out[0], out[1], float(abs(d_0) ** 2)
+
+
+def _cell_table(hists: tuple, rad_sq: float, *, budget: PointBudget,
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(norm_sq, e, weight) blocks of the cells (N, |g|^2) of L(rad_sq),
+    from the ``_half_histograms``: each cell once, in order of (N, |g|^2),
+    weighted by the points it holds.
+
+    det X = det X_A + det X_B, so g = g_A + g_B and the ball's histogram is
+    the sum over the key pairs with N_A + N_B <= rad_sq of the product of
+    their counts at (N_A + N_B, |g_A + g_B|^2).  The pairs are expanded in
+    ``_windows``, each window added by one dense ``bincount`` over the cells,
+    which hold |g|^2 <= |w|^2 N^2 / 4 per N, and the budget charged its exact
+    points.  e = (N, |g|^2 |d_0|^2).
+    """
+    (a_n, a_re, a_im, a_count), (b_n, b_re, b_im, b_count), d_0_sq = hists
+    top = int(rad_sq)
+    # Cells of norm N sit at offset[N] + |g|^2, |g|^2 < width[N].
+    width = np.floor(np.arange(top + 1) ** 2 / (4.0 * d_0_sq) * (1.0 + _CELL_TOL)
+                     ).astype(np.int64) + 2
+    offset = np.concatenate([[0], np.cumsum(width)])
+    table = np.zeros(int(offset[-1]))
+    for ia, ib in _windows(np.searchsorted(b_n, top - a_n, side="right")):
+        weight = np.take(a_count, ia) * np.take(b_count, ib)
+        if not ia[0] and not ib[0]:
+            weight[0] = 0               # the pair of the origins
+        re = np.take(a_re, ia) + np.take(b_re, ib)
+        im = np.take(a_im, ia) + np.take(b_im, ib)
+        cell = np.take(offset, np.take(a_n, ia) + np.take(b_n, ib)) + re * re + im * im
+        budget.charge(int(weight.sum()))
+        table += np.bincount(cell, weights=weight, minlength=table.size)
+    cells = np.flatnonzero(table)
+    e = np.empty((2, cells.size))
+    e[0] = np.searchsorted(offset, cells, side="right") - 1
+    e[1] = (cells - offset[e[0].astype(np.int64)]) * d_0_sq
+    weight = table[cells]
+    for s in range(0, cells.size, _MAX_CHILDREN):
+        rows = slice(s, s + _MAX_CHILDREN)
+        yield e[0, rows], e.T[rows], weight[rows]
 
 
 def _times_i(coeffs: np.ndarray) -> np.ndarray:
@@ -539,17 +648,6 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
     yield from _blocks(lat, _bound_sq(radius), budget)
 
 
-def _det_splits(lat: MatrixLattice) -> bool:
-    """Whether ``esp_blocks`` may take det X = det X_A + det X_B: on an
-    orbit-8 lattice whose A-half basis matrices are diagonal, bit for bit,
-    the B half, A E, is anti-diagonal, det has no cross term, and the sum of
-    the two half determinants is the determinant of the realized row to the
-    last bit."""
-    h = lat.k // 2
-    return (lat.orbit_size == 8 and not lat.basis[:h, 0, 1].any()
-            and not lat.basis[:h, 1, 0].any())
-
-
 def realize_block(lat: MatrixLattice, coeffs: np.ndarray, *,
                   out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Realize a (B, k) coefficient block as a (B, n, T) matrix stack.
@@ -595,24 +693,29 @@ def _realize(lat: MatrixLattice, coeffs: np.ndarray) -> np.ndarray:
 
 def esp_blocks(lat: MatrixLattice, radius: float, *,
                budget: int | PointBudget = DEFAULT_BUDGET,
-               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the (norm_sq, e) blocks of the orbit walk of L(radius): the rows
-    of ``coefficient_blocks``, in its order and with its norms and checks,
-    each given by e, shape (B, n), the elementary symmetric polynomials
-    e_1 .. e_n of the eigenvalues of X X* (e_1 = ||X||^2; for square X,
-    e_n = |det X|^2).
+               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (norm_sq, e, weight) blocks that cover L(radius), with the radius
+    check, predicted-count guard and budget of ``coefficient_blocks``: e,
+    shape (B, n), holds the elementary symmetric polynomials e_1 .. e_n of
+    the eigenvalues of X X* (e_1 = ||X||^2; for square X, e_n = |det X|^2),
+    and a row stands for ``weight`` points that share its e.
 
-    On a lattice whose determinant splits over its halves (the golden code)
-    no block is realized (``_product_esp``).  Every other block is realized
-    into this thread's buffers (``_realize``) and given to ``_esp_batch``; e
-    is a fresh array, and nothing keeps the realized block.
+    Where the cell table holds (``_half_histograms``: the golden code, among
+    others) the rows are its cells, each once (``_cell_table``).  Elsewhere
+    they are the rows of ``coefficient_blocks``, in its order and with its
+    norms, each weighted by ``orbit_size``, realized into this thread's
+    buffers (``_realize``) and given to ``_esp_batch``; e is a fresh array,
+    and nothing keeps the realized block.
     """
     budget = _checked_budget(lat, radius, budget)
-    if _det_splits(lat):
-        yield from _product_esp(lat, _bound_sq(radius), budget=budget)
+    rad_sq = _bound_sq(radius)
+    hists = _half_histograms(lat, rad_sq)
+    if hists is not None:
+        yield from _cell_table(hists, rad_sq, budget=budget)
         return
-    for coeffs, norm_sq in _blocks(lat, _bound_sq(radius), budget):
-        yield norm_sq, _esp_batch(_realize(lat, coeffs))
+    orbit = float(lat.orbit_size)
+    for coeffs, norm_sq in _blocks(lat, rad_sq, budget):
+        yield norm_sq, _esp_batch(_realize(lat, coeffs)), np.full(norm_sq.size, orbit)
 
 
 def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,

@@ -12,21 +12,26 @@ which is |det X|^2 for square X): det(I + c X X*) = 1 + c e_1 + ... + c^n e_n
 by Horner's rule, |det X|^(-m) = e_n^(-m/2), and the mixed term is
 e_1^(-i) e_n^(-(m-i)).
 
-Every term is unchanged when X is multiplied by a unit scalar or on the right
-by a unitary matrix U, since (XU)(XU)* = XX*.  So each sum is one pass over
-the orbit walk of ``lattice.esp_blocks``, whose every row stands for the
-``orbit_size`` points of its orbit, and ``orbit_size`` times its total: 2
-for the orbit {X, -X}; 4 for {X, iX, -X, -iX} on a Z[i]-paired lattice; and
-8 on the golden code, which is closed under X -> XE as well
-(E = [[0, 1], [i, 0]], E^2 = iI), for the orbit {i^j X E^l}.
+So each sum is one pass over the rows of ``lattice.esp_blocks``, each term
+times the row's weight, the number of points that share its e.  On a walk
+the weight is ``orbit_size``, since every term is unchanged when X is
+multiplied by a unit scalar or on the right by a unitary matrix U
+((XU)(XU)* = XX*): 2 for the orbit {X, -X}; 4 for {X, iX, -X, -iX} on a
+Z[i]-paired lattice; and 8 on an orbit-8 lattice, closed under X -> XE as
+well (E = [[0, 1], [i, 0]], E^2 = iI), for the orbit {i^j X E^l}.  These
+weights are powers of two, so they change no bit of a walk's sums.  On the
+golden code the rows are the exact cells (||X||^2, 5 |det X|^2) of the whole
+ball, and the weight is the number of points in the cell.
 
 ``sum_curves`` is the one reduction: it evaluates every (spec, radius grid)
-pair of a run in a single walk to the largest radius, on the calling thread.
-e is the one per-row quantity, computed once per row by the walk; each block
-is binned once for every spec, which adds one partial sum per block and
-shell of its own grid.  ``math.fsum`` merges them exactly rounded, so totals
-do not depend on the order in which blocks arrive; a different walk radius
-moves the block boundaries, so it can change their last bits.
+pair of a run in a single pass to the largest radius, on the calling thread.
+e is the one per-row quantity; each block is binned once for every spec,
+which adds one partial sum per block and shell of its own grid.
+``math.fsum`` merges them exactly rounded, so totals do not depend on the
+order in which blocks arrive.  On a walk a different walk radius moves the
+block boundaries, so it can change their last bits; the cells of the golden
+code come in the order of (||X||^2, |det X|^2) whatever the radius, so there
+a value does not depend on it.
 ``sum_curve``, ``evaluate_sum`` and the named sums are its one-spec cases.
 """
 
@@ -135,24 +140,25 @@ class SumCurve:
         }
 
 
-def _bin_block(lat, union, plan, norm_sq, e, counts, singular):
-    """Add one walk block to the union shell counts and to every spec's shell
-    partials.  The rows get one union shell, one singular verdict and one
-    gather per distinct last radius; each spec adds the terms of its ball by
-    its own shells.  As a function it frees the block's arrays before the
-    walk makes the next block, which measured faster than holding them."""
+def _bin_block(lat, union, plan, norm_sq, e, weight, counts, singular):
+    """Add one block of ``esp_blocks`` to the union shell counts and to every
+    spec's shell partials, each row times its weight.  The rows get one union
+    shell, one singular verdict and one gather per distinct last radius; each
+    spec adds the terms of its ball by its own shells.  As a function it
+    frees the block's arrays before the walk makes the next block, which
+    measured faster than holding them."""
     shell = np.searchsorted(union, norm_sq)
-    counts += np.bincount(shell, minlength=union.size)
+    counts += np.bincount(shell, weights=weight, minlength=union.size)
     judge = any(power for _, _, power, _, _, _ in plan)
     bad = _singular_mask(e[:, -1], norm_sq, lat.n) if judge else np.zeros(shell.size, bool)
     if bad.any():
-        singular += np.bincount(shell[bad], minlength=union.size)
+        singular += np.bincount(shell[bad], weights=weight[bad], minlength=union.size)
     balls = {}
     for last in {int(end[-1]) for _, _, _, end, _, _ in plan}:
         keep = slice(None) if last == union.size - 1 else shell <= last
-        balls[last] = (shell[keep], norm_sq[keep], e[keep], bad[keep])
+        balls[last] = (shell[keep], norm_sq[keep], e[keep], bad[keep], weight[keep])
     for spec, i, power, end, to_own, partials in plan:
-        sh, ns, es, bd = balls[end[-1]]
+        sh, ns, es, bd, wt = balls[end[-1]]
         if not ns.size:
             continue                    # no row of this block is in its ball
         t = _shifted_from_esp(es, spec.c) ** (-spec.m) if spec.family == "shifted" else 1.0
@@ -163,11 +169,11 @@ def _bin_block(lat, union, plan, norm_sq, e, counts, singular):
                     raise SingularPoint(
                         f"enumerated a point with det(X X*) = 0 ({spec.family} "
                         "family); enable skip_singular to drop it")
-                sh, ns, en = sh[~bd], ns[~bd], en[~bd]
+                sh, ns, en, wt = sh[~bd], ns[~bd], en[~bd], wt[~bd]
             t = en ** (-power)
         if i:
             t = ns ** (-float(i)) * t
-        partials.append(np.bincount(sh if to_own is None else to_own[sh], weights=t,
+        partials.append(np.bincount(sh if to_own is None else to_own[sh], weights=t * wt,
                                     minlength=end.size))
 
 
@@ -181,7 +187,7 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     and each spec reads its terms from e on the rows of its own ball, so its
     singular points outside it are neither counted nor raised on.  Each value
     is the exactly rounded sum of the per-block shell partials up to its
-    radius, weighted by ``orbit_size``.
+    radius, each term weighted by its row's weight.
     """
     jobs = [(spec, [float(r) for r in radii]) for spec, radii in jobs]
     if not jobs:
@@ -202,20 +208,21 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
                     (0, spec.m / 2 if spec.family == "approximate" else 0))
         to_own = None if len(b) == union.size else np.searchsorted(b, union)
         plan.append((spec, i, power, np.searchsorted(union, b), to_own, []))
-    counts, singular = np.zeros(union.size, np.int64), np.zeros(union.size, np.int64)
-    for norm_sq, e in esp_blocks(lat, max(radii[-1] for _, radii in jobs), budget=budget):
-        _bin_block(lat, union, plan, norm_sq, e, counts, singular)
-    orbit = lat.orbit_size
+    # Weighted point counts, exact in float64 below 2^53.
+    counts, singular = np.zeros(union.size), np.zeros(union.size)
+    for norm_sq, e, weight in esp_blocks(lat, max(radii[-1] for _, radii in jobs),
+                                         budget=budget):
+        _bin_block(lat, union, plan, norm_sq, e, weight, counts, singular)
     counts, singular = np.cumsum(counts), np.cumsum(singular)
     curves = []
     for (spec, radii), (_, _, power, end, _, partials) in zip(jobs, plan):
         partials = np.array(partials).reshape(-1, end.size)
-        values = [orbit * math.fsum(partials[:, :s + 1].ravel()) for s in range(end.size)]
+        values = [math.fsum(partials[:, :s + 1].ravel()) for s in range(end.size)]
         # A spec that divides by e_n drops (or raises on) the singular rows.
-        dropped = singular[end] if power else np.zeros(end.size, np.int64)
+        dropped = singular[end] if power else np.zeros(end.size)
         curves.append(SumCurve(spec=spec, radii=radii, values=values,
-                               point_counts=[orbit * int(c) for c in counts[end] - dropped],
-                               singular_counts=[orbit * int(c) for c in dropped]))
+                               point_counts=[int(c) for c in counts[end] - dropped],
+                               singular_counts=[int(c) for c in dropped]))
     return curves
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from detsums.errors import BudgetExceeded, DependentBasis, DimensionMismatch
 from detsums.lattice import (DEFAULT_BUDGET, PointBudget, _bound_sq,
-                             _det_splits, _half_balls, _product_windows,
+                             _half_balls, _half_histograms, _product_windows,
                              build_lattice, coefficient_blocks, esp_blocks,
                              lattice_from_json, lattice_to_json, orbit_images,
                              predicted_point_count, realize_block,
@@ -427,18 +427,29 @@ def _json_lattice(seed, k, n, T):
 def _unsplit_orbit8_lattice():
     # A golden-shaped basis times M = [[1, 1], [1, -1]] on the left, in exact
     # Gaussian-integer arithmetic: still closed under X -> iX and X -> XE with
-    # orthogonal halves (M* M = 2I), but its A half is not diagonal, so
-    # esp_blocks realizes its rows.
+    # orthogonal halves (M* M = 2I), but its A half is not diagonal, and its
+    # half determinants (6 + 8i and 4i among them) are no Gaussian-integer
+    # multiples of the least one, so esp_blocks realizes its rows.
     lat = random_golden_shaped_lattice(np.random.default_rng(3), 2)
     return build_lattice(list(np.array([[1.0, 1.0], [1.0, -1.0]]) @ lat.basis))
 
 
+def _mixed_det_lattice():
+    # Z[i] P + Z[i] Q with P = diag(1, 2), Q = diag(2, -1): orthogonal halves,
+    # real Gram matrix 5 I, half determinants 2 z^2 and -2 w^2, but det(zP +
+    # wQ) has the mixed term 3 z w, so it does not split over the halves.
+    P, Q = np.diag([1.0, 2.0]).astype(complex), np.diag([2.0, -1.0]).astype(complex)
+    return build_lattice([P, 1j * P, Q, 1j * Q])
+
+
 @pytest.mark.parametrize("case", ["golden", "diagonal-nf-2", "gaussian-diagonal-2",
-                                  "json-3x3", "json-2x3", "orbit8-unsplit"])
+                                  "json-3x3", "json-2x3", "orbit8-unsplit", "mixed-det"])
 def test_esp_blocks_match_the_realized_kernels(case, golden_lattice, nf_lattice):
-    # The e of every row equals _esp_batch of the same row realized from
-    # coefficient_blocks, in the same order and with the same norms, whether
-    # the walk realizes the row (every lattice but the golden code) or not.
+    # Off the cell table the e of every row equals _esp_batch of the same row
+    # realized from coefficient_blocks, in the same order and with the same
+    # norms, and each row weighs orbit_size points.  On it (the golden code)
+    # each row is a cell, and the weighted cells are the histogram of
+    # (||X||^2, 5 |det X|^2) over the realized ball.
     from detsums.codes import gaussian_diagonal
     lat, radius = {
         "golden": lambda: (golden_lattice, 4.0),
@@ -447,20 +458,35 @@ def test_esp_blocks_match_the_realized_kernels(case, golden_lattice, nf_lattice)
         "json-3x3": lambda: (_json_lattice(5, 4, 3, 3), 20.0),
         "json-2x3": lambda: (_json_lattice(6, 4, 2, 3), 14.0),
         "orbit8-unsplit": lambda: (_unsplit_orbit8_lattice(), 8.0),
+        "mixed-det": lambda: (_mixed_det_lattice(), 12.0),
     }[case]()
-    assert _det_splits(lat) == (case == "golden")
+    assert (_half_histograms(lat, _bound_sq(radius)) is not None) == (case == "golden")
     if case == "orbit8-unsplit":
         assert lat.orbit_size == 8
     got = list(esp_blocks(lat, radius))
+    norms = np.concatenate([n for n, _, _ in got])
+    e = np.concatenate([v for _, v, _ in got])
+    weight = np.concatenate([w for _, _, w in got])
+    assert norms.size > 100
+    assert e.shape == (norms.size, lat.n) and weight.shape == norms.shape
+    if case == "golden":
+        coeffs, norm_sq = ball_points(lat, radius)
+        det = det_batch(realize_block(lat, coeffs))
+        cells, counts = np.unique(np.rint([norm_sq, 5 * np.abs(det) ** 2]).T, axis=0,
+                                  return_counts=True)
+        scaled = e * [1.0, 5.0]
+        assert np.array_equal(norms, e[:, 0])
+        assert np.abs(scaled - np.rint(scaled)).max() < 1e-9
+        assert np.array_equal(np.rint(scaled), cells)
+        assert np.array_equal(weight, counts)
+        return
     want = [(norm_sq, _esp_batch(realize_block(lat, coeffs)))
             for coeffs, norm_sq in coefficient_blocks(lat, radius)]
-    norms = np.concatenate([n for n, _ in got])
-    e = np.concatenate([v for _, v in got])
     ref = np.concatenate([v for _, v in want])
-    assert norms.size > 100
     assert np.array_equal(norms, np.concatenate([n for n, _ in want]))
-    assert e.shape == ref.shape == (norms.size, lat.n)
+    assert e.shape == ref.shape
     assert np.all(np.abs(e - ref) <= 1e-12 * ref)
+    assert np.all(weight == lat.orbit_size)
 
 
 def test_golden_half_determinants_add_bit_for_bit(golden_lattice):

@@ -6,13 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detsums.codes import gaussian_diagonal, golden_code
 from detsums.errors import BudgetExceeded, HypothesisViolated, SingularPoint
-from detsums.lattice import (build_lattice, coefficient_blocks, rescale_lattice,
-                             shell_counts)
+from detsums.lattice import (_bound_sq, _half_histograms, build_lattice,
+                             coefficient_blocks, rescale_lattice, shell_counts)
 from detsums.pipeline import run
 from detsums.presets import build_preset
 from detsums.sums import (SumSpec, convergence_probe, dyadic_bound,
@@ -360,11 +360,16 @@ _SKIPPING_SPECS = [SumSpec(family="shifted", m=2, c=0.7),
 def test_eighth_walk_curves_match_the_quarter_walk(lat, scale):
     # The same lattice with its halves swapped fails basis[k/2 + j] ==
     # basis[j] @ E, so it takes the quarter walk; every curve must agree.
+    # Scaled by 1.1, the real Gram matrix is not integral, so neither takes
+    # the cell table.
+    lat = rescale_lattice(lat, 1.1)
     h = lat.k // 2
     swapped = build_lattice(list(lat.basis[h:]) + list(lat.basis[:h]))
     assert (lat.orbit_size, swapped.orbit_size) == (8, 4)
     radius = scale * math.sqrt(lat.min_norm_sq)
     radii = [radius / 2.0, radius]
+    for walked in (lat, swapped):
+        assert _half_histograms(walked, _bound_sq(radius)) is None
     for eighth, quarter in zip(sum_curves(lat, [(s, radii) for s in _SKIPPING_SPECS]),
                                sum_curves(swapped, [(s, radii) for s in _SKIPPING_SPECS])):
         assert eighth.point_counts == quarter.point_counts
@@ -872,6 +877,76 @@ def test_golden_families_match_the_realized_ball(golden_lattice, spec):
         inside = norms <= M * M * (1 + 1e-9)
         assert count == np.count_nonzero(inside)
         assert value == pytest.approx(math.fsum(terms[inside]), rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lat=golden_shaped_lattices(), scale=st.floats(1.0, 2.4))
+def test_cell_table_sums_match_the_realized_ball(lat, scale):
+    # Where the cell table holds, every family's curve equals the sum of the
+    # terms over the realized ball, with exact point and singular counts
+    # (det X of these Gaussian-integer matrices is exact, so a singular
+    # point's term reads inf).
+    radius = scale * math.sqrt(lat.min_norm_sq)
+    radii = [radius / 2.0, radius]
+    assume(_half_histograms(lat, _bound_sq(radius)) is not None)
+    norms, X = _realized_ball(lat, radius)
+    curves = sum_curves(lat, [(s, radii) for s in _SKIPPING_SPECS])
+    for spec, curve in zip(_SKIPPING_SPECS, curves):
+        terms = _kernel_terms(spec, X)
+        singular = np.isinf(terms)
+        for j, M in enumerate(radii):
+            inside = norms <= M * M * (1 + 1e-9)
+            assert curve.singular_counts[j] == np.count_nonzero(inside & singular)
+            assert curve.point_counts[j] == np.count_nonzero(inside & ~singular)
+            assert curve.values[j] == pytest.approx(
+                math.fsum(terms[inside & ~singular]), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", _FAMILY_SPECS, ids=lambda s: s.family)
+def test_golden_values_do_not_depend_on_the_pass_radius(golden_lattice, spec):
+    # The cells come in the order of (||X||^2, |det X|^2) whatever the
+    # radius, so a curve is the same to the last bit alone and in a pass
+    # that reaches further.
+    radii = [1.0, 2.0, 4.0]
+    alone = sum_curve(golden_lattice, spec, radii)
+    longer = sum_curve(golden_lattice, spec, radii + [8.0])
+    shared, _ = sum_curves(golden_lattice, [(spec, radii),
+                                            (SumSpec(family="approximate", m=8), [8.0])])
+    assert longer.values[:3] == shared.values == alone.values
+    assert longer.point_counts[:3] == shared.point_counts == alone.point_counts
+
+
+@pytest.mark.parametrize("normalization", ["raw", "unit-minnorm"])
+def test_golden_takes_the_cell_table(normalization):
+    lat = golden_code(normalization)
+    for radius in (1.0, 4.0, 8.0):
+        assert _half_histograms(lat, _bound_sq(radius)) is not None
+
+
+@pytest.mark.parametrize("spec", [SumSpec(family="shifted", m=4, c=0.3),
+                                  SumSpec(family="approximate", m=4),
+                                  SumSpec(family="mixed", m=4, i=1)],
+                         ids=lambda s: s.family)
+def test_rescaled_golden_takes_the_walk_with_the_same_values(golden_lattice, spec):
+    # Scaled by s = 1.1 the real Gram matrix is 1.21 I, not integral, so the
+    # sums walk the eighth ball and realize it.  Each term is a power of s
+    # times the term of the unscaled point (the shift takes c s^2), which
+    # comes from the cell table.
+    s = 1.1
+    scaled = rescale_lattice(golden_lattice, s)
+    radii = [1.0, 2.0, 4.0]
+    assert scaled.orbit_size == 8
+    assert _half_histograms(scaled, _bound_sq(s * radii[-1])) is None
+    assert _half_histograms(golden_lattice, _bound_sq(radii[-1])) is not None
+    walked = sum_curve(scaled, spec, [s * r for r in radii])
+    base = sum_curve(golden_lattice, SumSpec(family=spec.family, m=spec.m,
+                                             c=spec.c * s * s, i=spec.i), radii)
+    power = {"shifted": 0.0, "approximate": 2 * spec.m,
+             "mixed": 2 * (spec.i or 0) + 4 * (spec.m - (spec.i or 0))}[spec.family]
+    assert walked.point_counts == base.point_counts
+    assert walked.singular_counts == base.singular_counts == [0, 0, 0]
+    for a, b in zip(walked.values, base.values):
+        assert a * s ** power == pytest.approx(b, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [SumSpec(family="approximate", m=3, skip_singular=True),
