@@ -135,8 +135,7 @@ def min_abs_det_ball(lat: MatrixLattice, radius: float, *,
     to the point's own norm and so does not depend on the lattice's scale.
     Every row has a positive weight, and the points it stands for share its
     e: the orbit of a walk row (|det(uX)| = |det X| for every unit u of
-    modulus one, and |det(XE)| = |det X| on an orbit-8 lattice), or the
-    points of a cell of the golden code's table.  So the minimum over the
+    modulus one), or the points of a cell of the golden code's table.  So the minimum over the
     rows is the minimum over the ball, whatever the weights.  Raises
     ValueError when the ball holds no nonzero point."""
     if lat.n != lat.T:

@@ -23,23 +23,9 @@ T-IT 2002), restricted to a symmetric body.  A Z[i]-paired basis, laid out as
 coefficient pair (a, b) into (-b, a); there the walk keeps the point of each
 orbit {X, iX, -X, -iX} whose highest nonzero pair has a > 0 and b >= 0, with
 one more flag carried from the odd level of each pair down to its even level.
-Every built-in code is Z[i]-paired, so its sums walk a quarter of the ball.
+Every built-in code is Z[i]-paired, so its walk covers a quarter of the ball.
 
-The golden code (Belfiore, Rekaya and Viterbo, IEEE T-IT 2005) is closed
-under X -> XE as well, with E = [[0, 1], [i, 0]] unitary and E^2 = iI: its
-second half of basis matrices is its first half times E, so on the halves
-(A, B) of a coefficient vector the map is (A, B) -> (iB, A), of order 8.
-Its two halves are orthogonal, so ||X||^2 = ||A||^2 + ||B||^2 and XE swaps
-the two half norms.  The eighth walk keeps the quarter points with
-||A|| <= ||B||, and of the two quarter points of an orbit of 8 whose half
-norms tie it keeps the lexicographically smaller.  It is a product, not a
-walk of all k levels: the A-half ball is walked once and sorted by norm, the
-quarter B-half ball once, and the A that go with a B are the prefix of the
-sorted ball with ||A||^2 <= min(R^2 - ||B||^2, ||B||^2), found by one
-``searchsorted``.  The product walk yields windows of index pairs (ia, ib)
-into the two half balls (``_product_windows``).
-
-Both walks have two views.  ``coefficient_blocks`` yields each row's
+The walk has two views.  ``coefficient_blocks`` yields each row's
 coefficients and norm; ``orbit_images`` expands a block's orbits again when a
 caller wants the whole ball, and ``realize_block`` turns coefficient rows
 into matrices.  ``esp_blocks`` yields each row's norm, its e, the
@@ -49,13 +35,15 @@ that every sum term needs, and its weight, the points the row stands for:
 keeps.
 
 On the golden code e is exact up to fixed scales, and no walk of the whole
-ball is needed.  The real Gram matrix is the identity, so ||X||^2 = N_A + N_B
-with integer half norms; the A-half basis matrices are diagonal and the
-B-half ones anti-diagonal, so det X = det X_A + det X_B; and (2 - i) det X_A
-is a Gaussian integer g_A (likewise for B).  The ball's multiset of
-(||X||^2, 5 |det X|^2) = (N_A + N_B, |g_A + g_B|^2) is then a convolution of
-two small histograms, one per full half ball, keyed by (N, g)
-(``_half_histograms``).  ``esp_blocks`` yields its cells, each once and
+ball is needed.  Write X = X_A + X_B, the parts on the first (A) and second
+(B) half of the basis matrices.  The real Gram matrix is the identity, so
+||X||^2 = N_A + N_B with integer half norms; the A-half basis matrices are
+diagonal and the B-half ones anti-diagonal, so det X = det X_A + det X_B;
+and (2 - i) det X_A is a Gaussian integer g_A (likewise for B).  The ball's
+multiset of (||X||^2, 5 |det X|^2) = (N_A + N_B, |g_A + g_B|^2) is then a
+convolution of two small histograms, one per full half ball, keyed by
+(N, g) (``_half_histograms``).  Both half Gram blocks are the identity, so
+one walk gives both half balls.  ``esp_blocks`` yields its cells, each once and
 weighted by the points it holds (``_cell_table``), on every lattice that
 passes the same checks; any other takes the walk.
 """
@@ -96,16 +84,6 @@ DEFAULT_BUDGET = 2 ** 31
 # boundary (norm^2 an integer, radius sqrt of an integer) are always included.
 _RADIUS_TOL = 1e-9
 
-# Relative band within which the eighth walk takes the two half norms
-# ||A||^2 and ||B||^2 of a point for a tie: round-off makes a tied pair's two
-# computed norms differ by a few ulps, and the two quarter points of an orbit
-# of 8 must agree on whether they tie.
-_TIE_TOL = 1e-9
-
-# The product walk pairs a B with the A of ||A||^2 <= _CAP ||B||^2 - ||B||^2,
-# which lets ||A||^2 reach ||B||^2 up to the tie band.
-_CAP = 2.0 / (1.0 - _TIE_TOL)
-
 # Tolerance of the cell table's checks (``_half_histograms``): the relative
 # error of an integral real Gram matrix and of a zero mixed determinant term,
 # and the distance of each scaled half determinant from a Gaussian integer.
@@ -116,18 +94,10 @@ _CELL_TOL = 1e-9
 # 1e5, takes the walk.
 _MAX_CELLS = 1 << 22
 
-# X -> X @ _E maps the golden code to itself (see ``MatrixLattice.orbit_size``).
-_E = np.array([[0.0, 1.0], [1j, 0.0]])
-
-# i^t turns a nonzero pair (a, b) into a > 0, b >= 0 for t = _TURNS[3 sign(a)
-# + sign(b) + 4]; i^t is _COS[t] + i _SIN[t].
-_TURNS = np.array([2, 2, 3, 1, 0, 3, 1, 0, 0])
-_COS = np.array([1, 0, -1, 0])
-_SIN = np.array([0, 1, 0, -1])
-
-# The one block size of both walks: the most children a level expands at
-# once (``_windows``), and so the most rows of a block.  Blocks this size keep
-# the walk's temporaries, and a block's matrices and terms, in cache.
+# The one block size of the walk and the cell table: the most children a
+# level expands at once (``_windows``), and so the most rows of a block.
+# Blocks this size keep the walk's temporaries, and a block's matrices and
+# terms, in cache.
 _MAX_CHILDREN = 1 << 13
 
 # Internal budget for the shortest-vector search at build time.
@@ -160,23 +130,13 @@ class MatrixLattice:
 
     @property
     def orbit_size(self) -> int:
-        """Points in each orbit the walk emits one point of, each condition
-        checked bit for bit.
-
-        2 (the sign pair +/-X) unless the basis is Z[i]-paired, basis[2j+1]
-        == 1j * basis[2j], so that X -> iX maps the lattice to itself; then 4.
-        8 when besides n = T = 2, k % 4 == 0, basis[k/2 + j] == basis[j] @ E
-        for every j < k/2 (so X -> XE maps it to itself too) and the two
-        halves are orthogonal (``gram_real[:k/2, k/2:]`` is zero), as in the
-        golden code.
+        """Points in each orbit the walk emits one point of: 2 (the sign
+        pair +/-X) unless the basis is Z[i]-paired, basis[2j+1] == 1j *
+        basis[2j] bit for bit, so that X -> iX maps the lattice to itself;
+        then 4.
         """
         if self.k % 2 or not np.array_equal(self.basis[1::2], 1j * self.basis[0::2]):
             return 2
-        h = self.k // 2
-        if (self.n == self.T == 2 and self.k % 4 == 0
-                and np.array_equal(self.basis[h:], self.basis[:h] @ _E)
-                and not self.gram_real[:h, h:].any()):
-            return 8
         return 4
 
     def realize(self, coeffs: Sequence[int]) -> np.ndarray:
@@ -311,8 +271,7 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
     even level below it a flag, "every higher pair is zero"; a flagged row
     whose b is nonzero (``used`` above 0.0) then takes a >= 1.
 
-    Charges ``budget``, when given, ``orbit`` points per row.  The walk of
-    orbits of eight is ``_product_walk``, which runs this one on each half.
+    Charges ``budget``, when given, ``orbit`` points per row.
 
     Frontiers do not carry their coefficient prefixes: each level keeps its
     values and the row of the parent they extend, and a leaf block gathers
@@ -365,75 +324,6 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
     yield from expand(k - 1, [], np.zeros((1, k)), np.zeros(1), None)
 
 
-def _half_balls(U: np.ndarray, rad_sq: float) -> tuple[np.ndarray, ...]:
-    """The two half balls of the eighth walk of an orbit-8 basis, as
-    (a_cols, a_norm, b_cols, b_norm), coefficients one point per column.
-
-    The A half holds zero and every +/-A with ||A||^2 up to (1 - 1/_CAP)
-    rad_sq, the largest any B admits (walked a hair past it), sorted by norm;
-    the B half is the quarter ball (``_walk`` with ``orbit`` 4) in walk order.
-    """
-    h = U.shape[0] // 2
-    signed = list(_walk(U[:h, :h], (1.0 - 1.0 / _CAP) * rad_sq * (1.0 + _RADIUS_TOL)))
-    a = np.concatenate([np.zeros((1, h), dtype=np.int64)]
-                       + [c for c, _ in signed] + [-c for c, _ in signed])
-    a_norm = np.concatenate([np.zeros(1)] + [v for _, v in signed] * 2)
-    order = np.argsort(a_norm, kind="stable")
-    quarter = list(_walk(U[h:, h:], rad_sq, orbit=4))
-    b = np.concatenate([np.zeros((0, h), dtype=np.int64)] + [c for c, _ in quarter])
-    b_norm = np.concatenate([np.zeros(0)] + [v for _, v in quarter])
-    return (np.ascontiguousarray(a[order].T), a_norm[order],
-            np.ascontiguousarray(b.T), b_norm)
-
-
-def _product_windows(halves: tuple[np.ndarray, ...], rad_sq: float, *,
-                     budget: PointBudget) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The eighth walk of an orbit-8 basis as windows of index pairs (ia, ib)
-    into the ``_half_balls``: one quarter point (A, B) of each orbit
-    {i^j X E^l}, with ||A|| <= ||B||.
-
-    U is block diagonal, so ||X||^2 = ||A||^2 + ||B||^2, and the A that go
-    with one B are a prefix of the sorted A-half ball: those with
-    ||A||^2 <= min(rad_sq, _CAP ||B||^2) - ||B||^2, where _CAP lets ||A||^2
-    reach ||B||^2 up to the tie band.  Each B takes its prefix through one
-    ``searchsorted``, and the prefixes are cut into ``_windows``, less the
-    ties dropped.  A row whose ||A||^2 lies within the band of ||B||^2 is
-    kept only if it is lexicographically below the quarter point of its
-    E-image (``_below_e_image``), so exactly one of the two ties is.
-    Charges ``budget`` 8 points per row.
-    """
-    a_cols, a_norm, b_cols, b_norm = halves
-    counts = np.searchsorted(a_norm, np.minimum(rad_sq, _CAP * b_norm) - b_norm,
-                             side="right")
-    # A B's rows from this index of the A-half ball on are in the tie band,
-    # ||A||^2 >= 2 ||B||^2 / (1 + _TIE_TOL) - ||B||^2.
-    tied = np.searchsorted(a_norm, 2.0 * b_norm / (1.0 + _TIE_TOL) - b_norm)
-    for ib, ia in _windows(counts):
-        tie = np.flatnonzero(ia >= tied[ib])
-        lose = tie[~_below_e_image(np.concatenate(
-            [np.take(a_cols, ia[tie], axis=1), np.take(b_cols, ib[tie], axis=1)]))]
-        if lose.size:
-            ia, ib = np.delete(ia, lose), np.delete(ib, lose)
-        if ia.size:
-            budget.charge(8 * ia.size)
-            yield ia, ib
-
-
-def _product_walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget,
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The coefficient view of ``_product_windows``: (coeffs, norm_sq)
-    blocks, as ``_walk`` yields them."""
-    halves = _half_balls(U, rad_sq)
-    a_cols, a_norm, b_cols, b_norm = halves
-    h = a_cols.shape[0]
-    for ia, ib in _product_windows(halves, rad_sq, budget=budget):
-        # The indices are in range; mode="wrap" spares take a buffered copy.
-        coeffs = np.empty((2 * h, ia.size), dtype=np.int64)
-        np.take(a_cols, ia, axis=1, out=coeffs[:h], mode="wrap")
-        np.take(b_cols, ib, axis=1, out=coeffs[h:], mode="wrap")
-        yield coeffs.T, np.take(a_norm, ia) + np.take(b_norm, ib)
-
-
 def _half_histograms(lat: MatrixLattice, rad_sq: float) -> tuple | None:
     """The two full half balls of a 2 x 2 lattice as histograms of exact
     keys, or None unless the cell table (``_cell_table``) holds on this ball.
@@ -450,9 +340,10 @@ def _half_histograms(lat: MatrixLattice, rad_sq: float) -> tuple | None:
       5 |det X|^2;
     - the dense table has at most ``_MAX_CELLS`` cells.
 
-    Each half ball is walked once (one of each +/-A, whose det is the same),
-    its keys (N, Re g, Im g) counted by ``np.unique``, twice over, and the
-    origin's key added once.  Returns ((norm, re, im, count) of the A half,
+    Each distinct half Gram block is walked once (one of each +/-A, whose
+    det is the same), each half's determinants taken from its own basis
+    matrices, its keys (N, Re g, Im g) counted by ``np.unique``, twice over,
+    and the origin's key added once.  Returns ((norm, re, im, count) of the A half,
     the same of the B half, |d_0|^2), each half sorted by N.
     """
     if not (lat.n == lat.T == 2 and lat.k % 2 == 0):
@@ -468,12 +359,15 @@ def _half_histograms(lat: MatrixLattice, rad_sq: float) -> tuple | None:
     sizes = np.sqrt(np.diag(G))
     if np.any(np.abs(mixed) > _CELL_TOL * np.outer(sizes[:h], sizes[h:])):
         return None
-    halves = []
+    halves, gram = [], None
     for part in (slice(0, h), slice(h, lat.k)):
-        walked = list(_walk(np.linalg.cholesky(whole[part, part]).T, rad_sq))
-        coeffs = np.concatenate([np.zeros((0, h), dtype=np.int64)] + [c for c, _ in walked])
-        norm = np.rint(np.concatenate([np.zeros(0)] + [v for _, v in walked]))
-        flat = coeffs.astype(float) @ lat.real_basis[part]
+        # Equal half Gram blocks, as on the golden code, have one ball.
+        if gram is None or not np.array_equal(whole[part, part], gram):
+            gram = whole[part, part]
+            walked = list(_walk(np.linalg.cholesky(gram).T, rad_sq))
+            coeffs = np.concatenate([np.zeros((0, h))] + [c for c, _ in walked])
+            norm = np.rint(np.concatenate([np.zeros(0)] + [v for _, v in walked]))
+        flat = coeffs @ lat.real_basis[part]
         halves.append((norm, det_batch(flat.view(np.complex128).reshape(-1, 2, 2))))
     norm = np.concatenate([v for v, _ in halves])
     det = np.concatenate([d for _, d in halves])
@@ -557,58 +451,21 @@ def _times_i(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _times_e(coeffs: np.ndarray) -> np.ndarray:
-    """Rows of XE on an orbit-8 basis: the halves (A, B) -> (iB, A)."""
-    h = coeffs.shape[1] // 2
-    return np.concatenate([_times_i(coeffs[:, h:]), coeffs[:, :h]], axis=1)
-
-
-def _below_e_image(z: np.ndarray) -> np.ndarray:
-    """Whether each quarter point z = (A, B), A nonzero, given as a column of
-    a (k, t) block, is lexicographically below the quarter point of its
-    E-image: (iB, A) times the power i^t of i that brings the highest nonzero
-    pair (a, b) of A to a > 0, b >= 0, that is (i^(t+1) B, i^t A).  The two
-    are never equal, since XE is not a unit multiple of X."""
-    k = z.shape[0]
-    h = k // 2
-    a, b = z[h - 2], z[h - 1]
-    for j in range(h - 4, -1, -2):
-        empty = (a == 0) & (b == 0)
-        a, b = np.where(empty, z[j], a), np.where(empty, z[j + 1], b)
-    turns = _TURNS[3 * np.sign(a) + np.sign(b) + 4]
-    cos, sin = _COS[turns], _SIN[turns]
-    w = np.empty_like(z)
-    re, im = z[h::2], z[h + 1::2]
-    w[0:h:2], w[1:h:2] = -sin * re - cos * im, cos * re - sin * im
-    re, im = z[0:h:2], z[1:h:2]
-    w[h::2], w[h + 1::2] = cos * re - sin * im, sin * re + cos * im
-    # The sign of the first difference outweighs every later one: its weight
-    # 2^j exceeds the sum of all lower weights.
-    return 2 ** np.arange(k - 1, -1, -1) @ np.sign(z - w) < 0
-
-
 def orbit_images(lat: MatrixLattice, coeffs: np.ndarray, *,
                  dedup_signs: bool = False) -> np.ndarray:
     """Every point of the orbits of the rows of an orbit-walk block.
 
-    The block is followed by its images: for ``orbit_size`` 8 first its
-    E-image, XE; then, for 4 and 8, i times all of those; then the negatives
-    of everything.  With ``dedup_signs`` only one of each +/-z pair is kept,
-    the one whose highest nonzero coefficient is positive, as the half walk
-    gives it (the block and its i-image already are; an E-image may need its
-    sign flipped).  Images of a row keep its norm.
+    The block is followed by its images: for ``orbit_size`` 4 i times the
+    block, then the negatives of everything.  With ``dedup_signs`` the
+    negatives are left out, which keeps one of each +/-z pair, the one whose
+    highest nonzero coefficient is positive, as the half walk gives it (the
+    block and its i-image already are).  Images of a row keep its norm.
     """
-    orbit = lat.orbit_size
-    if orbit == 8:
-        coeffs = np.concatenate([coeffs, _times_e(coeffs)])
-    if orbit >= 4:
+    if lat.orbit_size == 4:
         coeffs = np.concatenate([coeffs, _times_i(coeffs)])
-    if not dedup_signs:
-        return np.concatenate([coeffs, -coeffs])
-    if orbit == 8:
-        top = coeffs.shape[1] - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
-        coeffs = coeffs * np.sign(coeffs[np.arange(len(coeffs)), top])[:, None]
-    return coeffs
+    if dedup_signs:
+        return coeffs
+    return np.concatenate([coeffs, -coeffs])
 
 
 def _checked_budget(lat: MatrixLattice, radius: float,
@@ -626,26 +483,19 @@ def _checked_budget(lat: MatrixLattice, radius: float,
     return budget
 
 
-def _blocks(lat: MatrixLattice, rad_sq: float, budget: PointBudget,
-            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (coeffs, norm_sq) blocks of the lattice's orbit walk."""
-    if lat.orbit_size == 8:
-        return _product_walk(lat.chol_upper, rad_sq, budget=budget)
-    return _walk(lat.chol_upper, rad_sq, budget=budget, orbit=lat.orbit_size)
-
-
 def coefficient_blocks(lat: MatrixLattice, radius: float, *,
                        budget: int | PointBudget = DEFAULT_BUDGET,
                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the (coeffs, norm_sq) blocks of the orbit walk of L(radius).
 
     Coefficient rows are in natural index order, one point of each orbit of
-    ``orbit_size`` nonzero points (see ``_walk``, and ``_product_windows`` for
-    orbits of eight, for which one); ``orbit_images`` expands a block to its
-    orbits.  ``budget`` is a point cap or a ``PointBudget`` the walk charges.
+    ``orbit_size`` nonzero points (see ``_walk`` for which one);
+    ``orbit_images`` expands a block to its orbits.  ``budget`` is a point
+    cap or a ``PointBudget`` the walk charges.
     """
     budget = _checked_budget(lat, radius, budget)
-    yield from _blocks(lat, _bound_sq(radius), budget)
+    yield from _walk(lat.chol_upper, _bound_sq(radius), budget=budget,
+                     orbit=lat.orbit_size)
 
 
 def realize_block(lat: MatrixLattice, coeffs: np.ndarray, *,
@@ -713,9 +563,9 @@ def esp_blocks(lat: MatrixLattice, radius: float, *,
     if hists is not None:
         yield from _cell_table(hists, rad_sq, budget=budget)
         return
-    orbit = float(lat.orbit_size)
-    for coeffs, norm_sq in _blocks(lat, rad_sq, budget):
-        yield norm_sq, _esp_batch(_realize(lat, coeffs)), np.full(norm_sq.size, orbit)
+    orbit = lat.orbit_size
+    for coeffs, norm_sq in _walk(lat.chol_upper, rad_sq, budget=budget, orbit=orbit):
+        yield norm_sq, _esp_batch(_realize(lat, coeffs)), np.full(norm_sq.size, float(orbit))
 
 
 def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,

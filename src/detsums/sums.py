@@ -16,10 +16,9 @@ So each sum is one pass over the rows of ``lattice.esp_blocks``, each term
 times the row's weight, the number of points that share its e.  On a walk
 the weight is ``orbit_size``, since every term is unchanged when X is
 multiplied by a unit scalar or on the right by a unitary matrix U
-((XU)(XU)* = XX*): 2 for the orbit {X, -X}; 4 for {X, iX, -X, -iX} on a
-Z[i]-paired lattice; and 8 on an orbit-8 lattice, closed under X -> XE as
-well (E = [[0, 1], [i, 0]], E^2 = iI), for the orbit {i^j X E^l}.  These
-weights are powers of two, so they change no bit of a walk's sums.  On the
+((XU)(XU)* = XX*): 2 for the orbit {X, -X}, and 4 for {X, iX, -X, -iX}
+on a Z[i]-paired lattice.  These weights are powers of two, so they change
+no bit of a walk's sums.  On the
 golden code the rows are the exact cells (||X||^2, 5 |det X|^2) of the whole
 ball, and the weight is the number of points in the cell.
 

@@ -63,7 +63,8 @@ GOLDEN_E = np.array([[0.0, 1.0], [1j, 0.0]])
 def random_golden_shaped_lattice(rng: np.random.Generator, halves: int) -> MatrixLattice:
     """Rank-4 * halves lattice laid out like the golden code: diagonal
     Gaussian-integer matrices B_j, then (B_0, i B_0, ..., B_0 E, i B_0 E, ...).
-    Diagonal and antidiagonal halves are orthogonal, so ``orbit_size`` is 8."""
+    Diagonal and antidiagonal halves are orthogonal; the basis is
+    Z[i]-paired, so ``orbit_size`` is 4."""
     while True:
         first = []
         for _ in range(halves):

@@ -203,7 +203,7 @@ def test_golden_fixed_code_is_sorted_ball(golden_lattice, monkeypatch, radius):
     assert code.coeffs.tobytes() == ball.tobytes()
     assert code.matrices.tobytes() == realize_block(golden_lattice, ball).tobytes()
     if radius == 1.0:
-        # The bytes the quarter walk built, before the eighth walk.
+        # The bytes of the sorted ball, pinned.
         assert hashlib.sha256(code.coeffs.tobytes()).hexdigest() == (
             "4c6253fa409c6d40d722d6cc74db2b7770cfd5940211795647a2ce8fc28609cb")
         assert hashlib.sha256(code.matrices.tobytes()).hexdigest() == (

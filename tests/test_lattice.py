@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from detsums.errors import BudgetExceeded, DependentBasis, DimensionMismatch
 from detsums.lattice import (DEFAULT_BUDGET, PointBudget, _bound_sq,
-                             _half_balls, _half_histograms, _product_windows,
-                             build_lattice, coefficient_blocks, esp_blocks,
+                             _half_histograms, build_lattice,
+                             coefficient_blocks, esp_blocks,
                              lattice_from_json, lattice_to_json, orbit_images,
                              predicted_point_count, realize_block,
                              shell_counts)
 from detsums.linalg import _esp_batch, det_batch
 
-from conftest import (GOLDEN_E, _r8, ball_points, box_scan_coeffs,
-                      golden_shaped_lattices, random_golden_shaped_lattice,
-                      random_paired_lattice, random_small_lattice)
+from conftest import (_r8, ball_points, box_scan_coeffs,
+                      random_golden_shaped_lattice, random_paired_lattice,
+                      random_small_lattice)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -87,7 +87,7 @@ def test_budget_exceeded():
 
 
 @pytest.mark.parametrize("code,radius,orbit", [("json", 3.0, 2), ("nf", 6.0, 4),
-                                                ("golden", 3.0, 8)])
+                                                ("golden", 3.0, 4)])
 def test_budget_charges_every_point_of_the_ball(code, radius, orbit):
     from detsums.codes import diagonal_nf_code, golden_code
     lat = {"json": lambda: build_lattice([np.array([[1.0, 0.5j]]),
@@ -104,8 +104,8 @@ def test_budget_charges_every_point_of_the_ball(code, radius, orbit):
 
 def test_golden_walk_row_counts(golden_lattice):
     # |L(4)| = 306,048 and |L(4 sqrt 2)| = 4,558,736 points, one row per
-    # orbit of eight.
-    for radius, rows in ((4.0, 38_256), (4 * SQRT2, 569_842)):
+    # orbit of four.
+    for radius, rows in ((4.0, 76_512), (4 * SQRT2, 1_139_684)):
         assert sum(len(c) for c, _ in coefficient_blocks(golden_lattice, radius)) == rows
 
 
@@ -211,11 +211,16 @@ def _orbit_rows(lat, radius):
     return rows
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), pairs=st.integers(1, 3),
-       scale=st.floats(1.0, 2.4), shape=_SHAPES)
-def test_quarter_walk_rotations_match_box_scan(seed, pairs, scale, shape):
-    lat = random_paired_lattice(np.random.default_rng(seed), pairs, *shape)
+       scale=st.floats(1.0, 2.4), shape=_SHAPES, golden_shaped=st.booleans())
+def test_quarter_walk_rotations_match_box_scan(seed, pairs, scale, shape, golden_shaped):
+    rng = np.random.default_rng(seed)
+    if golden_shaped:
+        # Rank 4 or 8, laid out like the golden code.
+        lat = random_golden_shaped_lattice(rng, min(pairs, 2))
+    else:
+        lat = random_paired_lattice(rng, pairs, *shape)
     assert lat.orbit_size == 4
     # Radii relative to the shortest vector, so every ball holds points.
     radius = scale * math.sqrt(lat.min_norm_sq)
@@ -238,86 +243,13 @@ def test_quarter_walk_rotations_match_box_scan(seed, pairs, scale, shape):
     assert half == set(quarter) | set(rotations[1])
 
 
-def _times_e(z):
-    """Coefficients of XE on an orbit-8 basis: the halves (A, B) -> (iB, A)."""
-    h = len(z) // 2
-    return _times_i(z[h:]) + z[:h]
-
-
-@settings(max_examples=20, deadline=None)
-@given(lat=golden_shaped_lattices(), scale=st.floats(1.0, 2.4))
-def test_eighth_walk_images_match_box_scan(lat, scale):
-    assert lat.orbit_size == 8
-    radius = scale * math.sqrt(lat.min_norm_sq)
-    eighth = _orbit_rows(lat, radius)
-    images = [eighth, [_times_e(z) for z in eighth]]
-    for _ in range(6):
-        images.append([_times_i(z) for z in images[-2]])
-    full = [z for image in images for z in image]
-    # The eight images of the rows: no zero, no point twice, the whole ball.
-    assert all(any(z) for z in full)
-    assert len(set(full)) == len(full) == 8 * len(eighth)
-    oracle = set(box_scan_coeffs(lat, radius))
-    assert set(full) == oracle
-    blocks = [c for c, _ in coefficient_blocks(lat, radius)]
-    expanded = orbit_images(lat, np.concatenate(blocks))
-    assert sorted(map(tuple, expanded.tolist())) == sorted(full)
-    # Each row is a quarter point: its highest nonzero pair lies in a > 0, b >= 0.
-    for z in eighth:
-        a, b = next((a, b) for a, b in reversed(list(zip(z[0::2], z[1::2])))
-                    if a or b)
-        assert a > 0 and b >= 0
-    # dedup_signs: one of each +/-X pair, highest nonzero coefficient positive.
-    half = coeff_tuples(ball_points(lat, radius, dedup_signs=True)[0])
-    negated = {tuple(-v for v in z) for z in half}
-    assert len(set(half)) == len(half) == len(oracle) // 2
-    assert not set(half) & negated
-    assert set(half) | negated == oracle
-    assert all(next(v for v in reversed(z) if v) > 0 for z in half)
-
-
-def test_golden_eighth_walk_halves_the_quarter_walk(golden_lattice):
-    # The golden real Gram is the identity, so the ball of radius 2 holds
-    # 1,712 points of Z^8: 214 orbits of eight.  The tied points, with
-    # ||A||^2 = ||B||^2 = 1 or 2, number r4(1)^2 + r4(2)^2 = 8^2 + 24^2, and
-    # one in eight of them is kept.
-    rows = np.array(_orbit_rows(golden_lattice, 2.0))
-    assert len(rows) == 214
-    half_norms = (rows[:, :4] ** 2).sum(axis=1), (rows[:, 4:] ** 2).sum(axis=1)
-    assert np.all(half_norms[0] <= half_norms[1])
-    assert np.sum(half_norms[0] == half_norms[1]) == (8 ** 2 + 24 ** 2) // 8
-    assert shell_counts(golden_lattice, [2.0]) == [1712]
-
-
-def test_orbit_size_8_needs_every_condition(golden_lattice):
-    basis = list(golden_lattice.basis)
-    # The halves swapped: the second half is the first times E^-1, not E.
-    assert build_lattice(basis[4:] + basis[:4]).orbit_size == 4
-    # One entry off by an ulp breaks basis[4 + j] == basis[j] @ E and nothing
-    # else: the entry is off the diagonal, so the halves stay orthogonal.
-    nudged = [B.copy() for B in basis]
-    nudged[6][0, 1] = np.nextafter(nudged[6][0, 1].real, 1.0) + 1j * nudged[6][0, 1].imag
-    nudged[7] = 1j * nudged[6]
-    lat = build_lattice(nudged)
-    assert not lat.gram_real[:4, 4:].any() and lat.orbit_size == 4
-    # basis[2 + j] == basis[j] @ E, but the halves are not orthogonal.
-    B = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    skew = build_lattice([B, 1j * B, B @ GOLDEN_E, 1j * B @ GOLDEN_E])
-    assert skew.gram_real[:2, 2:].any() and skew.orbit_size == 4
-    # A paired rank-2 basis cannot split into two paired halves.
-    D = np.diag([1.0 + 0j, 2.0])
-    assert build_lattice([D, 1j * D]).orbit_size == 4
-
-
 def test_presets_are_paired(golden_lattice, nf_lattice, zi_lattice):
     from detsums.codes import gaussian_diagonal, golden_code
     # Rescaling multiplies both matrices of a pair by the same real factor,
-    # which keeps basis[2j+1] == 1j * basis[2j] bit for bit, and the golden
-    # code's basis[4 + j] == basis[j] @ E as well.
-    for lat in (nf_lattice, zi_lattice, gaussian_diagonal(3)):
+    # which keeps basis[2j+1] == 1j * basis[2j] bit for bit.
+    for lat in (nf_lattice, zi_lattice, gaussian_diagonal(3), golden_lattice,
+                golden_code("unit-minnorm")):
         assert lat.orbit_size == 4
-    for lat in (golden_lattice, golden_code("unit-minnorm")):
-        assert lat.orbit_size == 8
 
 
 def test_non_paired_lattice_keeps_half_walk():
@@ -356,8 +288,7 @@ def test_wide_levels_split_without_changing_the_walk(monkeypatch, code, radius):
     largest = max(c.shape[0] for c, _ in coefficient_blocks(lat, radius))
     assert np.array_equal(split, whole)
     assert np.array_equal(split_norms, whole_norms)
-    # Both walks, the product walk of the golden code too, expand cap
-    # children at a time, so no block holds more rows.
+    # The walk expands cap children at a time, so no block holds more rows.
     assert largest <= cap
 
 
@@ -462,7 +393,7 @@ def test_esp_blocks_match_the_realized_kernels(case, golden_lattice, nf_lattice)
     }[case]()
     assert (_half_histograms(lat, _bound_sq(radius)) is not None) == (case == "golden")
     if case == "orbit8-unsplit":
-        assert lat.orbit_size == 8
+        assert lat.orbit_size == 4
     got = list(esp_blocks(lat, radius))
     norms = np.concatenate([n for n, _, _ in got])
     e = np.concatenate([v for _, v, _ in got])
@@ -487,21 +418,3 @@ def test_esp_blocks_match_the_realized_kernels(case, golden_lattice, nf_lattice)
     assert e.shape == ref.shape
     assert np.all(np.abs(e - ref) <= 1e-12 * ref)
     assert np.all(weight == lat.orbit_size)
-
-
-def test_golden_half_determinants_add_bit_for_bit(golden_lattice):
-    # The A half of the golden code is diagonal and the B half anti-diagonal,
-    # so det X = det X_A + det X_B, and the sum of the two half determinants
-    # is the determinant of the realized row to the last bit.
-    lat = golden_lattice
-    rad_sq = _bound_sq(4.0)
-    halves = _half_balls(lat.chol_upper, rad_sq)
-    a_cols, _, b_cols, _ = halves
-    d_a = det_batch(realize_block(lat, np.concatenate([a_cols, 0 * a_cols]).T))
-    d_b = det_batch(realize_block(lat, np.concatenate([0 * b_cols, b_cols]).T))
-    rows = 0
-    for ia, ib in _product_windows(halves, rad_sq, budget=PointBudget(DEFAULT_BUDGET)):
-        coeffs = np.concatenate([a_cols[:, ia], b_cols[:, ib]]).T
-        assert np.array_equal(d_a[ia] + d_b[ib], det_batch(realize_block(lat, coeffs)))
-        rows += ia.size
-    assert 8 * rows == shell_counts(lat, [4.0])[0]

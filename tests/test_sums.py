@@ -335,7 +335,7 @@ def test_sums_invariant_under_multiplication_by_i(golden_lattice, spec):
     # On a paired basis, i * basis spans the same lattice by another basis,
     # (i B_j, -B_j); every family's term takes the same value at iX as at X.
     rotated = build_lattice(list(1j * golden_lattice.basis))
-    assert rotated.orbit_size == 8
+    assert rotated.orbit_size == 4
     radii = [1.0, SQRT2, 2.0]
     base = sum_curve(golden_lattice, spec, radii)
     turned = sum_curve(rotated, spec, radii)
@@ -350,41 +350,13 @@ def test_sums_invariant_under_multiplication_by_i(golden_lattice, spec):
     assert base.values[-1] == pytest.approx(math.fsum(terms_at_ix), rel=1e-9)
 
 
-_SKIPPING_SPECS = [SumSpec(family="shifted", m=2, c=0.7),
-                   SumSpec(family="approximate", m=3, skip_singular=True),
-                   SumSpec(family="mixed", m=3, i=1, skip_singular=True)]
-
-
-@settings(max_examples=20, deadline=None)
-@given(lat=golden_shaped_lattices(), scale=st.floats(1.0, 2.4))
-def test_eighth_walk_curves_match_the_quarter_walk(lat, scale):
-    # The same lattice with its halves swapped fails basis[k/2 + j] ==
-    # basis[j] @ E, so it takes the quarter walk; every curve must agree.
-    # Scaled by 1.1, the real Gram matrix is not integral, so neither takes
-    # the cell table.
-    lat = rescale_lattice(lat, 1.1)
-    h = lat.k // 2
-    swapped = build_lattice(list(lat.basis[h:]) + list(lat.basis[:h]))
-    assert (lat.orbit_size, swapped.orbit_size) == (8, 4)
-    radius = scale * math.sqrt(lat.min_norm_sq)
-    radii = [radius / 2.0, radius]
-    for walked in (lat, swapped):
-        assert _half_histograms(walked, _bound_sq(radius)) is None
-    for eighth, quarter in zip(sum_curves(lat, [(s, radii) for s in _SKIPPING_SPECS]),
-                               sum_curves(swapped, [(s, radii) for s in _SKIPPING_SPECS])):
-        assert eighth.point_counts == quarter.point_counts
-        assert eighth.singular_counts == quarter.singular_counts
-        for a, b in zip(eighth.values, quarter.values):
-            assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_budget_exact_on_golden(golden_lattice, monkeypatch):
-    # The eighth walk charges eight points per row; with the volume
-    # prediction out of the way the budget trips exactly when |L(M)| + 1
-    # (the origin counts) exceeds it.
+    # The cell table charges the points of each window of key pairs; with
+    # the volume prediction out of the way the budget trips exactly when
+    # |L(M)| + 1 (the origin counts) exceeds it.
     from detsums import lattice
     monkeypatch.setattr(lattice, "predicted_point_count", lambda lat, radius: 0.0)
-    assert golden_lattice.orbit_size == 8
+    assert golden_lattice.orbit_size == 4
     size = 1712
     spec = SumSpec(family="shifted", m=4, c=1.0)
     for budget in (size - 7, size):
@@ -879,6 +851,11 @@ def test_golden_families_match_the_realized_ball(golden_lattice, spec):
         assert value == pytest.approx(math.fsum(terms[inside]), rel=1e-12)
 
 
+_SKIPPING_SPECS = [SumSpec(family="shifted", m=2, c=0.7),
+                   SumSpec(family="approximate", m=3, skip_singular=True),
+                   SumSpec(family="mixed", m=3, i=1, skip_singular=True)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(lat=golden_shaped_lattices(), scale=st.floats(1.0, 2.4))
 def test_cell_table_sums_match_the_realized_ball(lat, scale):
@@ -929,13 +906,13 @@ def test_golden_takes_the_cell_table(normalization):
                          ids=lambda s: s.family)
 def test_rescaled_golden_takes_the_walk_with_the_same_values(golden_lattice, spec):
     # Scaled by s = 1.1 the real Gram matrix is 1.21 I, not integral, so the
-    # sums walk the eighth ball and realize it.  Each term is a power of s
+    # sums walk the quarter ball and realize it.  Each term is a power of s
     # times the term of the unscaled point (the shift takes c s^2), which
     # comes from the cell table.
     s = 1.1
     scaled = rescale_lattice(golden_lattice, s)
     radii = [1.0, 2.0, 4.0]
-    assert scaled.orbit_size == 8
+    assert scaled.orbit_size == 4
     assert _half_histograms(scaled, _bound_sq(s * radii[-1])) is None
     assert _half_histograms(golden_lattice, _bound_sq(radii[-1])) is not None
     walked = sum_curve(scaled, spec, [s * r for r in radii])
