@@ -69,10 +69,15 @@ __all__ = [
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 DECODERS = ("ml-exhaustive", "naive-lattice")
+ML_CODE_CAP = 4096          # the most codewords the ML decoder scores
 
 
 @dataclass(frozen=True)
 class ChannelConfig(JsonFields):
+    """A simulation: exactly one of ``multiplexing_r`` (a code per SNR point)
+    and ``fixed_radius`` (the code L(fixed_radius)) is set.  The walk budget
+    is a keyword of ``simulate``; the ML cap is ``ML_CODE_CAP``."""
+
     n_t: int = json_field("n_t", INTEGER)
     n_r: int = json_field("n_r", INTEGER)
     T: int = json_field("T", INTEGER)
@@ -82,12 +87,10 @@ class ChannelConfig(JsonFields):
     decoder: str = json_field("decoder", STRING, default="ml-exhaustive")
     multiplexing_r: float | None = json_field("multiplexingR", NUMBER, default=None)
     fixed_radius: float | None = json_field("fixedRadius", NUMBER, default=None)
-    ml_code_cap: int = json_field("mlCodeCap", INTEGER, default=4096)
     # 0 gives the noiseless harness variant
     noise_scale: float = json_field("noiseScale", NUMBER, default=1.0)
     # keep the 1/(4 n_t) factor in the bound shift
     chernoff_scaling: bool = json_field("chernoffScaling", BOOLEAN, default=True)
-    budget: int = json_field("budget", INTEGER, default=DEFAULT_BUDGET)
 
     def __post_init__(self):
         if self.decoder not in DECODERS:
@@ -330,8 +333,11 @@ def _complex_pairs(normals: np.ndarray, shape: tuple) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def simulate(lat: MatrixLattice, cfg: ChannelConfig) -> SimResult:
-    """Estimate block error rate on each SNR point; deterministic given seed."""
+def simulate(lat: MatrixLattice, cfg: ChannelConfig, *,
+             budget: int = DEFAULT_BUDGET) -> SimResult:
+    """Estimate block error rate on each SNR point; deterministic given seed.
+    ``budget`` caps each code's walk; ML decoding of a code above
+    ``ML_CODE_CAP`` codewords is CodeTooLarge."""
     if cfg.n_t != lat.n or cfg.T != lat.T:
         raise DimensionMismatch(
             f"config (n_t={cfg.n_t}, T={cfg.T}) does not match lattice "
@@ -351,19 +357,19 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig) -> SimResult:
     # Each code with the SNR indices it serves: a fixed code serves the whole
     # grid; in multiplexing mode each point builds its own when its turn comes.
     if cfg.fixed_radius is not None:
-        fixed = fixed_code(lat, cfg.fixed_radius, budget=cfg.budget)
+        fixed = fixed_code(lat, cfg.fixed_radius, budget=budget)
         groups = [(fixed, range(len(rhos)))] if rhos else []
     else:
-        groups = ((coding_scheme(lat, cfg.multiplexing_r, rho, budget=cfg.budget), [p])
+        groups = ((coding_scheme(lat, cfg.multiplexing_r, rho, budget=budget), [p])
                   for p, rho in enumerate(rhos))
     theta = math.nan
     code = None
     for code, snr_indices in groups:
         if code.size == 0:
             raise ValueError("finite code is empty at this SNR")
-        if ml and code.size > cfg.ml_code_cap:
+        if ml and code.size > ML_CODE_CAP:
             raise CodeTooLarge(
-                f"code size {code.size} exceeds ml-exhaustive cap {cfg.ml_code_cap}")
+                f"code size {code.size} exceeds ml-exhaustive cap {ML_CODE_CAP}")
         theta = normalize_energy(code.matrices, T)
         # Rows are the (snr index, trial) pairs of every point the code
         # serves, in order; each row is amplified by its own point's SNR.

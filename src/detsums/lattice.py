@@ -215,6 +215,15 @@ def _bound_sq(radius: float) -> float:
     return radius * radius * (1.0 + _RADIUS_TOL)
 
 
+def _radius_grid(radii: Sequence[float]) -> list[float]:
+    """The radii as floats; ValueError unless nonempty, positive and strictly increasing."""
+    radii = list(radii)
+    if not radii or not radii[0] > 0 or any(not b > a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"radii must be nonempty, positive and strictly increasing, "
+                         f"got {radii!r}")
+    return [float(r) for r in radii]
+
+
 def predicted_point_count(lat: MatrixLattice, radius: float) -> float:
     """Volume heuristic for |L(radius)|, padded for surface effects."""
     vol = _ball_volume(lat.k, radius) / lat.covolume
@@ -571,13 +580,7 @@ def esp_blocks(lat: MatrixLattice, radius: float, *,
 def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,
                  budget: int = DEFAULT_BUDGET) -> list[int]:
     """|L(M)| for each radius M in an increasing list, from one orbit walk."""
-    radii = list(radii)
-    if not radii:
-        raise ValueError("radii must be nonempty")
-    if any(not b > a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
-    if not radii[0] > 0:
-        raise ValueError("radii must be positive")
+    radii = _radius_grid(radii)
     bounds = np.array([_bound_sq(r) for r in radii])
     counts = np.zeros(len(radii), dtype=np.int64)
     for _, norm_sq in coefficient_blocks(lat, radii[-1], budget=budget):

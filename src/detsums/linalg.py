@@ -44,11 +44,9 @@ __all__ = [
 _CLAMP_REL = 1e-12
 
 
-def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def as_complex_matrix(entries) -> np.ndarray:
     """Validate and return a finite 2-D complex128 matrix."""
     X = np.asarray(entries, dtype=np.complex128)
-    if rows is not None:
-        X = X.reshape(rows, cols)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     if X.shape[0] < 1 or X.shape[1] < 1:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .bounds import (BoundEnvelope, DmtCurve, dmt_envelope, dmt_ml_bound,
@@ -25,7 +25,7 @@ from .bounds import (BoundEnvelope, DmtCurve, dmt_envelope, dmt_ml_bound,
                      snr_threshold_exponent)
 from .channel import ChannelConfig, SimResult, fixed_code, simulate, union_bounds
 from .codes import CodeSpec, min_abs_det_ball
-from .lattice import DEFAULT_BUDGET, MatrixLattice
+from .lattice import DEFAULT_BUDGET, MatrixLattice, _radius_grid
 from .schema import (BOOLEAN, INTEGER, INTEGERS, NUMBER, NUMBER_TABLE, NUMBERS,
                      STRING, JsonFields, json_field, section, sections)
 from .sums import SumSpec, sum_curves
@@ -43,19 +43,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SumJob(JsonFields):
-    """One sum family evaluated on a radius grid."""
+class SumJob(SumSpec, JsonFields):
+    """A ``SumSpec`` with its radius grid; both are checked when the config
+    is read."""
 
-    family: str = json_field("family", STRING)
-    m: float = json_field("m", NUMBER)
-    radii: tuple = json_field("radii", NUMBERS)
-    c: float = json_field("c", NUMBER, default=0.0)
-    i: int | None = json_field("i", INTEGER, default=None)
-    skip_singular: bool = json_field("skipSingular", BOOLEAN, default=False)
+    radii: tuple = json_field("radii", NUMBERS, kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        _radius_grid(self.radii)
 
     def spec(self) -> SumSpec:
-        return SumSpec(family=self.family, m=self.m, c=self.c, i=self.i,
-                       skip_singular=self.skip_singular)
+        """The job as a plain ``SumSpec``, as ``sum_curves`` takes it."""
+        return SumSpec(**{f.name: getattr(self, f.name) for f in fields(SumSpec)})
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,11 @@ class ExperimentConfig(JsonFields):
             have, lack = (("compareCValues", "compareRadii") if self.compare_c_values
                           else ("compareRadii", "compareCValues"))
             raise ValueError(f"experiment config has {have!r} but no {lack!r}")
+        for key, values in (("compareCValues", self.compare_c_values),
+                            ("compareRadii", self.compare_radii)):
+            if not all(v > 0 for v in values):
+                raise ValueError(f"{key} must be positive in an experiment config, "
+                                 f"got {list(values)!r}")
 
 
 def _canonical_json(doc: dict) -> str:
@@ -151,10 +156,9 @@ class ExperimentReport:
                 f"det scan: min |det X| over |X|_F <= {ls['detScanRadius']!r} "
                 f"is {ls['minAbsDet']!r}")
         for curve in self.curves:
-            tail = curve.values[-1] if curve.values else float("nan")
             lines.append(
                 f"sum {curve.spec.label()}: {len(curve.radii)} radii up to "
-                f"{curve.radii[-1]!r}, last value {tail!r}")
+                f"{curve.radii[-1]!r}, last value {curve.values[-1]!r}")
         for name, fit in sorted(self.fits.items()):
             lines.append(
                 f"fit {name}: s={fit.s!r} t={fit.t!r} residual={fit.residual!r}"
@@ -188,18 +192,17 @@ class ExperimentReport:
 
 
 def compare_bound_vs_truth(lat: MatrixLattice, envelope: BoundEnvelope, c_values,
-                           radii, *, budget: int = DEFAULT_BUDGET,
-                           slack: float = 1e-9) -> list:
+                           radii, *, budget: int = DEFAULT_BUDGET) -> list:
     """Empirical shifted sums, at the envelope's exponent m, against the
     anchored envelope shape.
 
     The envelope's unknown constant is fixed at the anchor cell (largest c,
     largest M); every other cell reports empirical / scaled-envelope with an
-    ``ok`` flag for ratio <= 1 + slack.  Every cell comes from one walk.
+    ``ok`` flag for ratio <= 1 + 1e-9.  Every cell comes from one walk.
     """
     c_values, radii = list(c_values), list(radii)
     curves = sum_curves(lat, _compare_jobs(envelope.m, c_values, radii), budget=budget)
-    return _compare_rows(envelope, c_values, radii, curves, slack)
+    return _compare_rows(envelope, c_values, radii, curves)
 
 
 def _compare_jobs(m: int, c_values, radii) -> list:
@@ -211,24 +214,29 @@ def _compare_jobs(m: int, c_values, radii) -> list:
     return [(SumSpec(family="shifted", m=float(m), c=float(c)), grid) for c in c_values]
 
 
-def _compare_rows(envelope: BoundEnvelope, c_values, radii, curves,
-                  slack: float = 1e-9) -> list:
-    """The compare table from the curves of ``_compare_jobs``."""
+def _compare_rows(envelope: BoundEnvelope, c_values, radii, curves) -> list:
+    """The compare table from the curves of ``_compare_jobs``; a cell where
+    the envelope shape is not positive (log M at M <= 1) is a ValueError."""
     table = {(curve.spec.c, M): v for curve in curves
              for M, v in zip(curve.radii, curve.values)}
     c_values = sorted(float(c) for c in c_values)
     radii = sorted(float(M) for M in radii)
+    shape = {(c, M): envelope.shape_value(c, M) for c in c_values for M in radii}
+    for (c, M), value in shape.items():
+        if not value > 0:
+            raise ValueError(f"envelope shape is {value!r} at (c, M) = ({c!r}, {M!r}); "
+                             "compare cells need a positive shape")
     anchor = (c_values[-1], radii[-1])
-    scale = table[anchor] / envelope.shape_value(*anchor)
+    scale = table[anchor] / shape[anchor]
     rows = []
     for c in c_values:
         for M in radii:
-            shaped = scale * envelope.shape_value(c, M)
+            shaped = scale * shape[(c, M)]
             ratio = table[(c, M)] / shaped
             rows.append({
                 "c": c, "M": M, "empirical": table[(c, M)], "envelope": shaped,
                 "ratio": ratio, "active_i": envelope.active_index(c, M),
-                "ok": ratio <= 1.0 + slack,
+                "ok": ratio <= 1.0 + 1e-9,
             })
     return rows
 
@@ -249,6 +257,8 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
     cells, one walk) -> growth fits -> envelope -> DMT curves -> SNR
     thresholds -> simulation -> comparison.
     ``out_dir=None`` computes everything without touching the filesystem.
+    ``config.budget`` caps every walk of the run: the determinant scan, the
+    sums, the simulation's codes and the union bound.
     ``n_jobs`` (at least 1) does not change the walk, which runs once on the
     calling thread; the report is the same for every value.
     """
@@ -324,9 +334,9 @@ def run(config: ExperimentConfig, out_dir=None, *, n_jobs: int = 1) -> Experimen
     sim_result = None
     sim_bound = []
     if config.sim is not None:
-        sim_result = simulate(lat, config.sim)
+        sim_result = simulate(lat, config.sim, budget=config.budget)
         if config.sim.fixed_radius is not None:
-            code = fixed_code(lat, config.sim.fixed_radius, budget=config.sim.budget)
+            code = fixed_code(lat, config.sim.fixed_radius, budget=config.budget)
             sim_bound = union_bounds(
                 code, config.sim.n_r, [10.0 ** (db / 10.0) for db in config.sim.snr_grid_db],
                 chernoff_scaling=config.sim.chernoff_scaling, budget=config.budget)

@@ -82,10 +82,11 @@ def sections(cls) -> Kind:
                 lambda v: [cls.to_dict(job) for job in v])
 
 
-def json_field(key: str, kind: Kind, **default):
+def json_field(key: str, kind: Kind, **options):
     """A dataclass field stored under the JSON ``key`` as ``kind``; a
-    ``default`` or ``default_factory`` goes to ``dataclasses.field``."""
-    return dataclasses.field(metadata={"key": key, "kind": kind}, **default)
+    ``default``, ``default_factory`` or ``kw_only`` goes to
+    ``dataclasses.field``."""
+    return dataclasses.field(metadata={"key": key, "kind": kind}, **options)
 
 
 class JsonFields:

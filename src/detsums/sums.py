@@ -46,8 +46,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HypothesisViolated, ProofBoundExceeded, SingularPoint
-from .lattice import DEFAULT_BUDGET, MatrixLattice, _bound_sq, esp_blocks
+from .lattice import DEFAULT_BUDGET, MatrixLattice, _bound_sq, _radius_grid, esp_blocks
 from .linalg import _shifted_from_esp, _singular_mask
+from .schema import BOOLEAN, INTEGER, NUMBER, STRING, json_field
 
 __all__ = [
     "SumSpec",
@@ -74,17 +75,17 @@ def _finite_real(x) -> bool:
 
 @dataclass(frozen=True)
 class SumSpec:
-    """One member of a sum family.
+    """One member of a sum family, with the JSON keys of its fields.
 
     ``m`` is the outer exponent, ``c`` the shift (shifted family only) and
     ``i`` the split index of the mixed family (0 <= i <= m).
     """
 
-    family: str
-    m: float
-    c: float = 0.0
-    i: int | None = None
-    skip_singular: bool = False
+    family: str = json_field("family", STRING)
+    m: float = json_field("m", NUMBER)
+    c: float = json_field("c", NUMBER, default=0.0)
+    i: int | None = json_field("i", INTEGER, default=None)
+    skip_singular: bool = json_field("skipSingular", BOOLEAN, default=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -188,12 +189,10 @@ def sum_curves(lat: MatrixLattice, jobs: Sequence[tuple[SumSpec, Sequence[float]
     is the exactly rounded sum of the per-block shell partials up to its
     radius, each term weighted by its row's weight.
     """
-    jobs = [(spec, [float(r) for r in radii]) for spec, radii in jobs]
+    jobs = [(spec, _radius_grid(radii)) for spec, radii in jobs]
     if not jobs:
         return []
-    for spec, radii in jobs:
-        if not radii or not radii[0] > 0 or any(not b > a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be positive and strictly increasing")
+    for spec, _ in jobs:
         if spec.family == "approximate" and lat.n != lat.T:
             raise ValueError("approximate family requires square matrices (n == T)")
     bounds = [[_bound_sq(r) for r in radii] for _, radii in jobs]
@@ -363,7 +362,7 @@ def convergence_probe(lat: MatrixLattice, m: float, c: float,
     if lat.min_norm_sq < 1.0 - 1e-9:
         raise HypothesisViolated(
             f"convergence probe needs min norm >= 1, got {math.sqrt(lat.min_norm_sq):.6g}")
-    radii = [float(r) for r in radii]
+    radii = _radius_grid(radii)
     if len(radii) < 2:
         raise ValueError("need at least two radii")
     for a, b in zip(radii, radii[1:]):

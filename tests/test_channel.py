@@ -139,7 +139,8 @@ def test_simulation_seed_changes_stream(golden_lattice):
 
 
 def test_simulation_code_too_large(golden_lattice):
-    cfg = _small_cfg(fixed_radius=2.0, ml_code_cap=100)
+    # L(2.5) holds 6,864 codewords, above the ML cap of 4,096.
+    cfg = _small_cfg(fixed_radius=2.5)
     with pytest.raises(CodeTooLarge):
         simulate(golden_lattice, cfg)
 
@@ -233,11 +234,8 @@ def test_code_cache_is_bounded(zi_lattice, monkeypatch):
 
 
 def test_config_round_trip_keeps_budget():
-    cfg = _small_cfg(budget=1234, decoder="naive-lattice", noise_scale=0.5)
+    cfg = _small_cfg(decoder="naive-lattice", noise_scale=0.5)
     assert ChannelConfig.from_dict(cfg.to_dict()) == cfg
-    doc = cfg.to_dict()
-    del doc["budget"]
-    assert ChannelConfig.from_dict(doc).budget == DEFAULT_BUDGET
 
 
 def test_config_validation():
@@ -408,18 +406,18 @@ def _reference_complex_gaussian(rng, shape):
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def _reference_simulate(lat, cfg):
+def _reference_simulate(lat, cfg, *, budget=DEFAULT_BUDGET):
     """Per-trial simulator: a fresh Philox per (SNR point, trial), one
     einsum metric per ML trial, one recursive sphere search per naive
     trial."""
     fixed = None
     if cfg.fixed_radius is not None:
-        fixed = fixed_code(lat, cfg.fixed_radius, budget=cfg.budget)
+        fixed = fixed_code(lat, cfg.fixed_radius, budget=budget)
     rates, counts, halfwidths, overflows = [], [], [], []
     for snr_index, snr_db in enumerate(cfg.snr_grid_db):
         rho = 10.0 ** (snr_db / 10.0)
         code = fixed if fixed is not None else coding_scheme(
-            lat, cfg.multiplexing_r, rho, budget=cfg.budget)
+            lat, cfg.multiplexing_r, rho, budget=budget)
         theta = normalize_energy(code.matrices, lat.T)
         amp = math.sqrt(rho / lat.n) * theta
         candidates = amp * code.matrices

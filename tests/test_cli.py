@@ -279,11 +279,38 @@ def _with_sim(doc, **fields):
      "experiment config has 'compareCValues' but no 'compareRadii'"),
     (lambda doc: doc.update(envelope={"m": 2, "indices": [0]}, compareRadii=[4.0]),
      "experiment config has 'compareRadii' but no 'compareCValues'"),
+    (lambda doc: doc.update(envelope={"m": 2, "indices": [0]}, compareCValues=[0, 1],
+                            compareRadii=[4.0]),
+     "compareCValues must be positive in an experiment config, got [0, 1]"),
+    # The log-regime shape c^-1 log M is negative at M = 0.5 and zero at M = 1.
+    (lambda doc: doc.update(code={"kind": "gaussian-diagonal", "params": {"n": 1}},
+                            envelope={"m": 1, "indices": [1]}, compareCValues=[1.0],
+                            compareRadii=[0.5, 1]),
+     "envelope shape is -0.6931471805599453 at (c, M) = (1.0, 0.5); compare cells "
+     "need a positive shape"),
+    (lambda doc: doc["sumJobs"][0].update(family="foo"),
+     "family must be one of ('shifted', 'approximate', 'mixed'), got 'foo'"),
+    (lambda doc: doc["sumJobs"][0].update(m=-1),
+     "exponent m must be a finite positive number, got -1"),
+    (lambda doc: doc["sumJobs"][0].update(c=-1),
+     "shift c must be a finite nonnegative number, got -1"),
+    (lambda doc: doc["sumJobs"][0].update(family="mixed"),
+     "mixed family needs an integer split index 0 <= i <= m, got None"),
+    (lambda doc: doc["sumJobs"][0].update(radii=[4, 2]),
+     "radii must be nonempty, positive and strictly increasing, got [4, 2]"),
+    (lambda doc: doc["sumJobs"][0].update(radii=[0, 1]),
+     "radii must be nonempty, positive and strictly increasing, got [0, 1]"),
+    (lambda doc: _with_sim(doc, budget=1000),
+     "experiment config section 'sim' has the unknown key 'budget'"),
+    (lambda doc: _with_sim(doc, mlCodeCap=100),
+     "experiment config section 'sim' has the unknown key 'mlCodeCap'"),
 ], ids=["radii-string", "radii-bool", "skipSingular", "fitFromCurves", "compareRadii",
         "compareCValues", "chernoffScaling", "trialsPerPoint", "n_r", "snrGridDb-nan",
         "sTable-nan", "detScanRadius-inf", "compareRadii-inf", "detScanRadius-huge",
         "dmt-without-envelope", "compare-without-envelope", "compareCValues-alone",
-        "compareRadii-alone"])
+        "compareRadii-alone", "compareCValues-zero", "compare-log-shape-at-M-1",
+        "family-foo", "m-negative", "c-negative", "mixed-without-i", "radii-decreasing",
+        "radii-zero", "sim-budget", "sim-mlCodeCap"])
 def test_config_field_of_the_wrong_type_is_a_computation_error(capsys, tmp_path,
                                                                edit, message):
     code, out, err = _run_config_with(capsys, tmp_path, edit)

@@ -175,10 +175,10 @@ def test_run_walks_each_ball_once(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name,with_sim,prefix", [
-    ("golden", False, "faec1d61a354d45d"), ("golden", True, "c99b5564c0497b51"),
-    ("diagonal-nf-2", False, "3ca4aa9f65bda4b6"), ("diagonal-nf-2", True, "98b58c4fa7584726"),
+    ("golden", False, "faec1d61a354d45d"), ("golden", True, "458927c422107877"),
+    ("diagonal-nf-2", False, "3ca4aa9f65bda4b6"), ("diagonal-nf-2", True, "f4ac6242e50d32dd"),
     ("gaussian-diagonal-2", False, "f85e3be3fcc5d9ea"),
-    ("gaussian-diagonal-2", True, "3c4230752d208263"),
+    ("gaussian-diagonal-2", True, "e4637d0e06aa40c6"),
 ])
 def test_preset_config_hashes_and_round_trips_are_pinned(name, with_sim, prefix):
     cfg = build_preset(name, with_sim=with_sim)
@@ -188,6 +188,31 @@ def test_preset_config_hashes_and_round_trips_are_pinned(name, with_sim, prefix)
     assert again == cfg
     # Key for key and type for type: an int stays an int.
     assert json.dumps(again.to_dict(), sort_keys=True) == text
+
+
+def _job(**fields):
+    """An edit of a config document's second sum job."""
+    return lambda doc: doc["sumJobs"][1].update(fields)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_job(family="foo"), "family must be one of"),
+    (_job(m=-1), "exponent m must be a finite positive number"),
+    (_job(c=-1), "shift c must be a finite nonnegative number"),
+    (_job(family="mixed"), "mixed family needs an integer split index"),
+    (_job(radii=[4, 2]), "radii must be nonempty, positive and strictly increasing"),
+    (_job(radii=[0, 1]), "radii must be nonempty, positive and strictly increasing"),
+    (_job(radii=[]), "radii must be nonempty, positive and strictly increasing"),
+    (lambda doc: doc.update(compareCValues=[0.0, 1.0]), "compareCValues must be positive"),
+    (lambda doc: doc.update(compareRadii=[-2.0, 4.0]), "compareRadii must be positive"),
+], ids=["family-foo", "m-negative", "c-negative", "mixed-without-i", "radii-decreasing",
+        "radii-zero", "radii-empty", "compareCValues-zero", "compareRadii-negative"])
+def test_bad_sum_job_or_compare_cell_is_rejected_when_the_config_is_read(edit, message):
+    # Reading the config raises; no run is needed to find the error.
+    doc = build_preset("golden").to_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(doc)
 
 
 @pytest.mark.parametrize("table", [{"01": 1.0}, {"+1": 1.0}, {" 1": 1.0}, {"x": 1.0}])
