@@ -105,7 +105,7 @@ class ChannelConfig(JsonFields):
         if not isinstance(self.chernoff_scaling, bool):
             raise ValueError(f"chernoff_scaling must be a boolean, "
                              f"got {self.chernoff_scaling!r}")
-        grid = tuple(float(v) for v in self.snr_grid_db)
+        grid = tuple(self.snr_grid_db)
         if not all(map(math.isfinite, grid)):
             raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db!r}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -113,6 +113,10 @@ class ChannelConfig(JsonFields):
         object.__setattr__(self, "snr_grid_db", grid)
         if (self.multiplexing_r is None) == (self.fixed_radius is None):
             raise ValueError("set exactly one of multiplexing_r and fixed_radius")
+        if self.fixed_radius is not None and not self.fixed_radius > 0:
+            raise ValueError(f"fixedRadius must be positive, got {self.fixed_radius!r}")
+        if self.multiplexing_r is not None and not self.multiplexing_r >= 0:
+            raise ValueError(f"multiplexingR must be nonnegative, got {self.multiplexing_r!r}")
 
 
 @dataclass(frozen=True)

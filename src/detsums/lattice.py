@@ -31,8 +31,8 @@ caller wants the whole ball, and ``realize_block`` turns coefficient rows
 into matrices.  ``esp_blocks`` yields each row's norm, its e, the
 elementary symmetric polynomials of the eigenvalues of X X*, which is all
 that every sum term needs, and its weight, the points the row stands for:
-``orbit_size`` on a walk, whose blocks it realizes into buffers each thread
-keeps.
+``orbit_size`` on a walk, whose blocks it realizes as they come into one
+buffer it holds for the length of the call.
 
 On the golden code e is exact up to fixed scales, and no walk of the whole
 ball is needed.  Write X = X_A + X_B, the parts on the first (A) and second
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -102,9 +101,6 @@ _MAX_CHILDREN = 1 << 13
 
 # Internal budget for the shortest-vector search at build time.
 _MIN_NORM_BUDGET = 10 ** 7
-
-# This thread's realization buffers (see ``_realize``).
-_buffers = threading.local()
 
 
 @dataclass(frozen=True)
@@ -270,10 +266,10 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
           orbit: int = 2) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Depth-first block enumeration of 0 < z^T G z <= rad_sq, one point per orbit.
 
-    Yields (coeffs, norm_sq) with coefficients in natural index order, one
-    z of each +/-z pair: the one whose highest nonzero coefficient is
-    positive.  A row whose higher coefficients are all zero has ``used``
-    exactly 0.0, so that is the mask.  With ``orbit`` 4 the coefficients form
+    Yields (coeffs, norm_sq) with coefficients in natural index order, as
+    float64 (exact integers), one z of each +/-z pair: the one whose highest
+    nonzero coefficient is positive.  A row whose higher coefficients are
+    all zero has ``used`` exactly 0.0, so that is the mask.  With ``orbit`` 4 the coefficients form
     pairs (z[2j], z[2j+1]) = (a, b) on which X -> iX acts as (a, b) -> (-b, a),
     and the walk yields one z of each orbit of four: the one whose highest
     nonzero pair has a > 0 and b >= 0.  The odd level of a pair hands the
@@ -284,9 +280,11 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
 
     Frontiers do not carry their coefficient prefixes: each level keeps its
     values and the row of the parent they extend, and a leaf block gathers
-    its coefficients along that path.  A level expands ``_MAX_CHILDREN``
-    children at a time (``_windows``) and passes all it keeps of them down at
-    once, so a leaf block holds at most ``_MAX_CHILDREN`` rows.
+    its coefficients along that path, into a (k, B) array whose transpose it
+    yields: the layout ``realize_block`` multiplies as it is.  A level
+    expands ``_MAX_CHILDREN`` children at a time (``_windows``) and passes
+    all it keeps of them down at once, so a leaf block holds at most
+    ``_MAX_CHILDREN`` rows.
     """
     k = U.shape[0]
 
@@ -313,7 +311,7 @@ def _walk(U: np.ndarray, rad_sq: float, *, budget: PointBudget | None = None,
             if rows.size == 0:
                 continue
             if level == 0:
-                coeffs = np.empty((k, rows.size), dtype=np.int64)
+                coeffs = np.empty((k, rows.size))
                 coeffs[0] = zvals
                 idx = rows
                 for j, (z, parent) in enumerate(reversed(path), start=1):
@@ -497,57 +495,30 @@ def coefficient_blocks(lat: MatrixLattice, radius: float, *,
                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the (coeffs, norm_sq) blocks of the orbit walk of L(radius).
 
-    Coefficient rows are in natural index order, one point of each orbit of
-    ``orbit_size`` nonzero points (see ``_walk`` for which one);
+    Coefficient rows are int64, in natural index order, one point of each
+    orbit of ``orbit_size`` nonzero points (see ``_walk`` for which one);
     ``orbit_images`` expands a block to its orbits.  ``budget`` is a point
     cap or a ``PointBudget`` the walk charges.
     """
     budget = _checked_budget(lat, radius, budget)
-    yield from _walk(lat.chol_upper, _bound_sq(radius), budget=budget,
-                     orbit=lat.orbit_size)
+    for coeffs, norm_sq in _walk(lat.chol_upper, _bound_sq(radius), budget=budget,
+                                 orbit=lat.orbit_size):
+        yield coeffs.astype(np.int64), norm_sq
 
 
 def realize_block(lat: MatrixLattice, coeffs: np.ndarray, *,
-                  out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Realize a (B, k) coefficient block as a (B, n, T) matrix stack.
 
     The product runs in real arithmetic on the interleaved basis, whose rows
-    read back as complex entries.  ``out`` = (copy, product) are caller-owned
-    float64 arrays of shapes (B, k) and (B, 2nT), the product C-contiguous:
-    the coefficients are copied into the first and multiplied into the
-    second, and the stack returned is a view of the product, valid until the
-    caller writes to it again.  Without ``out`` both arrays are fresh.
+    read back as complex entries.  Float coefficients are multiplied as they
+    are, integer ones as float64 in their layout.  ``out`` is a caller-owned
+    C-contiguous float64 array of shape (B, 2nT) that takes the product; the
+    stack returned is then a view of it, valid until the caller writes to it
+    again.  Without ``out`` the product is a fresh array.
     """
-    if out is None:
-        flat = coeffs.astype(float) @ lat.real_basis
-    else:
-        copy, flat = out
-        np.copyto(copy, coeffs)
-        np.matmul(copy, lat.real_basis, out=flat)
+    flat = np.matmul(coeffs.astype(float, copy=False), lat.real_basis, out=out)
     return flat.view(np.complex128).reshape(-1, lat.n, lat.T)
-
-
-def _realize(lat: MatrixLattice, coeffs: np.ndarray) -> np.ndarray:
-    """``realize_block`` into this thread's two buffers.
-
-    The buffers hold the largest block the thread has realized (rows times
-    2nT columns, and k <= 2nT), grow when a larger one arrives, and are
-    reused by every later block on the thread, across calls: fresh arrays per
-    block cost a page fault per page, since the allocator hands the freed
-    heap back to the kernel between blocks.  Callers on separate threads
-    never share them.
-    """
-    rows, k = coeffs.shape
-    width = lat.real_basis.shape[1]
-    size = rows * width
-    held = getattr(_buffers, "held", None)
-    if held is None or held[0].size < size:
-        held = _buffers.held = (np.empty(size), np.empty(size))
-    copy, flat = held
-    # The walks yield the transpose of a (k, B) array; a copy laid out alike
-    # is multiplied as coeffs.astype(float) would be.
-    return realize_block(lat, coeffs, out=(copy[:rows * k].reshape(k, rows).T,
-                                           flat[:size].reshape(rows, width)))
 
 
 def esp_blocks(lat: MatrixLattice, radius: float, *,
@@ -562,9 +533,10 @@ def esp_blocks(lat: MatrixLattice, radius: float, *,
     Where the cell table holds (``_half_histograms``: the golden code, among
     others) the rows are its cells, each once (``_cell_table``).  Elsewhere
     they are the rows of ``coefficient_blocks``, in its order and with its
-    norms, each weighted by ``orbit_size``, realized into this thread's
-    buffers (``_realize``) and given to ``_esp_batch``; e is a fresh array,
-    and nothing keeps the realized block.
+    norms, each weighted by ``orbit_size``, realized into the leading rows of
+    one (``_MAX_CHILDREN``, 2nT) buffer the call holds, and given to
+    ``_esp_batch``; e is a fresh array, and nothing keeps the realized block.
+    Each call owns its buffer, so calls on separate threads share nothing.
     """
     budget = _checked_budget(lat, radius, budget)
     rad_sq = _bound_sq(radius)
@@ -573,8 +545,11 @@ def esp_blocks(lat: MatrixLattice, radius: float, *,
         yield from _cell_table(hists, rad_sq, budget=budget)
         return
     orbit = lat.orbit_size
+    # One product buffer for the whole call: a fresh array per block measured slower.
+    product = np.empty((_MAX_CHILDREN, lat.real_basis.shape[1]))
     for coeffs, norm_sq in _walk(lat.chol_upper, rad_sq, budget=budget, orbit=orbit):
-        yield norm_sq, _esp_batch(_realize(lat, coeffs)), np.full(norm_sq.size, float(orbit))
+        X = realize_block(lat, coeffs, out=product[:norm_sq.size])
+        yield norm_sq, _esp_batch(X), np.full(norm_sq.size, float(orbit))
 
 
 def shell_counts(lat: MatrixLattice, radii: Sequence[float], *,

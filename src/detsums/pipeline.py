@@ -120,6 +120,9 @@ class ExperimentConfig(JsonFields):
             if not all(v > 0 for v in values):
                 raise ValueError(f"{key} must be positive in an experiment config, "
                                  f"got {list(values)!r}")
+        if self.det_scan_radius is not None and not self.det_scan_radius > 0:
+            raise ValueError(f"detScanRadius must be positive in an experiment config, "
+                             f"got {self.det_scan_radius!r}")
 
 
 def _canonical_json(doc: dict) -> str:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -236,6 +237,9 @@ def test_code_cache_is_bounded(zi_lattice, monkeypatch):
 def test_config_round_trip_keeps_budget():
     cfg = _small_cfg(decoder="naive-lattice", noise_scale=0.5)
     assert ChannelConfig.from_dict(cfg.to_dict()) == cfg
+    # An integer grid is given back as integers, type for type.
+    doc = dict(cfg.to_dict(), snrGridDb=[5, 10])
+    assert json.dumps(ChannelConfig.from_dict(doc).to_dict()) == json.dumps(doc)
 
 
 def test_config_validation():

@@ -304,13 +304,19 @@ def _with_sim(doc, **fields):
      "experiment config section 'sim' has the unknown key 'budget'"),
     (lambda doc: _with_sim(doc, mlCodeCap=100),
      "experiment config section 'sim' has the unknown key 'mlCodeCap'"),
+    (lambda doc: _with_sim(doc, fixedRadius=-1.0), "fixedRadius must be positive, got -1.0"),
+    (lambda doc: _with_sim(doc, fixedRadius=None, multiplexingR=-0.5),
+     "multiplexingR must be nonnegative, got -0.5"),
+    (lambda doc: doc.update(detScanRadius=-1.0),
+     "detScanRadius must be positive in an experiment config, got -1.0"),
 ], ids=["radii-string", "radii-bool", "skipSingular", "fitFromCurves", "compareRadii",
         "compareCValues", "chernoffScaling", "trialsPerPoint", "n_r", "snrGridDb-nan",
         "sTable-nan", "detScanRadius-inf", "compareRadii-inf", "detScanRadius-huge",
         "dmt-without-envelope", "compare-without-envelope", "compareCValues-alone",
         "compareRadii-alone", "compareCValues-zero", "compare-log-shape-at-M-1",
         "family-foo", "m-negative", "c-negative", "mixed-without-i", "radii-decreasing",
-        "radii-zero", "sim-budget", "sim-mlCodeCap"])
+        "radii-zero", "sim-budget", "sim-mlCodeCap", "fixedRadius-negative",
+        "multiplexingR-negative", "detScanRadius-negative"])
 def test_config_field_of_the_wrong_type_is_a_computation_error(capsys, tmp_path,
                                                                edit, message):
     code, out, err = _run_config_with(capsys, tmp_path, edit)

@@ -14,6 +14,7 @@ from detsums.lattice import (DEFAULT_BUDGET, PointBudget, _bound_sq,
                              predicted_point_count, realize_block,
                              shell_counts)
 from detsums.linalg import _esp_batch, det_batch
+from detsums.sums import SumSpec, sum_curves
 
 from conftest import (_r8, ball_points, box_scan_coeffs,
                       random_golden_shaped_lattice, random_paired_lattice,
@@ -281,7 +282,10 @@ def test_wide_levels_split_without_changing_the_walk(monkeypatch, code, radius):
                                           np.array([[0.3j, 1.0]]),
                                           np.array([[0.2, 0.7 + 0.1j]])])}[code]()
 
+    jobs = [(SumSpec(family="shifted", m=2, c=1.0), [radius / 2, radius]),
+            (SumSpec(family="mixed", m=2, i=1, skip_singular=True), [radius / 3, radius])]
     whole, whole_norms = _walk_rows(lat, radius)
+    whole_sums = sum_curves(lat, jobs)
     cap = 8
     monkeypatch.setattr(lattice, "_MAX_CHILDREN", cap)
     split, split_norms = _walk_rows(lat, radius)
@@ -290,6 +294,13 @@ def test_wide_levels_split_without_changing_the_walk(monkeypatch, code, radius):
     assert np.array_equal(split_norms, whole_norms)
     # The walk expands cap children at a time, so no block holds more rows.
     assert largest <= cap
+    # The sums realize such blocks into a buffer sized by the cap.  Block
+    # boundaries move the per-block partial sums, so values may differ in
+    # their last bits; the points counted may not.
+    for split_curve, whole_curve in zip(sum_curves(lat, jobs), whole_sums):
+        assert split_curve.point_counts == whole_curve.point_counts
+        assert split_curve.singular_counts == whole_curve.singular_counts
+        assert split_curve.values == pytest.approx(whole_curve.values, rel=1e-12)
 
 
 def test_golden_counts_match_jacobi_r8(golden_lattice):

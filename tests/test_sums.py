@@ -203,31 +203,23 @@ def test_n_jobs_leaves_the_curve_bit_identical(golden_lattice):
     assert curve.singular_counts == base.singular_counts
 
 
-def _in_a_new_thread(fn):
-    """fn() on a thread of its own, which starts without realization buffers;
-    its exception, if any, is raised here."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(fn).result()
-
-
 def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice,
                                                       zi_lattice, monkeypatch):
-    # One thread's blocks share its realization buffers.  The lattices that
-    # realize their blocks differ in k (4, 2) and 2nT (8, 2), so the new
-    # thread's buffers, sized by its first block, must grow to take later
-    # ones, and the call on gaussian_diagonal(2) raises SingularPoint on a
-    # realized block; the golden calls, which realize no block, run in
-    # between.  Values match fresh arrays for every block bit for bit.
+    # Each walk realizes its blocks into a buffer of its own.  The lattices
+    # that realize their blocks differ in k (4, 2) and 2nT (8, 2), and the
+    # call on gaussian_diagonal(2) raises SingularPoint on a realized block,
+    # which leaves its walk unfinished; the golden calls, which realize no
+    # block, run in between.  Values match fresh arrays for every block bit
+    # for bit.
     from detsums import lattice
-    realized = {}                       # thread -> size of each block it realized
-    realize = lattice._realize
+    realize = lattice.realize_block
+    shapes = set()                      # (k, 2nT) of each realized block
 
-    def recording(lat, coeffs):
-        realized.setdefault(threading.get_ident(), []).append(
-            coeffs.shape[0] * lat.real_basis.shape[1])
-        return realize(lat, coeffs)
+    def recording(lat, coeffs, *, out=None):
+        shapes.add((coeffs.shape[1], out.shape[1]))
+        return realize(lat, coeffs, out=out)
 
-    monkeypatch.setattr(lattice, "_realize", recording)
+    monkeypatch.setattr(lattice, "realize_block", recording)
     shifted = SumSpec(family="shifted", m=4, c=1.0)
     approximate = SumSpec(family="approximate", m=2)
     mixed = SumSpec(family="mixed", m=4, i=2)
@@ -242,39 +234,37 @@ def test_realization_buffers_survive_changes_of_shape(golden_lattice, nf_lattice
                                               (mixed, [8.0, 32.0])]),
     }
     singular = gaussian_diagonal(2)
-
-    def interleave():
-        first = {name: calls[name]() for name in ("zi", "nf", "nf8", "golden")}
-        for name in ("golden", "zi", "nf", "nf8", "golden", "nf", "zi", "nf8"):
-            with pytest.raises(SingularPoint):
-                sum_curves(singular, [(shifted, [8.0]), (approximate, [4.0, 8.0])])
-            assert calls[name]() == first[name]
-        return first, threading.get_ident(), lattice._buffers.held[0].size
-
-    first, thread, held = _in_a_new_thread(interleave)
-    sizes = realized[thread]
-    assert max(sizes[1:]) > sizes[0]            # the buffers had to grow
-    assert held == max(sizes)                   # to the largest block, no more
-    for name, call in calls.items():
-        assert call() == first[name]        # on this thread's own buffers
-    monkeypatch.setattr(lattice, "_realize", lattice.realize_block)
+    first = {name: calls[name]() for name in ("zi", "nf", "nf8", "golden")}
+    for name in ("golden", "zi", "nf", "nf8", "golden", "nf", "zi", "nf8"):
+        with pytest.raises(SingularPoint):
+            sum_curves(singular, [(shifted, [8.0]), (approximate, [4.0, 8.0])])
+        assert calls[name]() == first[name]
+    assert shapes == {(4, 8), (2, 2)}
+    monkeypatch.setattr(lattice, "realize_block",
+                        lambda lat, coeffs, *, out=None: realize(lat, coeffs))
     assert {name: call() for name, call in calls.items()} == first
 
 
 @pytest.mark.parametrize("callers", [2, 4])
-def test_concurrent_callers_keep_their_values(golden_lattice, callers):
-    # Callers on separate threads realize into buffers of their own; more
-    # callers than cores and a short switch interval shake the timing.
+def test_concurrent_callers_keep_their_values(golden_lattice, nf_lattice, callers):
+    # Callers on separate threads walk with buffers of their own; more
+    # callers than cores and a short switch interval shake the timing.  The
+    # golden sums read the cell table, the nf_lattice ones realize every block.
     spec = SumSpec(family="mixed", m=4, i=2)
-    radii = [2.0, 3.0, 4.0]
-    jobs = [(spec, radii), (SumSpec(family="shifted", m=4, c=1.0), [1.0, 2.0])]
-    expected = sum_curve(golden_lattice, spec, radii), sum_curves(golden_lattice, jobs)
+    shifted = SumSpec(family="shifted", m=4, c=1.0)
+    inputs = [(golden_lattice, [2.0, 3.0, 4.0], [1.0, 2.0]),
+              (nf_lattice, [8.0, 16.0, 24.0], [8.0, 16.0])]
+
+    def sums():
+        return [(sum_curve(lat, spec, radii), sum_curves(lat, [(spec, radii), (shifted, short)]))
+                for lat, radii, short in inputs]
+
+    expected = sums()
     start = threading.Barrier(callers)
 
     def caller():
         start.wait(timeout=60)
-        return [(sum_curve(golden_lattice, spec, radii), sum_curves(golden_lattice, jobs))
-                for _ in range(3)]
+        return [sums() for _ in range(3)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
