@@ -17,14 +17,17 @@ stream, keyed by the seed with the counter starting at [0, trial, snr index,
 counter to that trial's start with an empty buffer, which yields exactly the
 stream a fresh per-trial Philox would.  A trial draws its codeword index, then
 one vector of standard normals holding the real and imaginary parts of H and
-of the noise.  Trials are drawn and decoded in fixed-size chunks.  With a
-fixed code the (snr index, trial) rows of the whole grid form one sequence,
-so a chunk may span SNR points, each row amplified by its own point's SNR;
-in multiplexing mode the code changes per point and a chunk stays inside
-one.  The naive decoder runs its QR, projection and Babai point on the whole
-chunk at once (``_front_ends``) and then one Schnorr-Euchner search per
-trial.  Every trial sees the same stream and the same arithmetic in any
-chunk, so results are bit-identical however the trials are chunked.
+of the noise.  Trials are drawn and decoded in fixed-size chunks; with a fixed
+code a chunk may span SNR points, each row amplified by its own point's SNR,
+and in multiplexing mode a chunk stays inside one point.  The ML decoder
+scores codewords by ||y - aHX||^2 - ||y||^2 = a^2 Re<H*H, XX*> - 2a
+Re<H*y, X>, two small products per trial.  The naive decoder orders each
+trial's generator columns by increasing norm and runs QR, projection and
+Babai point on the whole chunk at once (``_front_ends``); only trials whose
+Babai point is not certified as the one lattice point inside the search
+radius get a Schnorr-Euchner search on Python floats.  Each trial's decision
+is independent of the chunk: every stacked product makes the same BLAS call
+per row.
 
 Finite codes of a few thousand codewords are kept in a small by-value memo
 (``_collect_code``), so repeated simulations of one fixed code build it once.
@@ -39,6 +42,7 @@ import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +110,8 @@ class ChannelConfig(JsonFields):
             raise ValueError(f"chernoff_scaling must be a boolean, "
                              f"got {self.chernoff_scaling!r}")
         grid = tuple(self.snr_grid_db)
+        if not grid:
+            raise ValueError("snrGridDb must hold at least one SNR point")
         if not all(map(math.isfinite, grid)):
             raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db!r}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -136,6 +142,21 @@ class FiniteCode:
     @property
     def size(self) -> int:
         return self.coeffs.shape[0]
+
+    @cached_property
+    def theta(self) -> float:
+        """The energy normalization of ``normalize_energy``."""
+        return normalize_energy(self.matrices, self.lattice.T)
+
+    @cached_property
+    def ml_products(self) -> np.ndarray:
+        """(2n(n+T), N) codeword side of ``_ml_metrics``: column m holds
+        [X X*, -2 X] of codeword m, with real and imaginary parts interleaved."""
+        X = self.matrices
+        rows = np.concatenate([X @ X.conj().transpose(0, 2, 1), -2.0 * X], axis=2)
+        products = rows.view(np.float64).reshape(len(X), -1).T.copy()
+        products.setflags(write=False)
+        return products
 
 
 # Codes built by _collect_code, keyed by value: every simulate call with a
@@ -224,8 +245,7 @@ def union_bounds(code: FiniteCode, n_r: int, rhos, *,
     the simulated channel; without it the conventional c = rho theta_eff^2
     is used, which only preserves the decay exponents.
     """
-    theta = normalize_energy(code.matrices, code.lattice.T)
-    shifts = [rho * (theta * code.scale) ** 2 for rho in rhos]
+    shifts = [rho * (code.theta * code.scale) ** 2 for rho in rhos]
     if chernoff_scaling:
         shifts = [c / (4.0 * code.lattice.n) for c in shifts]
     jobs = [(SumSpec(family="shifted", m=n_r, c=c), [2.0 * code.radius]) for c in shifts]
@@ -291,8 +311,8 @@ def wilson_halfwidth(errors: int, trials: int, z: float = _Z95) -> float:
 
 
 # Trials per chunk are chosen so that the largest per-chunk array (the ML
-# metric differences, or the naive decoder's generator stack) holds about
-# this many complex entries; memory stays flat at any trial count.
+# metrics, or the naive decoder's generator stack) holds at most about this
+# many complex entries; memory stays flat at any trial count.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -361,24 +381,20 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig, *,
     # Each code with the SNR indices it serves: a fixed code serves the whole
     # grid; in multiplexing mode each point builds its own when its turn comes.
     if cfg.fixed_radius is not None:
-        fixed = fixed_code(lat, cfg.fixed_radius, budget=budget)
-        groups = [(fixed, range(len(rhos)))] if rhos else []
+        groups = [(fixed_code(lat, cfg.fixed_radius, budget=budget), range(len(rhos)))]
     else:
         groups = ((coding_scheme(lat, cfg.multiplexing_r, rho, budget=budget), [p])
                   for p, rho in enumerate(rhos))
-    theta = math.nan
-    code = None
     for code, snr_indices in groups:
         if code.size == 0:
             raise ValueError("finite code is empty at this SNR")
         if ml and code.size > ML_CODE_CAP:
             raise CodeTooLarge(
                 f"code size {code.size} exceeds ml-exhaustive cap {ML_CODE_CAP}")
-        theta = normalize_energy(code.matrices, T)
         # Rows are the (snr index, trial) pairs of every point the code
         # serves, in order; each row is amplified by its own point's SNR.
         point_of = np.asarray(snr_indices, dtype=np.int64)
-        amp_of = np.array([math.sqrt(rhos[p] / n) * theta for p in snr_indices])
+        amp_of = np.array([math.sqrt(rhos[p] / n) * code.theta for p in snr_indices])
         chunk = max(1, _CHUNK_ENTRIES // ((code.size if ml else lat.k) * n_r * T))
         for start in range(0, len(snr_indices) * per_point, chunk):
             rows = np.arange(start, min(start + chunk, len(snr_indices) * per_point))
@@ -391,24 +407,26 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig, *,
                                                      (len(rows), n_r, T))
             y = H @ (amp[:, None, None] * code.matrices[j]) + noise
             if ml:
-                candidates = amp[:, None, None, None] * code.matrices
-                diff = y[:, None] - np.einsum("bri,bnit->bnrt", H, candidates)
-                metrics = (np.abs(diff) ** 2).sum(axis=(2, 3))
-                wrong = metrics.argmin(axis=1) != j
+                wrong = _ml_metrics(code, H, y, amp).argmin(axis=1) != j
             else:
                 gens = _real_generators(
                     H, (amp * code.scale)[:, None, None, None] * lat.basis)
+                # Columns by increasing norm, each trial's own order; the
+                # sent coefficients are permuted the same way.
+                order = np.argsort(np.square(gens).sum(axis=1), axis=1, kind="stable")
+                gens = np.take_along_axis(gens, order[:, None, :], axis=2)
+                want = np.take_along_axis(code.coeffs[j], order, axis=1)
                 targets = _vectorize_real(y)
-                want = code.coeffs[j].tolist()
-                wrong = np.zeros(len(rows), dtype=bool)
-                for row, front in enumerate(_front_ends(gens, targets)):
+                babai, open_rows, fronts = _front_ends(gens, targets)
+                wrong = (babai != want).any(axis=1)
+                for row, front in zip(open_rows.tolist(), fronts):
                     try:
                         z_hat = sphere_cvp(gens[row], targets[row], front=front)
                     except RadiusOverflow:
                         overflows[points[row]] += 1
                         wrong[row] = True
                         continue
-                    wrong[row] = z_hat.tolist() != want[row]
+                    wrong[row] = (z_hat != want[row]).any()
             errors += np.bincount(points[wrong], minlength=len(rhos))
     counts = errors.tolist()
     return SimResult(snr_db=tuple(cfg.snr_grid_db),
@@ -416,8 +434,8 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig, *,
                      error_count=tuple(counts), trials=(per_point,) * len(counts),
                      wilson_halfwidth=tuple(wilson_halfwidth(e, per_point)
                                             for e in counts),
-                     code_size=code.size if code is not None else 0,
-                     theta=theta, decoder=cfg.decoder, seed=cfg.seed,
+                     code_size=code.size, theta=code.theta,
+                     decoder=cfg.decoder, seed=cfg.seed,
                      overflow_count=tuple(overflows))
 
 
@@ -433,16 +451,36 @@ def _real_generators(H: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows.reshape(*imgs.shape[:2], -1).transpose(0, 2, 1))
 
 
-def _front_ends(A: np.ndarray, y: np.ndarray) -> list[tuple]:
+def _ml_metrics(code: FiniteCode, H: np.ndarray, y: np.ndarray,
+                amp: np.ndarray) -> np.ndarray:
+    """(B, N) metrics ||y[b] - amp[b] H[b] X||^2 - ||y[b]||^2 of every codeword
+    X, as Re<G, X X*> - 2 Re<P, X> with G = (aH)*(aH) and P = (aH)* y: per
+    row, one product for [G, P] and one of its reals with ``ml_products``.
+    Both are stacked per row, so a row's metrics do not depend on its chunk."""
+    Ha = amp[:, None, None] * H
+    GP = Ha.conj().transpose(0, 2, 1) @ np.concatenate([Ha, y], axis=2)
+    return (GP.reshape(len(GP), 1, -1).view(np.float64) @ code.ml_products)[:, 0]
+
+
+def _front_ends(A: np.ndarray, y: np.ndarray, *,
+                certify: bool = True) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """Start of the sphere search for each problem min_z ||A[b] z - y[b]||
     of a stack: the QR projection and the Babai point, in one numpy pass.
 
-    Entry b is (y', diag R, columns of R, Babai z as floats, its squared
+    Returns (Babai points as a (B, k) float array, the open rows, their
+    entries).  With r = R z_babai - y', a lattice point whose highest level
+    differing from Babai is l lies at least sum_{i>l} r_i^2 + (R_ll - |r_l|)^2
+    away.  A row whose least bound exceeds the search radius by 1e-9 (1 +
+    ||y'||^2), a margin for rounding, is certified: ``sphere_cvp`` would
+    return its Babai point after 2k nodes.  Every other row is open, and
+    with ``certify=False`` every row is.
+
+    An entry is (y', diag R, columns of R, Babai z as floats, its squared
     distance, the radius slack) of A[b] = Q R with diag R > 0 and y' = Q^T
     y[b], as Python lists and floats.  Every product is a stacked matmul,
     which makes the same BLAS dot or gemv call per row as the one-matrix
-    product does, so each entry is bit-identical for any stack that holds
-    its problem.
+    product does, so each row's results are bit-identical for any stack that
+    holds its problem.
     """
     _, d, k = A.shape
     if d < k:
@@ -464,9 +502,17 @@ def _front_ends(A: np.ndarray, y: np.ndarray) -> list[tuple]:
         zf[:, i] = np.rint((yp[:, i] - above) / diag[:, i])
     resid = (R @ zf[:, :, None])[:, :, 0] - yp
     best_dist = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-    slack = 1e-12 * (1.0 + (yp[:, None, :] @ yp[:, :, None])[:, 0, 0])
-    return list(zip(yp.tolist(), diag.tolist(), R.transpose(0, 2, 1).tolist(),
-                    zf.tolist(), best_dist.tolist(), slack.tolist()))
+    energy = 1.0 + (yp[:, None, :] @ yp[:, :, None])[:, 0, 0]
+    slack = 1e-12 * energy
+    # sum_{i>l} r_i^2 + (R_ll - |r_l|)^2 = sum_{i>=l} r_i^2 + R_ll (R_ll - 2|r_l|)
+    gap = (np.cumsum(np.square(resid[:, ::-1]), axis=1)[:, ::-1]
+           + diag * (diag - 2.0 * np.abs(resid))).min(axis=1)
+    certified = certify & (gap > best_dist * (1.0 + 1e-9) + slack + 1e-9 * energy)
+    open_rows = np.flatnonzero(~certified)
+    fronts = list(zip(yp[open_rows].tolist(), diag[open_rows].tolist(),
+                      R[open_rows].transpose(0, 2, 1).tolist(), zf[open_rows].tolist(),
+                      best_dist[open_rows].tolist(), slack[open_rows].tolist()))
+    return zf, open_rows, fronts
 
 
 def sphere_cvp(A: np.ndarray, y: np.ndarray, *, node_budget: int = 2_000_000,
@@ -477,11 +523,11 @@ def sphere_cvp(A: np.ndarray, y: np.ndarray, *, node_budget: int = 2_000_000,
     distance is a valid initial radius, so the search always terminates with
     the true minimizer.  RadiusOverflow marks an exhausted node budget.
     ``front`` is this problem's entry of ``_front_ends`` on a stack that
-    holds it (``simulate`` computes one per chunk of trials); by default it
-    is computed here on a stack of one.
+    holds it (``simulate`` passes those of a chunk's open trials); by default
+    it is computed here on a stack of one.
     """
     if front is None:
-        front = _front_ends(np.asarray(A)[None], np.asarray(y)[None])[0]
+        front = _front_ends(np.asarray(A)[None], np.asarray(y)[None], certify=False)[2][0]
     ys, diag, cols, zf, best_dist, slack = front
     k = len(ys)
     best_z = [int(v) for v in zf]

@@ -269,6 +269,7 @@ def test_config_validation():
     ("chernoff_scaling", "false", "chernoff_scaling must be a boolean"),
     ("snr_grid_db", (math.nan,), "snr_grid_db must be finite"),
     ("snr_grid_db", (5.0, math.inf), "snr_grid_db must be finite"),
+    ("snr_grid_db", (), "snrGridDb must hold at least one SNR point"),
 ])
 def test_config_rejects_bad_trial_receiver_and_noise_values(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -515,21 +516,32 @@ def test_multiplexing_chunks_stay_inside_a_point(golden_lattice, monkeypatch, de
     assert simulate(golden_lattice, cfg) == _reference_simulate(golden_lattice, cfg)
 
 
-def test_simulate_calls_sphere_cvp_once_per_naive_trial(golden_lattice, monkeypatch):
+def test_simulate_searches_only_the_uncertified_trials(golden_lattice, monkeypatch):
     monkeypatch.setattr(channel, "_CHUNK_ENTRIES", 200)
-    calls = []
-    real = channel.sphere_cvp
+    opened, calls = [], []
+    real_front_ends, real_cvp = channel._front_ends, channel.sphere_cvp
+
+    def front_ends(A, y, **kw):
+        babai, open_rows, fronts = real_front_ends(A, y, **kw)
+        opened.extend(fronts)
+        return babai, open_rows, fronts
 
     def counting(A, y, **kw):
         calls.append(kw["front"])
-        return real(A, y, **kw)
+        return real_cvp(A, y, **kw)
+    monkeypatch.setattr(channel, "_front_ends", front_ends)
     monkeypatch.setattr(channel, "sphere_cvp", counting)
     cfg = _small_cfg(trials_per_point=13, snr_grid_db=(5.0, 10.0, 15.0),
                      decoder="naive-lattice")
     simulate(golden_lattice, cfg)
-    assert len(calls) == 3 * 13
+    assert len(calls) <= 3 * 13
+    assert len(calls) == len(opened)
+    assert all(call is front for call, front in zip(calls, opened))
+    searched = len(calls)
     simulate(golden_lattice, replace(cfg, decoder="ml-exhaustive"))
-    assert len(calls) == 3 * 13
+    assert len(calls) == searched
+    simulate(golden_lattice, replace(cfg, snr_grid_db=(5.0,)))
+    assert len(calls) > searched
 
 
 @settings(max_examples=100, deadline=None)
@@ -542,13 +554,72 @@ def test_stacked_front_end_matches_one_matrix_calls(seed, k, extra, rows, spread
     assume(all(np.linalg.matrix_rank(a) == k for a in A))
     y = (A @ rng.integers(-3, 4, (rows, k, 1)))[:, :, 0] + spread * rng.standard_normal(
         (rows, k + extra))
-    fronts = channel._front_ends(A, y)
-    assert len(fronts) == rows
+    babai, open_rows, fronts = channel._front_ends(A, y, certify=False)
+    assert open_rows.tolist() == list(range(rows)) and len(fronts) == rows
+    certified = channel._front_ends(A, y)
+    assert np.array_equal(certified[0], babai)
+    assert set(certified[1].tolist()) <= set(range(rows))
+    assert certified[2] == [fronts[b] for b in certified[1]]
     for b, front in enumerate(fronts):
-        assert front == channel._front_ends(A[b][None], y[b][None])[0]
+        one = channel._front_ends(A[b][None], y[b][None], certify=False)
+        assert np.array_equal(one[0][0], babai[b]) and one[2] == [front]
+        one = channel._front_ends(A[b][None], y[b][None])
+        assert one[1].tolist() == ([0] if b in certified[1] else [])
+        assert front[3] == babai[b].tolist()
         want = sphere_cvp(A[b], y[b])
         assert np.array_equal(sphere_cvp(A[b], y[b], front=front), want)
         assert np.array_equal(want, _reference_sphere_cvp(A[b], y[b]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 5),
+       extra=st.integers(0, 2), rows=st.integers(1, 8),
+       noise=st.sampled_from(["none", "small", "half", "wide"]))
+def test_certified_babai_point_is_the_closest_point(seed, k, extra, rows, noise):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, k + extra, k))
+    assume(all(np.linalg.matrix_rank(a) == k for a in A))
+    z = rng.integers(-3, 4, (rows, k, 1))
+    if noise == "half":
+        # centres near half-integer offsets, where Babai's rounding is least sure
+        z = z + 0.5 + 1e-9 * rng.standard_normal((rows, k, 1))
+    y = (A @ z)[:, :, 0]
+    if noise in ("small", "wide"):
+        y = y + {"small": 0.05, "wide": 1.0}[noise] * rng.standard_normal(y.shape)
+    babai, open_rows, _ = channel._front_ends(A, y)
+    least_diag = min(np.abs(np.diag(np.linalg.qr(a)[1])).min() for a in A)
+    if noise == "none" and least_diag > 0.1:
+        # every gap is at least R_ll^2 >= 0.01, far above the margin
+        assert open_rows.size == 0
+    for b in sorted(set(range(rows)) - set(open_rows.tolist())):
+        # the search would visit the Babai path and one sibling per level
+        assert np.array_equal(babai[b], sphere_cvp(A[b], y[b], node_budget=2 * k))
+        assert np.array_equal(babai[b], cvp_box_oracle(A[b], y[b]))
+
+
+# At 12 dB and r = 1 the golden scheme code has 576 codewords.
+@pytest.mark.parametrize("multiplexing_r, size", [(None, 16), (1.0, 576)])
+def test_expanded_ml_metric_matches_the_direct_metric(golden_lattice, multiplexing_r, size):
+    rho = 10.0 ** 1.2
+    code = (fixed_code(golden_lattice, 1.0) if multiplexing_r is None
+            else coding_scheme(golden_lattice, multiplexing_r, rho))
+    assert code.size == size
+    rng = np.random.default_rng(size)
+    rows = 25
+    H = _reference_complex_gaussian(rng, (rows, 2, 2))
+    amp = math.sqrt(rho / 2) * code.theta * rng.uniform(0.5, 2.0, rows)
+    j = rng.integers(code.size, size=rows)
+    y = H @ (amp[:, None, None] * code.matrices[j]) + _reference_complex_gaussian(
+        rng, (rows, 2, 2))
+    expanded = channel._ml_metrics(code, H, y, amp)
+    diff = y[:, None] - np.einsum("bri,bnit->bnrt", H,
+                                  amp[:, None, None, None] * code.matrices)
+    energy = (np.abs(y) ** 2).sum(axis=(1, 2))[:, None]
+    direct = (np.abs(diff) ** 2).sum(axis=(2, 3)) - energy
+    # Metrics near zero carry the rounding of terms of size ||y||^2, so the
+    # relative bound is taken against the larger of the two.
+    assert np.all(np.abs(expanded - direct) <= 1e-12 * np.maximum(np.abs(direct), energy))
+    assert np.array_equal(expanded.argmin(axis=1), direct.argmin(axis=1))
 
 
 def test_front_end_rejects_bad_generators():

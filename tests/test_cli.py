@@ -309,6 +309,7 @@ def _with_sim(doc, **fields):
      "multiplexingR must be nonnegative, got -0.5"),
     (lambda doc: doc.update(detScanRadius=-1.0),
      "detScanRadius must be positive in an experiment config, got -1.0"),
+    (lambda doc: _with_sim(doc, snrGridDb=[]), "snrGridDb must hold at least one SNR point"),
 ], ids=["radii-string", "radii-bool", "skipSingular", "fitFromCurves", "compareRadii",
         "compareCValues", "chernoffScaling", "trialsPerPoint", "n_r", "snrGridDb-nan",
         "sTable-nan", "detScanRadius-inf", "compareRadii-inf", "detScanRadius-huge",
@@ -316,7 +317,7 @@ def _with_sim(doc, **fields):
         "compareRadii-alone", "compareCValues-zero", "compare-log-shape-at-M-1",
         "family-foo", "m-negative", "c-negative", "mixed-without-i", "radii-decreasing",
         "radii-zero", "sim-budget", "sim-mlCodeCap", "fixedRadius-negative",
-        "multiplexingR-negative", "detScanRadius-negative"])
+        "multiplexingR-negative", "detScanRadius-negative", "snrGridDb-empty"])
 def test_config_field_of_the_wrong_type_is_a_computation_error(capsys, tmp_path,
                                                                edit, message):
     code, out, err = _run_config_with(capsys, tmp_path, edit)
