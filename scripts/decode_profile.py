@@ -3,19 +3,16 @@
 
     PYTHONPATH=src python3 scripts/decode_profile.py [--seeds 400] [--seed 0] [--passes 3]
 
-Replays ``channel.simulate``'s steps on the benchmark's simulations (golden
-code, radius 1, n_r = 2, 2 trials at 5, 7.5, .., 25 dB; seeds drawn from
-``--seed``) and prints, per step, the median over seeds of each seed's fastest
-of ``--passes`` runs: draw, front end (generators, column order and
-``_front_ends``), search (``sphere_cvp`` on the open trials) and ML metric.
-Then the share of naive trials the Babai certificate settles, and the nodes of
-each open trial's search (the least ``node_budget`` under which it completes).
-BLAS threads are pinned to 1 unless the environment sets them.
+Runs ``channel.simulate``'s own chunk steps on the benchmark's simulations
+(golden code, radius 1, n_r = 2, 2 trials at 5, 7.5, .., 25 dB; seeds drawn
+from ``--seed``) and prints the median over seeds of each seed's fastest of
+``--passes`` runs of each step (draw, naive front end, searches, ML metric),
+then the nodes of each naive search: the least ``node_budget`` under which
+it completes.  BLAS threads are pinned to 1 unless the environment sets them.
 """
 
-from __future__ import annotations
-
 import argparse
+import contextlib
 import math
 import os
 import random
@@ -27,21 +24,18 @@ TRIALS, N_R = 2, 2
 
 def nodes_of(channel, A, y, front) -> int:
     """Least node budget under which the search completes, by bisection."""
+    def completes(budget):
+        try:
+            return channel.sphere_cvp(A, y, front=front, node_budget=budget) is not None
+        except channel.RadiusOverflow:
+            return False
     low, high = 0, 1
-    while True:
-        try:
-            channel.sphere_cvp(A, y, front=front, node_budget=high)
-        except channel.RadiusOverflow:
-            low, high = high, 2 * high
-            continue
-        if high - low == 1:
-            return high
+    while not completes(high):
+        low, high = high, 2 * high
+    while high - low > 1:
         mid = (low + high) // 2
-        try:
-            channel.sphere_cvp(A, y, front=front, node_budget=mid)
-            high = mid
-        except channel.RadiusOverflow:
-            low = mid
+        low, high = (low, mid) if completes(mid) else (mid, high)
+    return high
 
 
 def main() -> int:
@@ -57,9 +51,9 @@ def main() -> int:
     lat = codes.golden_code()
     code = channel.fixed_code(lat, 1.0)
     rows = np.arange(len(SNR_DB) * TRIALS)
+    points, trials = rows // TRIALS, rows % TRIALS
     amp = np.array([math.sqrt(10.0 ** (db / 10.0) / lat.n) * code.theta
-                    for db in SNR_DB])[rows // TRIALS]
-    n_h = 2 * N_R * lat.n
+                    for db in SNR_DB])[points]
     draw = random.Random(args.seed)
     steps = {"draw": [], "front end": [], "search": [], "ML metric": []}
     nodes = []
@@ -68,41 +62,27 @@ def main() -> int:
         best = [math.inf] * len(steps)
         for _ in range(args.passes):
             t = [time.perf_counter()]
-            j, normals = streams.draw((rows // TRIALS).tolist(), (rows % TRIALS).tolist(),
-                                      code.size, 2 * N_R * (lat.n + lat.T))
-            H = channel._complex_pairs(normals[:, :n_h], (len(rows), N_R, lat.n))
-            y = H @ (amp[:, None, None] * code.matrices[j]) + channel._complex_pairs(
-                normals[:, n_h:], (len(rows), N_R, lat.T))
+            j, H, y = streams.draw(code, points, trials, amp, N_R, 1.0)
             t.append(time.perf_counter())
-            gens = channel._real_generators(H, (amp * code.scale)[:, None, None, None] * lat.basis)
-            order = np.argsort(np.square(gens).sum(axis=1), axis=1, kind="stable")
-            gens = np.take_along_axis(gens, order[:, None, :], axis=2)
-            targets = channel._vectorize_real(y)
-            _, open_rows, fronts = channel._front_ends(gens, targets)
+            gens, targets, _ = channel._naive_problems(code, H, y, amp, j)
+            fronts = channel._front_ends(gens, targets)
             t.append(time.perf_counter())
-            for row, front in zip(open_rows.tolist(), fronts):
-                try:
-                    channel.sphere_cvp(gens[row], targets[row], front=front)
-                except channel.RadiusOverflow:
-                    pass
+            for A, target, front in zip(gens, targets, fronts):
+                with contextlib.suppress(channel.RadiusOverflow):
+                    channel.sphere_cvp(A, target, front=front)
             t.append(time.perf_counter())
             channel._ml_metrics(code, H, y, amp).argmin(axis=1)
             t.append(time.perf_counter())
             best = [min(b, t1 - t0) for b, t0, t1 in zip(best, t, t[1:])]
         for times, took in zip(steps.values(), best):
             times.append(took)
-        nodes += [nodes_of(channel, gens[row], targets[row], front)
-                  for row, front in zip(open_rows.tolist(), fronts)]
+        nodes += [nodes_of(channel, *problem) for problem in zip(gens, targets, fronts)]
     print(f"{'step':<12}{'median us/simulation':>22}")
     for step, times in steps.items():
         print(f"{step:<12}{np.median(times) * 1e6:>22.1f}")
-    trials = args.seeds * len(rows)
-    print(f"certified {trials - len(nodes)}/{trials} naive trials "
-          f"({100.0 * (trials - len(nodes)) / trials:.1f}%)")
-    if nodes:
-        p50, p90, p99 = np.percentile(nodes, [50, 90, 99])
-        print(f"nodes per open trial: median {p50:.0f}, p90 {p90:.0f}, p99 {p99:.0f}, "
-              f"mean {np.mean(nodes):.1f}, max {max(nodes)}")
+    p50, p90, p99 = np.percentile(nodes, [50, 90, 99])
+    print(f"nodes per naive trial ({len(nodes)}): median {p50:.0f}, p90 {p90:.0f}, "
+          f"p99 {p99:.0f}, mean {np.mean(nodes):.1f}, max {max(nodes)}")
     return 0
 
 

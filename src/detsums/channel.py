@@ -13,21 +13,20 @@ Decoders:
 
 Randomness is counter-based: each (snr index, trial) pair owns a Philox
 stream, keyed by the seed with the counter starting at [0, trial, snr index,
-0].  ``simulate`` builds one Philox per run and, before each trial, resets its
-counter to that trial's start with an empty buffer, which yields exactly the
-stream a fresh per-trial Philox would.  A trial draws its codeword index, then
-one vector of standard normals holding the real and imaginary parts of H and
-of the noise.  Trials are drawn and decoded in fixed-size chunks; with a fixed
-code a chunk may span SNR points, each row amplified by its own point's SNR,
-and in multiplexing mode a chunk stays inside one point.  The ML decoder
-scores codewords by ||y - aHX||^2 - ||y||^2 = a^2 Re<H*H, XX*> - 2a
-Re<H*y, X>, two small products per trial.  The naive decoder orders each
-trial's generator columns by increasing norm and runs QR, projection and
-Babai point on the whole chunk at once (``_front_ends``); only trials whose
-Babai point is not certified as the one lattice point inside the search
-radius get a Schnorr-Euchner search on Python floats.  Each trial's decision
-is independent of the chunk: every stacked product makes the same BLAS call
-per row.
+0].  Each thread keeps one Philox for all its runs and, before each trial,
+sets its whole state (key, that trial's start counter, empty buffer), which
+yields exactly the stream a fresh per-trial Philox would.  A trial draws its
+codeword index, then one vector of standard normals holding the real and
+imaginary parts of H and of the noise.  Trials are drawn and decoded in
+fixed-size chunks; with a fixed code a chunk may span SNR points, each row
+amplified by its own point's SNR, and in multiplexing mode a chunk stays
+inside one point.  The ML decoder scores codewords by ||y - aHX||^2 - ||y||^2
+= a^2 Re<H*H, XX*> - 2a Re<H*y, X>, two small products per trial.  The naive
+decoder orders each trial's generator columns by increasing norm, runs QR,
+projection and Babai point on the whole chunk at once (``_front_ends``), and
+then one Schnorr-Euchner search per trial on Python floats.  Each trial's
+decision is independent of the chunk: every stacked product makes the same
+BLAS call per row.
 
 Finite codes of a few thousand codewords are kept in a small by-value memo
 (``_collect_code``), so repeated simulations of one fixed code build it once.
@@ -322,39 +321,58 @@ class _TrialStreams:
     Trial ``trial`` of SNR point ``snr_index`` draws from a Philox keyed by
     the seed with its counter starting at [0, trial, snr_index, 0]; the
     indices sit in high counter words, so streams stay disjoint however many
-    draws a trial takes.  Setting the state of a fresh generator with that
-    counter gives exactly the start a Philox constructed with it has (same
-    key and counter, empty buffer) at a fraction of the construction cost.
+    draws a trial takes.  Setting a generator's whole state (key, counter,
+    empty buffer) gives exactly the start a Philox constructed with them has,
+    at a fraction of the construction cost, so each thread keeps one.
     """
 
-    def __init__(self, seed: int):
-        self._bitgen = np.random.Philox(key=seed & ((1 << 128) - 1))
-        self._rng = np.random.Generator(self._bitgen)
-        self._fresh = self._bitgen.state
+    _local = threading.local()
 
-    def draw(self, snr_indices, trials, code_size: int,
-             n_normals: int) -> tuple[np.ndarray, np.ndarray]:
-        """Codeword index and ``n_normals`` standard normals of each
-        (snr index, trial) pair, one row per pair."""
+    def __init__(self, seed: int):
+        if not hasattr(self._local, "rng"):
+            self._local.rng = np.random.Generator(np.random.Philox())
+        self._rng = self._local.rng
+        self._bitgen = self._rng.bit_generator
+        key = seed & ((1 << 128) - 1)
+        words = np.array([key & ((1 << 64) - 1), key >> 64], dtype=np.uint64)
+        self._fresh = {"bit_generator": "Philox", "buffer": np.zeros(4, dtype=np.uint64),
+                       "state": {"counter": np.zeros(4, dtype=np.uint64), "key": words},
+                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def _index(self, code_size: int) -> int:
+        """``Generator.integers(code_size)`` from raw words, as numpy takes it
+        for 1 < code_size <= 2^32: Lemire's multiply-and-reject on 32-bit
+        halves, low half first."""
+        if not 1 < code_size <= 1 << 32:
+            return int(self._rng.integers(code_size))
+        threshold = (1 << 32) % code_size
+        while True:
+            word = self._bitgen.random_raw()
+            for half in (word & 0xFFFFFFFF, word >> 32):
+                if (half * code_size) & 0xFFFFFFFF >= threshold:
+                    return (half * code_size) >> 32
+
+    def draw(self, code: FiniteCode, points: np.ndarray, trials: np.ndarray,
+             amp: np.ndarray, n_r: int,
+             noise_scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sent codeword indices, channels H and received y of a chunk: row b
+        is trial ``trials[b]`` of SNR point ``points[b]``, sent at ``amp[b]``."""
+        n, T = code.lattice.n, code.lattice.T
         counter = self._fresh["state"]["counter"]
-        idx = np.empty(len(trials), dtype=np.int64)
-        normals = np.empty((len(trials), n_normals))
-        for row, (snr_index, trial) in enumerate(zip(snr_indices, trials)):
+        j = np.empty(len(trials), dtype=np.int64)
+        normals = np.empty((len(trials), 2 * n_r * (n + T)))
+        for row, (snr_index, trial) in enumerate(zip(points.tolist(), trials.tolist())):
             counter[1] = trial
             counter[2] = snr_index
             self._bitgen.state = self._fresh
-            idx[row] = self._rng.integers(code_size)
+            j[row] = self._index(code.size)
             self._rng.standard_normal(out=normals[row])
-        return idx, normals
-
-
-def _complex_pairs(normals: np.ndarray, shape: tuple) -> np.ndarray:
-    """Unit-variance complex Gaussians from the real parts followed by the
-    imaginary parts, one batch row per trial."""
-    half = normals.shape[1] // 2
-    re = normals[:, :half].reshape(shape)
-    im = normals[:, half:].reshape(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+        # H takes the first 2 n_r n normals and the noise the other 2 n_r T,
+        # each as its real parts followed by its imaginary parts.
+        H, noise = [((part[:, :len(part.T) // 2] + 1j * part[:, len(part.T) // 2:])
+                     / math.sqrt(2.0)).reshape(len(trials), n_r, -1)
+                    for part in (normals[:, :2 * n_r * n], normals[:, 2 * n_r * n:])]
+        return j, H, H @ (amp[:, None, None] * code.matrices[j]) + noise_scale * noise
 
 
 def simulate(lat: MatrixLattice, cfg: ChannelConfig, *,
@@ -372,7 +390,6 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig, *,
             f"naive-lattice decoding needs 2*n_r*T >= k; 2*{n_r}*{T} < {lat.k}: "
             f"the received signal cannot determine all lattice coefficients")
     streams = _TrialStreams(cfg.seed)
-    n_h = 2 * n_r * n                 # normals of H; the noise takes 2 n_r T
     ml = cfg.decoder == "ml-exhaustive"
     rhos = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_grid_db]
     per_point = cfg.trials_per_point
@@ -400,33 +417,20 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig, *,
             rows = np.arange(start, min(start + chunk, len(snr_indices) * per_point))
             points, amp = point_of[rows // per_point], amp_of[rows // per_point]
             trials = rows % per_point
-            j, normals = streams.draw(points.tolist(), trials.tolist(), code.size,
-                                      2 * n_r * (n + T))
-            H = _complex_pairs(normals[:, :n_h], (len(rows), n_r, n))
-            noise = cfg.noise_scale * _complex_pairs(normals[:, n_h:],
-                                                     (len(rows), n_r, T))
-            y = H @ (amp[:, None, None] * code.matrices[j]) + noise
+            j, H, y = streams.draw(code, points, trials, amp, n_r, cfg.noise_scale)
             if ml:
                 wrong = _ml_metrics(code, H, y, amp).argmin(axis=1) != j
             else:
-                gens = _real_generators(
-                    H, (amp * code.scale)[:, None, None, None] * lat.basis)
-                # Columns by increasing norm, each trial's own order; the
-                # sent coefficients are permuted the same way.
-                order = np.argsort(np.square(gens).sum(axis=1), axis=1, kind="stable")
-                gens = np.take_along_axis(gens, order[:, None, :], axis=2)
-                want = np.take_along_axis(code.coeffs[j], order, axis=1)
-                targets = _vectorize_real(y)
-                babai, open_rows, fronts = _front_ends(gens, targets)
-                wrong = (babai != want).any(axis=1)
-                for row, front in zip(open_rows.tolist(), fronts):
+                gens, targets, want = _naive_problems(code, H, y, amp, j)
+                wrong = np.zeros(len(rows), dtype=bool)
+                for row, front in enumerate(_front_ends(gens, targets)):
                     try:
                         z_hat = sphere_cvp(gens[row], targets[row], front=front)
                     except RadiusOverflow:
                         overflows[points[row]] += 1
                         wrong[row] = True
                         continue
-                    wrong[row] = (z_hat != want[row]).any()
+                    wrong[row] = z_hat.tolist() != want[row]
             errors += np.bincount(points[wrong], minlength=len(rhos))
     counts = errors.tolist()
     return SimResult(snr_db=tuple(cfg.snr_grid_db),
@@ -437,6 +441,17 @@ def simulate(lat: MatrixLattice, cfg: ChannelConfig, *,
                      code_size=code.size, theta=code.theta,
                      decoder=cfg.decoder, seed=cfg.seed,
                      overflow_count=tuple(overflows))
+
+
+def _naive_problems(code: FiniteCode, H: np.ndarray, y: np.ndarray, amp: np.ndarray,
+                    sent: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """The closest-point problems of a chunk of naive trials: real generator
+    stacks with each trial's columns ordered by increasing norm, the real
+    targets, and the sent coefficients permuted the same way, as lists."""
+    gens = _real_generators(H, (amp * code.scale)[:, None, None, None] * code.lattice.basis)
+    order = np.argsort(np.square(gens).sum(axis=1), axis=1, kind="stable")
+    return (np.take_along_axis(gens, order[:, None, :], axis=2), _vectorize_real(y),
+            np.take_along_axis(code.coeffs[sent], order, axis=1).tolist())
 
 
 def _real_generators(H: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -462,25 +477,16 @@ def _ml_metrics(code: FiniteCode, H: np.ndarray, y: np.ndarray,
     return (GP.reshape(len(GP), 1, -1).view(np.float64) @ code.ml_products)[:, 0]
 
 
-def _front_ends(A: np.ndarray, y: np.ndarray, *,
-                certify: bool = True) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+def _front_ends(A: np.ndarray, y: np.ndarray) -> list[tuple]:
     """Start of the sphere search for each problem min_z ||A[b] z - y[b]||
     of a stack: the QR projection and the Babai point, in one numpy pass.
 
-    Returns (Babai points as a (B, k) float array, the open rows, their
-    entries).  With r = R z_babai - y', a lattice point whose highest level
-    differing from Babai is l lies at least sum_{i>l} r_i^2 + (R_ll - |r_l|)^2
-    away.  A row whose least bound exceeds the search radius by 1e-9 (1 +
-    ||y'||^2), a margin for rounding, is certified: ``sphere_cvp`` would
-    return its Babai point after 2k nodes.  Every other row is open, and
-    with ``certify=False`` every row is.
-
-    An entry is (y', diag R, columns of R, Babai z as floats, its squared
+    Entry b is (y', diag R, columns of R, Babai z as floats, its squared
     distance, the radius slack) of A[b] = Q R with diag R > 0 and y' = Q^T
     y[b], as Python lists and floats.  Every product is a stacked matmul,
     which makes the same BLAS dot or gemv call per row as the one-matrix
-    product does, so each row's results are bit-identical for any stack that
-    holds its problem.
+    product does, so each entry is bit-identical for any stack that holds
+    its problem.
     """
     _, d, k = A.shape
     if d < k:
@@ -502,17 +508,9 @@ def _front_ends(A: np.ndarray, y: np.ndarray, *,
         zf[:, i] = np.rint((yp[:, i] - above) / diag[:, i])
     resid = (R @ zf[:, :, None])[:, :, 0] - yp
     best_dist = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-    energy = 1.0 + (yp[:, None, :] @ yp[:, :, None])[:, 0, 0]
-    slack = 1e-12 * energy
-    # sum_{i>l} r_i^2 + (R_ll - |r_l|)^2 = sum_{i>=l} r_i^2 + R_ll (R_ll - 2|r_l|)
-    gap = (np.cumsum(np.square(resid[:, ::-1]), axis=1)[:, ::-1]
-           + diag * (diag - 2.0 * np.abs(resid))).min(axis=1)
-    certified = certify & (gap > best_dist * (1.0 + 1e-9) + slack + 1e-9 * energy)
-    open_rows = np.flatnonzero(~certified)
-    fronts = list(zip(yp[open_rows].tolist(), diag[open_rows].tolist(),
-                      R[open_rows].transpose(0, 2, 1).tolist(), zf[open_rows].tolist(),
-                      best_dist[open_rows].tolist(), slack[open_rows].tolist()))
-    return zf, open_rows, fronts
+    slack = 1e-12 * (1.0 + (yp[:, None, :] @ yp[:, :, None])[:, 0, 0])
+    return list(zip(yp.tolist(), diag.tolist(), R.transpose(0, 2, 1).tolist(),
+                    zf.tolist(), best_dist.tolist(), slack.tolist()))
 
 
 def sphere_cvp(A: np.ndarray, y: np.ndarray, *, node_budget: int = 2_000_000,
@@ -523,11 +521,11 @@ def sphere_cvp(A: np.ndarray, y: np.ndarray, *, node_budget: int = 2_000_000,
     distance is a valid initial radius, so the search always terminates with
     the true minimizer.  RadiusOverflow marks an exhausted node budget.
     ``front`` is this problem's entry of ``_front_ends`` on a stack that
-    holds it (``simulate`` passes those of a chunk's open trials); by default
-    it is computed here on a stack of one.
+    holds it (``simulate`` computes one per chunk of trials); by default it
+    is computed here on a stack of one.
     """
     if front is None:
-        front = _front_ends(np.asarray(A)[None], np.asarray(y)[None], certify=False)[2][0]
+        front = _front_ends(np.asarray(A)[None], np.asarray(y)[None])[0]
     ys, diag, cols, zf, best_dist, slack = front
     k = len(ys)
     best_z = [int(v) for v in zf]
